@@ -228,6 +228,22 @@ def _integrate_checked(rhs, y0, integ):
     )
 
 
+def _march_splitstep(step, fields, dt, t_end):
+    """Apply step(fields, h) from t = 0 to exactly t_end; returns (fields, failure).
+
+    The steps follow integrators.fixed_steps, so a dt that does not
+    divide t_end ends with one short step.  On a non-finite field the
+    last finite fields are returned with a failure message.
+    """
+    nfull, rem = integrators.fixed_steps(0.0, t_end, dt)
+    for h in [dt] * nfull + ([rem] if rem else []):
+        new = step(fields, h)
+        if not all(np.all(np.isfinite(f.values.view(float))) for f in new):
+            return fields, f"field became non-finite at t={new[0].time:.6g}"
+        fields = new
+    return fields, None
+
+
 def _uniform_scalar_U(p) -> float:
     vals = set(p.U)
     if len(vals) != 1:
@@ -282,37 +298,24 @@ def _run_simulate(cfg: dict, out_dir: str) -> int:
         t_end = float(integ["t_end"])
 
         if eq == "gp":
-            nsteps = int(round(t_end / dt))
-            field = continuum.ContinuumField(u0.copy())
-            for _ in range(nsteps):
-                new = continuum.gp_step_splitstep(field, dt, grid, V=V)
-                if not np.all(np.isfinite(new.values.view(float))):
-                    failure = f"field became non-finite at t={new.time:.6g}"
-                    break
-                field = new
-            finals = [field.values]
+            fields, failure = _march_splitstep(
+                lambda fs, h: (continuum.gp_step_splitstep(fs[0], h, grid, V=V),),
+                (continuum.ContinuumField(u0.copy()),), dt, t_end)
+            finals = [fields[0].values]
             summary["initial_observables"] = continuum.continuum_observables(
                 continuum.ContinuumField(u0), grid, V=V)
             summary["final_observables"] = continuum.continuum_observables(
-                field, grid, V=V)
+                fields[0], grid, V=V)
         elif eq == "coupled-gp":
-            nsteps = int(round(t_end / dt))
             Uval = _uniform_scalar_U(p)
             U_values = np.full(grid.M, Uval)
             prof2 = _make_profile(cfg["initial2"], grid.L, grid.L / 2.0)
             u1 = prof2(grid.xs)
-            fields = (continuum.ContinuumField(u0.copy()),
-                      continuum.ContinuumField(u1.copy()))
-            for _ in range(nsteps):
-                new = continuum.coupled_gp_step(fields, dt, grid, p.t, U_values,
-                                                hbar=p.hbar)
-                bad = any(
-                    not np.all(np.isfinite(f.values.view(float))) for f in new
-                )
-                if bad:
-                    failure = f"field became non-finite at t={new[0].time:.6g}"
-                    break
-                fields = new
+            fields, failure = _march_splitstep(
+                lambda fs, h: continuum.coupled_gp_step(fs, h, grid, p.t, U_values,
+                                                        hbar=p.hbar),
+                (continuum.ContinuumField(u0.copy()),
+                 continuum.ContinuumField(u1.copy())), dt, t_end)
             finals = [f.values for f in fields]
             summary["initial_observables"] = continuum.coupled_gp_observables(
                 (continuum.ContinuumField(u0), continuum.ContinuumField(u1)),
@@ -380,7 +383,7 @@ def _run_simulate(cfg: dict, out_dir: str) -> int:
 
 # ----------------------------------------------------------- study command
 
-def _run_study(cfg: dict, out_dir: str, threads: int) -> int:
+def _run_study(cfg: dict, out_dir: str) -> int:
     study = cfg["study"]
     kind = study["kind"]
     p = config_mod.model_params(cfg)
@@ -391,13 +394,12 @@ def _run_study(cfg: dict, out_dir: str, threads: int) -> int:
         if k in study
     }
     band = (float(study["slope_min"]), float(study["slope_max"]))
-    threads = threads or int(study["threads"])
 
     if kind == "continuum-limit":
         profile = _make_profile(prof_spec, L, L / 2.0)
         report = limitlab.lattice_vs_continuum(
             p, profile, study["sizes"], L, float(study["t_end"]), float(study["dt"]),
-            grid_refine=int(study["grid_refine"]), band=band, threads=threads,
+            grid_refine=int(study["grid_refine"]), band=band,
         )
         rows = [
             (_fmt(pt["spacing"]), str(pt["N"]), _fmt(pt["error"]))
@@ -408,7 +410,7 @@ def _run_study(cfg: dict, out_dir: str, threads: int) -> int:
         profile = _make_profile(prof_spec, L, 0.0)
         report = limitlab.truncation_study(
             p, study["s_values"], profile, L, int(study["M"]),
-            float(study["t_end"]), float(study["dt"]), band=band, threads=threads,
+            float(study["t_end"]), float(study["dt"]), band=band,
         )
         rows = []
         for pt in report.points:
@@ -452,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory (default: current)")
         sp.add_argument("--threads", type=int, default=0,
-                        help="worker threads for studies")
+                        help="accepted and ignored: studies run in one thread")
         sp.add_argument("--dry-run", action="store_true",
                         help="print the resolved plan and exit")
     return parser
@@ -480,7 +482,7 @@ def main(argv=None) -> int:
             return _run_verify(cfg, out_dir)
         if args.command == "simulate":
             return _run_simulate(cfg, out_dir)
-        return _run_study(cfg, out_dir, args.threads)
+        return _run_study(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

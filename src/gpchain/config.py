@@ -8,6 +8,7 @@ so a typo fails fast instead of silently running defaults.
 from __future__ import annotations
 
 import json
+import math
 
 
 class ConfigError(ValueError):
@@ -67,7 +68,42 @@ def _reject_unknown(section: str, value, allowed) -> None:
             raise ConfigError(f"unknown config key {section}.{key}")
 
 
+def _number(path: str, value, low=None, strict=False) -> None:
+    """Require a finite JSON number, optionally above low (strictly or not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    if low is not None and (value <= low if strict else value < low):
+        raise ConfigError(
+            f"{path} must be {'above' if strict else 'at least'} {low}, got {value!r}")
+
+
+def _integer(path: str, value, low=None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{path} must be an integer{bound}, got {value!r}")
+
+
+def _numbers(path: str, value) -> None:
+    """A number, or a list of numbers (per-site values)."""
+    if not isinstance(value, list):
+        _number(path, value)
+        return
+    for i, v in enumerate(value):
+        _number(f"{path}[{i}]", v)
+
+
+def _check_profile_numbers(section: str, opts: dict) -> None:
+    for key in ("amplitude", "width", "center", "eta"):
+        if key in opts:
+            _number(f"{section}.{key}", opts[key])
+    if "mode" in opts:
+        _integer(f"{section}.mode", opts["mode"])
+
+
 def _check_profile(section: str, opts: dict) -> None:
+    _check_profile_numbers(section, opts)
     kind = opts.get("profile", "zero")
     if kind not in _PROFILES:
         raise ConfigError(
@@ -104,12 +140,22 @@ def validate_config(cfg: dict, command: str) -> dict:
     n = model["N"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ConfigError(f"model.N must be an integer, got {n!r}")
+    for key in ("J0", "J1", "R0", "R1", "x_xi", "t"):
+        if key in model:
+            _number(f"model.{key}", model[key])
+    for key in ("s", "hbar"):
+        if key in model:
+            _number(f"model.{key}", model[key], 0, strict=True)
+    for key in ("h", "U"):
+        if key in model:
+            _numbers(f"model.{key}", model[key])
     if command in ("simulate", "verify-derivation") and n < MIN_CLI_SITES:
         raise ConfigError(f"model.N must be at least {MIN_CLI_SITES}, got {n}")
 
     grid = out.setdefault("grid", {})
     grid.setdefault("L", 8.0 * 3.141592653589793)
     grid.setdefault("M", 512)
+    _number("grid.L", grid["L"], 0, strict=True)
     m = grid["M"]
     if not isinstance(m, int) or isinstance(m, bool) or m < 8 or m & (m - 1):
         raise ConfigError(f"grid.M must be a power of two >= 8, got {m!r}")
@@ -127,10 +173,10 @@ def validate_config(cfg: dict, command: str) -> dict:
         raise ConfigError(
             f"integrator.symbol_mode must be naive or wick, got {integ['symbol_mode']!r}"
         )
-    if not (float(integ["dt"]) > 0):
-        raise ConfigError("integrator.dt must be positive")
-    if not (float(integ["t_end"]) >= 0):
-        raise ConfigError("integrator.t_end must be nonnegative")
+    _number("integrator.dt", integ["dt"], 0, strict=True)
+    _number("integrator.t_end", integ["t_end"], 0)
+    _number("integrator.tolerance", integ["tolerance"], 0, strict=True)
+    _integer("integrator.snapshot_every", integ["snapshot_every"], 0)
 
     if command == "simulate":
         eq = out.setdefault("equation", "xxz-lattice")
@@ -151,10 +197,8 @@ def validate_config(cfg: dict, command: str) -> dict:
         pot = out.setdefault("potential", {"profile": "zero"})
         if pot.get("profile", "zero") == "file":
             raise ConfigError("potential.profile = file is not supported")
-        sp = out.setdefault("spacing", 1.0)
-        if not (float(sp) > 0):
-            raise ConfigError("spacing must be positive")
-        out.setdefault("dispersive_scale", 1.0)
+        _number("spacing", out.setdefault("spacing", 1.0), 0, strict=True)
+        _number("dispersive_scale", out.setdefault("dispersive_scale", 1.0))
 
     if command == "study":
         study = out.get("study")
@@ -171,6 +215,10 @@ def validate_config(cfg: dict, command: str) -> dict:
         study.setdefault("profile", "gaussian")
         if study["profile"] not in _PROFILES - {"file"}:
             raise ConfigError(f"study.profile {study['profile']!r} is not usable here")
+        _check_profile_numbers("study", study)
+        _number("study.L", study["L"], 0, strict=True)
+        _number("study.dt", study["dt"], 0, strict=True)
+        _integer("study.threads", study["threads"], 0)
         if kind == "continuum-limit":
             study.setdefault("sizes", [32, 64, 128, 256])
             study.setdefault("grid_refine", 4)
@@ -188,12 +236,24 @@ def validate_config(cfg: dict, command: str) -> dict:
             study.setdefault("t_end", 1.0)
             study.setdefault("slope_min", 0.7)
             study.setdefault("slope_max", 1.3)
+            sm = study["M"]
+            if not isinstance(sm, int) or isinstance(sm, bool) or sm < 8 or sm & (sm - 1):
+                raise ConfigError(f"study.M must be a power of two >= 8, got {sm!r}")
+            if not isinstance(study["s_values"], list):
+                raise ConfigError("study.s_values must be a list")
+            for i, sv in enumerate(study["s_values"]):
+                _number(f"study.s_values[{i}]", sv, 0, strict=True)
+        _number("study.t_end", study["t_end"], 0)
+        _number("study.slope_min", study["slope_min"])
+        _number("study.slope_max", study["slope_max"])
 
     if command == "verify-derivation":
         ver = out.setdefault("verify", {})
         ver.setdefault("N", 7)
         ver.setdefault("site", None)
         ver.setdefault("jw_sites", 4)
+        if ver["site"] is not None:
+            _integer("verify.site", ver["site"])
         vn = ver["N"]
         if not isinstance(vn, int) or vn < MIN_CLI_SITES:
             raise ConfigError(f"verify.N must be an integer >= {MIN_CLI_SITES}, got {vn!r}")
@@ -205,9 +265,15 @@ def validate_config(cfg: dict, command: str) -> dict:
 
 def model_params(cfg: dict):
     """Build the frozen parameter object for the validated config."""
+    try:
+        return _build_params(cfg["model"])
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from exc
+
+
+def _build_params(model: dict):
     from .models import HubbardParams, XXZParams
 
-    model = cfg["model"]
     if model["family"] == "hubbard":
         u = model["U"]
         return HubbardParams(

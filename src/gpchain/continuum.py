@@ -12,6 +12,10 @@ equation, all on a periodic interval of length L:
   gp: i u_t = u - u_xx - |u|^2 u - V u, integrated either spectrally
       with RK4 or by a norm-preserving Strang split step.
 
+All three belong to one cubic-dispersive family and share one fused
+RHS, which also evolves the rows of an (R, M) array as independent
+fields, so a batch of runs on one grid makes one integration.
+
 A two-component split step for the coupled (two-flavor) equation is
 also provided.
 """
@@ -19,10 +23,16 @@ also provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .models import XXZParams
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -46,13 +56,19 @@ class Grid1D:
     def xs(self) -> np.ndarray:
         return np.arange(self.M) * self.dx
 
-    @property
+    @cached_property
     def k(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.M, d=self.dx)
+        """Angular wavenumbers in FFT order; computed once, read-only."""
+        return _readonly(2.0 * np.pi * np.fft.fftfreq(self.M, d=self.dx))
+
+    @cached_property
+    def _dealias(self) -> np.ndarray:
+        idx = np.fft.fftfreq(self.M, d=1.0 / self.M)
+        return _readonly(np.abs(idx) <= self.M // 3)
 
     def dealias_mask(self) -> np.ndarray:
-        idx = np.fft.fftfreq(self.M, d=1.0 / self.M)
-        return np.abs(idx) <= self.M // 3
+        """2/3-rule mask over the wavenumbers; computed once, read-only."""
+        return self._dealias
 
 
 @dataclass
@@ -75,28 +91,62 @@ def spectral_derivative(values, grid: Grid1D, order: int = 1) -> np.ndarray:
     return np.fft.ifft((1j * grid.k) ** order * vh)
 
 
-def _filtered(values, mask):
-    return np.fft.ifft(np.fft.fft(values) * mask)
+def _per_row(c):
+    """A scalar coefficient, or one value per row shaped (R, 1) to broadcast."""
+    a = np.asarray(c)
+    return a if a.ndim == 0 else a.reshape(-1, 1)
+
+
+def _cubic_rhs(grid: Grid1D, scale, lin, d2, cubic, grad=0.0, pair=0.0,
+               V=None, dealias: bool = True):
+    """du/dt for the cubic-dispersive family shared by every spectral RHS:
+
+        du/dt = scale [ (lin - V) u + d2 u_xx
+                        + D( cubic |u|^2 u + grad |u_x|^2 u
+                             + pair (u* u_xx + u u*_xx) ) ]
+
+    D is the 2/3-rule dealias filter (the identity when dealias is
+    False).  u may be one field of shape (M,) or R independent fields of
+    shape (R, M); each coefficient is a scalar or holds one value per
+    row.  u is transformed once, the nonlinear terms are summed in
+    physical space and filtered together (the mask is linear), and the
+    linear part is applied in spectral space: five FFTs per evaluation,
+    three when grad = pair = 0.
+    """
+    scale, lin, d2, cubic, grad, pair = (
+        _per_row(c) for c in (scale, lin, d2, cubic, grad, pair))
+    gradients = bool(np.any(grad != 0) or np.any(pair != 0))
+    ik = 1j * grid.k
+    minus_k2 = -grid.k ** 2
+    lin_hat = scale * (lin + d2 * minus_k2)
+    c_cubic, c_grad, c_pair = scale * cubic, scale * grad, 2.0 * scale * pair
+    sV = None if V is None else scale * np.asarray(V, dtype=float)
+    mask = grid.dealias_mask().astype(float) if dealias else None
+
+    def f(t, u):
+        uh = np.fft.fft(u)
+        nl = c_cubic * (u.real ** 2 + u.imag ** 2) * u
+        if gradients:
+            u_x = np.fft.ifft(ik * uh)
+            u_xx = np.fft.ifft(minus_k2 * uh)
+            nl = nl + c_grad * (u_x.real ** 2 + u_x.imag ** 2) * u
+            # u* u_xx + u u*_xx is real: twice Re(u* u_xx)
+            nl = nl + c_pair * (u.real * u_xx.real + u.imag * u_xx.imag)
+        if mask is None:
+            du = np.fft.ifft(lin_hat * uh) + nl
+        else:
+            du = np.fft.ifft(lin_hat * uh + mask * np.fft.fft(nl))
+        if sV is not None:
+            du = du - sV * u
+        return du
+
+    return f
 
 
 def gp_rhs_factory(grid: Grid1D, V=None, linear_offset: float = 1.0,
                    dealias: bool = True):
     """du/dt for  i u_t = offset*u - u_xx - |u|^2 u - V u."""
-    k2 = grid.k ** 2
-    mask = grid.dealias_mask() if dealias else None
-    Varr = None if V is None else np.asarray(V, dtype=float)
-
-    def f(t, u):
-        u_xx = np.fft.ifft(-k2 * np.fft.fft(u))
-        nl = (np.abs(u) ** 2) * u
-        if mask is not None:
-            nl = _filtered(nl, mask)
-        P = linear_offset * u - u_xx - nl
-        if Varr is not None:
-            P = P - Varr * u
-        return -1j * P
-
-    return f
+    return _cubic_rhs(grid, -1j, linear_offset, -1.0, -1.0, V=V, dealias=dealias)
 
 
 def gp_step_splitstep(field: ContinuumField, dt: float, grid: Grid1D,
@@ -156,8 +206,6 @@ def pretransform_rhs_factory(p: XXZParams, grid: Grid1D, spacing: float = 1.0,
     setting J1 = R1 = 0, h = 0 and c -> 0 recovers nothing but the
     nondispersive part, which is the point of the convergence study.
     """
-    k2 = grid.k ** 2
-    mask = grid.dealias_mask() if dealias else None
     c2 = spacing * spacing
     if h_values is None:
         if any(v != 0.0 for v in p.h):
@@ -172,30 +220,14 @@ def pretransform_rhs_factory(p: XXZParams, grid: Grid1D, spacing: float = 1.0,
     lin = (-2.0 * p.J0 + 2.0 * p.R0) * p.s \
         + 2.0 * p.J1 * p.s * p.x_xi - 2.0 * p.R1 * p.s * p.x_xi
     cubic = -2.0 * p.R0 + 2.0 * p.R1 * p.x_xi
-    scale = 1.0 / (1j * p.hbar)
-
-    def f(t, u):
-        u_xx = np.fft.ifft(-k2 * np.fft.fft(u))
-        u_x = np.fft.ifft(1j * grid.k * np.fft.fft(u))
-        nl = (np.abs(u) ** 2) * u
-        grad2 = (np.abs(u_x) ** 2) * u
-        pair = np.conj(u) * u_xx + u * np.conj(u_xx)
-        if mask is not None:
-            nl = _filtered(nl, mask)
-            grad2 = _filtered(grad2, mask)
-            pair = _filtered(pair, mask)
-        P = lin * u - p.s * p.J0 * c2 * u_xx + cubic * nl
-        P = P - 2.0 * p.R0 * c2 * grad2 - p.R0 * c2 * pair
-        if harr is not None:
-            P = P - harr * u
-        return scale * P
-
-    return f
+    return _cubic_rhs(
+        grid, 1.0 / (1j * p.hbar), lin, -p.s * p.J0 * c2, cubic,
+        grad=-2.0 * p.R0 * c2, pair=-p.R0 * c2, V=harr, dealias=dealias,
+    )
 
 
-def precursor_rhs_factory(grid: Grid1D, A: float, B: float, V=None,
-                          r1_over_r0: float = 0.0, x_xi: float = 0.0,
-                          dispersive_scale: float = 1.0, dealias: bool = True):
+def precursor_rhs_factory(grid: Grid1D, A, B, V=None, r1_over_r0=0.0,
+                          x_xi=0.0, dispersive_scale=1.0, dealias: bool = True):
     """du/dt for the rescaled equation with its dispersive remainder:
 
         i u_t = u - u_xx - |u|^2 u
@@ -204,36 +236,21 @@ def precursor_rhs_factory(grid: Grid1D, A: float, B: float, V=None,
                 - V u
 
     eps = dispersive_scale; eps = 0 reduces to the GP right-hand side.
+    A, B, r1_over_r0, x_xi and eps may each hold one value per row of
+    an (R, M) field, whose rows then evolve independently.
     """
-    if A <= 0 or B <= 0:
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if np.any(A <= 0) or np.any(B <= 0):
         raise ValueError(f"A and B must be positive, got A={A!r}, B={B!r}")
-    k2 = grid.k ** 2
-    mask = grid.dealias_mask() if dealias else None
-    Varr = None if V is None else np.asarray(V, dtype=float)
-    eps = dispersive_scale
+    eps = np.asarray(dispersive_scale, dtype=float)
     Bm2 = B ** -2
-    c_cubic = r1_over_r0 * x_xi / B
+    c_cubic = np.asarray(r1_over_r0, dtype=float) * x_xi / B
     c_pair = Bm2 / (2.0 * A)
-
-    def f(t, u):
-        u_xx = np.fft.ifft(-k2 * np.fft.fft(u))
-        nl = (np.abs(u) ** 2) * u
-        if mask is not None:
-            nl = _filtered(nl, mask)
-        P = u - u_xx - nl
-        if eps:
-            u_x = np.fft.ifft(1j * grid.k * np.fft.fft(u))
-            grad2 = (np.abs(u_x) ** 2) * u
-            pair = np.conj(u) * u_xx + u * np.conj(u_xx)
-            if mask is not None:
-                grad2 = _filtered(grad2, mask)
-                pair = _filtered(pair, mask)
-            P = P + eps * (c_cubic * nl - Bm2 * grad2 - c_pair * pair)
-        if Varr is not None:
-            P = P - Varr * u
-        return -1j * P
-
-    return f
+    return _cubic_rhs(
+        grid, -1j, 1.0, -1.0, -1.0 + eps * c_cubic,
+        grad=-eps * Bm2, pair=-eps * c_pair, V=V, dealias=dealias,
+    )
 
 
 def coupled_gp_step(fields, dt: float, grid: Grid1D, t_hop: float,

@@ -37,6 +37,22 @@ def rk4_step(f, t, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def fixed_steps(t0, t_end, dt):
+    """Plan a fixed-step march from t0 to t_end: (full steps, final step).
+
+    The full steps number round(span / dt) when that lands on t_end to
+    1e-9 relative, and floor(span / dt) otherwise.  The final step is
+    what is left to t_end, or 0.0 when that is below 1e-12 relative, so
+    a march that takes both ends at exactly t_end.
+    """
+    span = t_end - t0
+    nfull = int(round(span / dt))
+    if abs(nfull * dt - span) > 1e-9 * max(dt, abs(span)):
+        nfull = int(span / dt)
+    rem = t_end - (t0 + nfull * dt)
+    return nfull, (rem if rem > 1e-12 * max(1.0, abs(t_end)) else 0.0)
+
+
 def integrate_fixed(f, y0, t0, t_end, dt, snapshot_every=0):
     """March RK4 from t0 to t_end; returns (times, states).
 
@@ -51,10 +67,7 @@ def integrate_fixed(f, y0, t0, t_end, dt, snapshot_every=0):
     t = float(t0)
     times = [t]
     states = [y.copy()]
-    span = t_end - t0
-    nfull = int(round(span / dt))
-    if abs(nfull * dt - span) > 1e-9 * max(dt, abs(span)):
-        nfull = int(span / dt)
+    nfull, rem = fixed_steps(t0, t_end, dt)
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step < nfull:
@@ -69,8 +82,7 @@ def integrate_fixed(f, y0, t0, t_end, dt, snapshot_every=0):
             if snapshot_every and step % snapshot_every == 0 and step < nfull:
                 times.append(t)
                 states.append(y.copy())
-        rem = t_end - t
-        if rem > 1e-12 * max(1.0, abs(t_end)):
+        if rem:
             y = rk4_step(f, t, y, rem)
             t = t_end
             if not np.all(np.isfinite(y.view(float))):

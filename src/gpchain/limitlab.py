@@ -10,7 +10,6 @@ truncation ratio 2 R0 / (s J0)).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -160,13 +159,6 @@ def taylor_check(fn, d1, d2, deltas, xs, band=(2.7, 3.3)) -> ConvergenceReport:
     return _finish_report("taylor", list(deltas), errors, points, band)
 
 
-def _run_point_map(worker, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(it) for it in items]
-
-
 def lattice_vs_continuum(
     p: XXZParams,
     profile,
@@ -188,7 +180,8 @@ def lattice_vs_continuum(
     difference at t_end, sampled at the lattice points, is recorded
     against c.  reference="self" instead compares each lattice run
     against itself at half the time step (a pure integrator-error
-    measurement, useful as a floor).
+    measurement, useful as a floor).  threads is accepted and ignored:
+    the points run one after another.
     """
     if reference not in ("continuum", "self"):
         raise ValueError(f"reference must be continuum or self, got {reference!r}")
@@ -220,7 +213,7 @@ def lattice_vs_continuum(
         detail["relative_error"] = err / max(_l2(c, uT), 1e-300)
         return c, err, detail
 
-    results = _run_point_map(worker, list(sizes), threads)
+    results = [worker(N) for N in sizes]
     xs = [r[0] for r in results]
     errors = [r[1] for r in results]
     points = [r[2] for r in results]
@@ -250,38 +243,40 @@ def truncation_study(
     The initial profile is fixed in the original frame and rescaled per
     point (u0 = profile(B xi_centered) / A), so growing s shrinks the
     amplitude the way the transform itself does.  Degenerate points are
-    recorded and skipped.
+    recorded and skipped.  Every usable point contributes two rows to
+    one (2S, M) RK4 integration: its precursor leg, and its GP leg as
+    the same precursor row with dispersive_scale = 0.  threads is
+    accepted and ignored.
     """
     grid = continuum.Grid1D(L, M)
     xs_c = grid.xs - L / 2.0
-
-    def worker(s):
-        p_s = replace(p, s=float(s))
-        tc = compute_transform(p_s)
-        detail = {"s": float(s)}
+    points = []
+    used = []
+    for s in s_values:
+        s = float(s)
+        tc = compute_transform(replace(p, s=s))
         if tc.degenerate or tc.A_squared <= 0 or not (0 < tc.B_squared < math.inf):
-            detail.update({"skipped": True, "reason": "degenerate transform"})
-            return None, None, detail
-        A, B = tc.A, tc.B
-        rho = 2.0 * p.R0 / (float(s) * p.J0)
-        u0 = np.asarray(profile(B * xs_c), dtype=complex) / A
-        prhs = continuum.precursor_rhs_factory(
-            grid, A, B, V=None,
-            r1_over_r0=(p.R1 / p.R0 if p.R0 else 0.0), x_xi=p.x_xi,
-        )
-        grhs = continuum.gp_rhs_factory(grid, V=None)
-        _, up = integrators.integrate_fixed(prhs, u0, 0.0, t_end, dt)
-        _, ug = integrators.integrate_fixed(grhs, u0, 0.0, t_end, dt)
-        denom = _l2(grid.dx, u0)
-        err = _l2(grid.dx, up[-1] - ug[-1]) / denom
-        detail.update({"skipped": False, "rho": rho, "error": err,
-                       "A": A, "B": B})
-        return rho, err, detail
-
-    results = _run_point_map(worker, [float(s) for s in s_values], threads)
-    xs = [r[0] for r in results if r[0] is not None]
-    errors = [r[1] for r in results if r[0] is not None]
-    points = [r[2] for r in results]
-    if len(xs) < 2:
+            points.append({"s": s, "skipped": True, "reason": "degenerate transform"})
+            continue
+        detail = {"s": s, "skipped": False, "rho": 2.0 * p.R0 / (s * p.J0),
+                  "A": tc.A, "B": tc.B}
+        points.append(detail)
+        used.append(detail)
+    if len(used) < 2:
         raise ValueError("fewer than two usable truncation points")
+
+    A = np.array([pt["A"] for pt in used])
+    B = np.array([pt["B"] for pt in used])
+    u0 = np.array([profile(b * xs_c) for b in B], dtype=complex) / A[:, None]
+    rhs = continuum.precursor_rhs_factory(
+        grid, np.tile(A, 2), np.tile(B, 2), V=None,
+        r1_over_r0=(p.R1 / p.R0 if p.R0 else 0.0), x_xi=p.x_xi,
+        dispersive_scale=np.repeat([1.0, 0.0], len(used)),
+    )
+    _, states = integrators.integrate_fixed(rhs, np.vstack([u0, u0]), 0.0, t_end, dt)
+    up, ug = np.split(states[-1], 2)
+    for detail, a, b, u in zip(used, up, ug, u0):
+        detail["error"] = _l2(grid.dx, a - b) / _l2(grid.dx, u)
+    xs = [pt["rho"] for pt in used]
+    errors = [pt["error"] for pt in used]
     return _finish_report("truncation", xs, errors, points, band)

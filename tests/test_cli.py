@@ -201,3 +201,56 @@ def test_study_continuum_limit_cli(tmp_path):
     assert len(lines) == 3
     summary = json.loads((out / "study_summary.json").read_text())
     assert summary["passed"] is True
+
+
+def _read_field(path):
+    raw = np.loadtxt(path, delimiter=",", skiprows=1)
+    return [raw[raw[:, 1] == fl, 2] + 1j * raw[raw[:, 1] == fl, 3]
+            for fl in np.unique(raw[:, 1])]
+
+
+@pytest.mark.parametrize("dt", [0.3, 0.35])
+def test_splitstep_runs_end_at_t_end(tmp_path, dt):
+    # plane waves are exact solutions that both split steps reproduce to
+    # roundoff, so the final field pins the time the run stopped at
+    L, M, amp, mode, t_end = 16.0, 32, 0.6, 2, 1.0
+    k = 2 * np.pi * mode / L
+    x = np.arange(M) * L / M
+    wave = {"profile": "plane-wave", "amplitude": amp, "mode": mode}
+    integ = {"dt": dt, "t_end": t_end}
+
+    cfg = _write_cfg(tmp_path, {"equation": "gp", "grid": {"L": L, "M": M},
+                                "integrator": integ, "initial": wave}, "gp.json")
+    out = tmp_path / "gp"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    (u,) = _read_field(out / "field.csv")
+    exact = amp * np.exp(1j * k * x) * np.exp(-1j * (1.0 + k * k - amp ** 2) * t_end)
+    assert np.abs(u - exact).max() < 1e-12
+
+    t_hop, U, amp2 = 0.5, 1.3, 0.4
+    cfg = _write_cfg(tmp_path, {
+        "equation": "coupled-gp",
+        "model": {"family": "hubbard", "N": 8, "t": t_hop, "U": U},
+        "grid": {"L": L, "M": M}, "integrator": integ,
+        "initial": wave, "initial2": {**wave, "amplitude": amp2},
+    }, "cgp.json")
+    out = tmp_path / "cgp"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    u0, u1 = _read_field(out / "field.csv")
+    for got, a, other in ((u0, amp, amp2), (u1, amp2, amp)):
+        omega = -4.0 * t_hop + 2.0 * t_hop * k * k + U * other ** 2
+        exact = a * np.exp(1j * k * x) * np.exp(-1j * omega * t_end)
+        assert np.abs(got - exact).max() < 1e-12
+
+
+@pytest.mark.parametrize("section", [
+    {"integrator": {"dt": "abc"}},
+    {"model": {"s": -1}},
+])
+def test_ill_typed_numbers_exit_2(tmp_path, capsys, section):
+    cfg = _write_cfg(tmp_path, {"equation": "precursor", "grid": {"M": 64},
+                                **section})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    path = "integrator.dt" if "integrator" in section else "model.s"
+    assert f"config error: {path}" in err

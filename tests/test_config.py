@@ -143,3 +143,22 @@ def test_load_config_errors(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="root"):
         load_config(str(arr))
+
+
+def test_ill_typed_and_out_of_range_numbers_rejected_with_path():
+    with pytest.raises(ConfigError, match=r"integrator\.dt must be a finite number"):
+        validate_config({"integrator": {"dt": "abc"}}, "simulate")
+    with pytest.raises(ConfigError, match=r"model\.s must be above 0"):
+        validate_config({"model": {"s": -1}}, "simulate")
+    with pytest.raises(ConfigError, match=r"model\.h\[1\]"):
+        validate_config({"model": {"N": 6, "h": [0.0, "x", 0, 0, 0, 0]}}, "simulate")
+    with pytest.raises(ConfigError, match=r"initial\.width"):
+        validate_config({"initial": {"profile": "gaussian", "width": None}}, "simulate")
+    with pytest.raises(ConfigError, match=r"study\.s_values\[0\]"):
+        validate_config({"study": {"kind": "truncation", "s_values": [0.0]}}, "study")
+    with pytest.raises(ConfigError, match=r"study\.M"):
+        validate_config({"study": {"kind": "truncation", "M": 100}}, "study")
+    # a mismatch only the parameter object can see still names its section
+    cfg = validate_config({"model": {"N": 6, "h": [0.1] * 5}}, "simulate")
+    with pytest.raises(ConfigError, match="model: h must have one entry per site"):
+        model_params(cfg)

@@ -272,3 +272,165 @@ def test_observable_dicts():
     assert cobs["norm_flavor1"] == pytest.approx(g.L)
     assert cobs["energy"] == pytest.approx(
         g.L * (-4 * 0.5 * 1.25 + 2.0 * 0.25))
+
+
+# Reference oracle: the term-by-term right-hand sides the fused
+# cubic-dispersive RHS replaced, one FFT pair per derivative and one
+# filter per nonlinear term.
+
+def _filtered(values, mask):
+    return np.fft.ifft(np.fft.fft(values) * mask)
+
+
+def _oracle_gp(grid, V=None, linear_offset=1.0, dealias=True):
+    k2 = grid.k ** 2
+    mask = grid.dealias_mask() if dealias else None
+    Varr = None if V is None else np.asarray(V, dtype=float)
+
+    def f(t, u):
+        u_xx = np.fft.ifft(-k2 * np.fft.fft(u))
+        nl = (np.abs(u) ** 2) * u
+        if mask is not None:
+            nl = _filtered(nl, mask)
+        P = linear_offset * u - u_xx - nl
+        if Varr is not None:
+            P = P - Varr * u
+        return -1j * P
+
+    return f
+
+
+def _oracle_pretransform(p, grid, spacing=1.0, h_values=None, dealias=True):
+    k2 = grid.k ** 2
+    mask = grid.dealias_mask() if dealias else None
+    c2 = spacing * spacing
+    harr = None if h_values is None else np.asarray(h_values, dtype=float)
+    lin = (-2.0 * p.J0 + 2.0 * p.R0) * p.s \
+        + 2.0 * p.J1 * p.s * p.x_xi - 2.0 * p.R1 * p.s * p.x_xi
+    cubic = -2.0 * p.R0 + 2.0 * p.R1 * p.x_xi
+    scale = 1.0 / (1j * p.hbar)
+
+    def f(t, u):
+        u_xx = np.fft.ifft(-k2 * np.fft.fft(u))
+        u_x = np.fft.ifft(1j * grid.k * np.fft.fft(u))
+        nl = (np.abs(u) ** 2) * u
+        grad2 = (np.abs(u_x) ** 2) * u
+        pair = np.conj(u) * u_xx + u * np.conj(u_xx)
+        if mask is not None:
+            nl = _filtered(nl, mask)
+            grad2 = _filtered(grad2, mask)
+            pair = _filtered(pair, mask)
+        P = lin * u - p.s * p.J0 * c2 * u_xx + cubic * nl
+        P = P - 2.0 * p.R0 * c2 * grad2 - p.R0 * c2 * pair
+        if harr is not None:
+            P = P - harr * u
+        return scale * P
+
+    return f
+
+
+def _oracle_precursor(grid, A, B, V=None, r1_over_r0=0.0, x_xi=0.0,
+                      dispersive_scale=1.0, dealias=True):
+    k2 = grid.k ** 2
+    mask = grid.dealias_mask() if dealias else None
+    Varr = None if V is None else np.asarray(V, dtype=float)
+    eps = dispersive_scale
+    Bm2 = B ** -2
+    c_cubic = r1_over_r0 * x_xi / B
+    c_pair = Bm2 / (2.0 * A)
+
+    def f(t, u):
+        u_xx = np.fft.ifft(-k2 * np.fft.fft(u))
+        nl = (np.abs(u) ** 2) * u
+        if mask is not None:
+            nl = _filtered(nl, mask)
+        P = u - u_xx - nl
+        if eps:
+            u_x = np.fft.ifft(1j * grid.k * np.fft.fft(u))
+            grad2 = (np.abs(u_x) ** 2) * u
+            pair = np.conj(u) * u_xx + u * np.conj(u_xx)
+            if mask is not None:
+                grad2 = _filtered(grad2, mask)
+                pair = _filtered(pair, mask)
+            P = P + eps * (c_cubic * nl - Bm2 * grad2 - c_pair * pair)
+        if Varr is not None:
+            P = P - Varr * u
+        return -1j * P
+
+    return f
+
+
+def _assert_agrees(got, want, tol=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def _test_field(g, seed):
+    rng = np.random.default_rng(seed)
+    x = g.xs
+    envelope = 0.8 * np.exp(-((x - g.L / 2) / (0.15 * g.L)) ** 2)
+    return envelope * np.exp(1j * (0.3 * x + 0.2 * rng.normal(size=g.M)))
+
+
+@pytest.mark.parametrize("with_V", [False, True])
+def test_fused_gp_matches_oracle(with_V):
+    g = Grid1D(L=25.0, M=128)
+    u = _test_field(g, 1)
+    V = 0.3 * np.cos(2 * np.pi * g.xs / g.L) if with_V else None
+    for dealias in (True, False):
+        got = gp_rhs_factory(g, V=V, linear_offset=0.7, dealias=dealias)(0.0, u)
+        want = _oracle_gp(g, V=V, linear_offset=0.7, dealias=dealias)(0.0, u)
+        _assert_agrees(got, want)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+def test_fused_precursor_matches_oracle(eps):
+    g = Grid1D(L=25.0, M=128)
+    u = _test_field(g, 2)
+    V = 0.2 * np.sin(2 * np.pi * g.xs / g.L)
+    kw = dict(A=0.9, B=1.1, V=V, r1_over_r0=0.4, x_xi=0.3, dispersive_scale=eps)
+    _assert_agrees(precursor_rhs_factory(g, **kw)(0.0, u),
+                   _oracle_precursor(g, **kw)(0.0, u))
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_fused_pretransform_matches_oracle(dealias):
+    p = XXZParams(N=32, J0=0.9, J1=0.2, R0=0.7, R1=0.1, s=1.4, x_xi=0.3,
+                  hbar=0.9, h=0.25)
+    g = Grid1D(L=20.0, M=64)
+    u = _test_field(g, 3)
+    h = 0.25 + 0.1 * np.cos(2 * np.pi * g.xs / g.L)
+    kw = dict(spacing=0.5, h_values=h, dealias=dealias)
+    _assert_agrees(pretransform_rhs_factory(p, g, **kw)(0.0, u),
+                   _oracle_pretransform(p, g, **kw)(0.0, u))
+
+
+def test_fused_rows_are_independent_fields():
+    g = Grid1D(L=25.0, M=128)
+    u = np.stack([_test_field(g, seed) for seed in (4, 5, 6)])
+    rows = [dict(A=0.9, B=1.1, r1_over_r0=0.4, x_xi=0.3, dispersive_scale=1.0),
+            dict(A=0.5, B=2.0, r1_over_r0=-0.2, x_xi=0.3, dispersive_scale=0.5),
+            dict(A=1.7, B=0.8, r1_over_r0=0.0, x_xi=0.3, dispersive_scale=0.0)]
+    def col(key):
+        return np.array([r[key] for r in rows])
+
+    batch = precursor_rhs_factory(
+        g, col("A"), col("B"), r1_over_r0=col("r1_over_r0"), x_xi=0.3,
+        dispersive_scale=col("dispersive_scale"),
+    )(0.0, u)
+    assert batch.shape == (3, g.M)
+    for row, kw, got in zip(u, rows, batch):
+        _assert_agrees(got, _oracle_precursor(g, **kw)(0.0, row))
+    with pytest.raises(ValueError):
+        precursor_rhs_factory(g, A=[0.9, 0.0], B=[1.0, 1.0])
+
+
+def test_grid_arrays_cached_read_only():
+    g = Grid1D(L=10.0, M=64)
+    assert g.k is g.k
+    assert g.dealias_mask() is g.dealias_mask()
+    assert g.dealias_mask().sum() == 2 * (64 // 3) + 1
+    for arr in (g.k, g.dealias_mask()):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert np.array_equal(g.k, 2 * np.pi * np.fft.fftfreq(64, d=g.dx))

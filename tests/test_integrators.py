@@ -8,6 +8,7 @@ from gpchain.integrators import (
     NonFiniteError,
     StepUnderflowError,
     dp45_step,
+    fixed_steps,
     integrate_adaptive,
     integrate_fixed,
     rk4_step,
@@ -130,3 +131,14 @@ def test_step_functions_do_not_mutate_input():
     rk4_step(f, 0.0, y0, 0.1)
     dp45_step(f, 0.0, y0, 0.1)
     assert np.array_equal(y0, keep)
+
+
+def test_fixed_steps_plan():
+    # a dt that divides the span keeps its step count and adds no final step
+    assert fixed_steps(0.0, 1.0, 1e-3) == (1000, 0.0)
+    assert fixed_steps(0.0, 0.02, 1e-3) == (20, 0.0)
+    n, rem = fixed_steps(0.0, 1.0, 0.3)
+    assert n == 3 and rem == pytest.approx(0.1)
+    n, rem = fixed_steps(0.0, 1.0, 0.35)
+    assert n == 2 and rem == pytest.approx(0.3)
+    assert fixed_steps(2.0, 2.0, 0.1) == (0, 0.0)

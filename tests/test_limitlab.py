@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gpchain import continuum, integrators, limitlab
 from gpchain.limitlab import (
     ConvergenceReport,
     DegenerateTransformError,
+    TransformCoefficients,
     compute_transform,
     expand_couplings,
     fit_loglog,
@@ -155,3 +158,45 @@ def test_truncation_study_degenerate_rejected():
             profile=lambda xi: 0.5 * np.exp(-(xi ** 2)),
             L=8 * np.pi, M=64, t_end=0.1, dt=1e-3,
         )
+
+
+def test_truncation_batch_matches_points_run_one_at_a_time(monkeypatch):
+    # every s gives the same D, so a degenerate point is injected by
+    # flagging one s value's transform
+    real = limitlab.compute_transform
+
+    def transform(p):
+        if p.s == 200.0:
+            return TransformCoefficients(Fraction(0), math.inf, math.inf, True)
+        return real(p)
+
+    monkeypatch.setattr(limitlab, "compute_transform", transform)
+    L, M, t_end, dt = 8 * np.pi, 64, 0.05, 1e-3
+    p = XXZParams(N=8, J0=1.0, J1=0.1, R0=2.0, R1=0.3, s=1.0, x_xi=0.4)
+
+    def profile(xi):
+        return 0.8 * np.exp(-((xi / 2.0) ** 2))
+
+    s_values = [40.0, 200.0, 400.0, 4000.0]
+    rep = truncation_study(p, s_values, profile, L=L, M=M, t_end=t_end, dt=dt)
+    assert [pt["s"] for pt in rep.points] == s_values
+    assert rep.points[1] == {"s": 200.0, "skipped": True,
+                             "reason": "degenerate transform"}
+    used = [pt for pt in rep.points if not pt["skipped"]]
+    assert len(rep.errors) == len(used) == 3
+
+    grid = continuum.Grid1D(L, M)
+    xs_c = grid.xs - L / 2.0
+    gp = continuum.gp_rhs_factory(grid)
+    for pt, err in zip(used, rep.errors):
+        tc = real(replace(p, s=pt["s"]))
+        assert (pt["A"], pt["B"]) == (tc.A, tc.B)
+        u0 = np.asarray(profile(tc.B * xs_c), dtype=complex) / tc.A
+        pre = continuum.precursor_rhs_factory(
+            grid, tc.A, tc.B, r1_over_r0=p.R1 / p.R0, x_xi=p.x_xi)
+        _, up = integrators.integrate_fixed(pre, u0, 0.0, t_end, dt)
+        _, ug = integrators.integrate_fixed(gp, u0, 0.0, t_end, dt)
+        alone = (np.sqrt(np.sum(np.abs(up[-1] - ug[-1]) ** 2))
+                 / np.sqrt(np.sum(np.abs(u0) ** 2)))
+        assert err == pt["error"]
+        assert abs(err - alone) <= 1e-12 * alone
