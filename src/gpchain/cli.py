@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,14 +84,6 @@ def _make_profile(opts: dict, length: float, default_center: float):
 
         return from_file
     raise ConfigError(f"unknown profile {kind!r}")
-
-
-def _make_potential(opts: dict, length: float):
-    kind = opts.get("profile", "zero")
-    if kind == "zero":
-        return None
-    prof = _make_profile(opts, length, length / 2.0)
-    return lambda x: np.real(prof(x))
 
 
 # ---------------------------------------------------------- verify command
@@ -165,17 +158,12 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
     ph = models.HubbardParams(N=5)
     ok = True
     for stats in (Statistics.BOSE, Statistics.FERMI):
-        Hh = models.build_hubbard_hop(ph, statistics=stats)
-        Hu = models.build_hubbard_interaction(ph, statistics=stats)
+        parts = (("hop", models.build_hubbard_hop(ph, statistics=stats)),
+                 ("interaction", models.build_hubbard_interaction(ph, statistics=stats)))
         for flavor in (0, 1):
-            if models.derive_eom(Hh, 2, flavor=flavor) != models.hubbard_commutator_reference(
-                ph, 2, flavor, "hop", statistics=stats
-            ):
-                ok = False
-            if models.derive_eom(Hu, 2, flavor=flavor) != models.hubbard_commutator_reference(
-                ph, 2, flavor, "interaction", statistics=stats
-            ):
-                ok = False
+            for part, H in parts:
+                ref = models.hubbard_commutator_reference(ph, 2, flavor, part, statistics=stats)
+                ok &= models.derive_eom(H, 2, flavor=flavor) == ref
     record("hubbard-commutators", ok, "hop and interaction, both statistics")
 
     status = "ok" if all(c["passed"] for c in checks) else "failed"
@@ -196,189 +184,169 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
 
 # -------------------------------------------------------- simulate command
 
-def _lattice_rows(times, fields):
-    rows = []
-    for ti, t in enumerate(times):
-        snap = fields[ti]
-        for flavor in range(snap.shape[0]):
-            for site in range(snap.shape[1]):
-                z = snap[flavor, site]
-                rows.append((_fmt(t), str(site), str(flavor), _fmt(z.real), _fmt(z.imag)))
-    return rows
+def _trajectory_output(times, states):
+    """Every snapshot, one row per time, site and flavor."""
+    rows = [
+        (_fmt(t), str(site), str(flavor), _fmt(z.real), _fmt(z.imag))
+        for t, snap in zip(times, states)
+        for flavor, vals in enumerate(snap)
+        for site, z in enumerate(vals)
+    ]
+    return "trajectory.csv", ("time", "site", "flavor", "re", "im"), rows
 
 
-def _field_rows(grid, fields_by_flavor):
-    rows = []
-    for flavor, vals in enumerate(fields_by_flavor):
-        for i, xi in enumerate(grid.xs):
-            z = vals[i]
-            rows.append((_fmt(xi), str(flavor), _fmt(z.real), _fmt(z.imag)))
-    return rows
+def _field_output(grid):
+    """Only the final field, one block of rows per flavor."""
+    def output(times, states):
+        rows = [
+            (_fmt(xi), str(flavor), _fmt(z.real), _fmt(z.imag))
+            for flavor, vals in enumerate(np.atleast_2d(states[-1]))
+            for xi, z in zip(grid.xs, vals)
+        ]
+        return "field.csv", ("xi", "flavor", "re", "im"), rows
+
+    return output
 
 
-def _integrate_checked(rhs, y0, integ):
+class _Simulation(NamedTuple):
+    """What one equation brings to a simulate run."""
+
+    y0: np.ndarray  # (F, N) on the lattice, (M,) or (2, M) on a grid
+    advance: Callable  # RHS f(t, y); with scheme strang, a step(t, y, h)
+    observe: Callable  # state -> dict of observables
+    output: Callable  # (times, states) -> (file name, header, rows)
+    extra: dict = None  # further run_summary.json entries
+
+
+def _lattice_profile(cfg, section, N):
+    return _make_profile(cfg[section], float(N), N / 2.0)(np.arange(N, dtype=float))
+
+
+def _xxz_lattice(cfg, p):
+    return _Simulation(
+        _lattice_profile(cfg, "initial", p.N)[None, :],
+        latticedyn.xxz_rhs(p, symbol_mode=cfg["integrator"]["symbol_mode"]),
+        lambda phi: latticedyn.xxz_observables(phi, p), _trajectory_output)
+
+
+def _hubbard_lattice(cfg, p):
+    return _Simulation(
+        np.stack([_lattice_profile(cfg, sec, p.N) for sec in ("initial", "initial2")]),
+        latticedyn.hubbard_rhs(p),
+        lambda phi: latticedyn.hubbard_observables(phi, p), _trajectory_output)
+
+
+def _grid_setup(cfg):
+    """The grid, the initial field on it and the potential (None when zero)."""
+    grid = continuum.Grid1D(float(cfg["grid"]["L"]), int(cfg["grid"]["M"]))
+    u0 = _make_profile(cfg["initial"], grid.L, grid.L / 2.0)(grid.xs)
+    pot = cfg["potential"]
+    if pot.get("profile", "zero") == "zero":
+        return grid, u0, None
+    return grid, u0, np.real(_make_profile(pot, grid.L, grid.L / 2.0)(grid.xs))
+
+
+def _gp_observer(grid, V):
+    return lambda u: continuum.continuum_observables(
+        continuum.ContinuumField(u), grid, V=V)
+
+
+def _pretransform(cfg, p):
+    if any(v != 0.0 for v in p.h):
+        raise ConfigError(
+            "pretransform takes its site field from the potential "
+            "section; set model.h to zero"
+        )
+    grid, u0, V = _grid_setup(cfg)
+    rhs = continuum.pretransform_rhs_factory(
+        p, grid, spacing=float(cfg["spacing"]), h_values=V)
+    return _Simulation(u0, rhs, lambda u: {
+        "norm": continuum.gp_norm(u, grid),
+        "momentum": continuum.gp_momentum(u, grid),
+    }, _field_output(grid))
+
+
+def _precursor(cfg, p):
+    grid, u0, V = _grid_setup(cfg)
+    tc = limitlab.compute_transform(p)
+    A, B = tc.A, tc.B
+    rhs = continuum.precursor_rhs_factory(
+        grid, A, B, V=V, r1_over_r0=p.R1 / p.R0, x_xi=p.x_xi,
+        dispersive_scale=float(cfg["dispersive_scale"]),
+    )
+    transform = {"A": A, "B": B, "time_scale": float(tc.time_scale)}
+    return _Simulation(u0, rhs, _gp_observer(grid, V), _field_output(grid),
+                       {"transform": transform})
+
+
+def _gp(cfg, p):
+    grid, u0, V = _grid_setup(cfg)
+    return _Simulation(u0, continuum.gp_strang(grid, V=V), _gp_observer(grid, V),
+                       _field_output(grid))
+
+
+def _coupled_gp(cfg, p):
+    grid, u0, _ = _grid_setup(cfg)
+    u1 = _make_profile(cfg["initial2"], grid.L, grid.L / 2.0)(grid.xs)
+    if len(set(p.U)) != 1:
+        raise ConfigError("this equation needs a single uniform model.U")
+    U_values = np.full(grid.M, p.U[0])
+    return _Simulation(
+        np.stack([u0, u1]),
+        continuum.coupled_gp_strang(grid, p.t, U_values, hbar=p.hbar),
+        lambda u: continuum.coupled_gp_observables(
+            (continuum.ContinuumField(u[0]), continuum.ContinuumField(u[1])),
+            grid, p.t, U_values, hbar=p.hbar),
+        _field_output(grid))
+
+
+_SIMULATIONS = {
+    "xxz-lattice": _xxz_lattice,
+    "hubbard-lattice": _hubbard_lattice,
+    "pretransform": _pretransform,
+    "precursor": _precursor,
+    "gp": _gp,
+    "coupled-gp": _coupled_gp,
+}
+
+
+def _integrate(sim: _Simulation, integ: dict):
+    t_end, dt = float(integ["t_end"]), float(integ["dt"])
+    every = int(integ["snapshot_every"])
     if integ["scheme"] == "rk45":
         return integrators.integrate_adaptive(
-            rhs, y0, 0.0, float(integ["t_end"]), float(integ["tolerance"]),
-            dt0=float(integ["dt"]), snapshot_every=int(integ["snapshot_every"]),
-        )
-    return integrators.integrate_fixed(
-        rhs, y0, 0.0, float(integ["t_end"]), float(integ["dt"]),
-        snapshot_every=int(integ["snapshot_every"]),
-    )
-
-
-def _march_splitstep(step, fields, dt, t_end):
-    """Apply step(fields, h) from t = 0 to exactly t_end; returns (fields, failure).
-
-    The steps follow integrators.fixed_steps, so a dt that does not
-    divide t_end ends with one short step.  On a non-finite field the
-    last finite fields are returned with a failure message.
-    """
-    nfull, rem = integrators.fixed_steps(0.0, t_end, dt)
-    for h in [dt] * nfull + ([rem] if rem else []):
-        new = step(fields, h)
-        if not all(np.all(np.isfinite(f.values.view(float))) for f in new):
-            return fields, f"field became non-finite at t={new[0].time:.6g}"
-        fields = new
-    return fields, None
-
-
-def _uniform_scalar_U(p) -> float:
-    vals = set(p.U)
-    if len(vals) != 1:
-        raise ConfigError("this equation needs a single uniform model.U")
-    return vals.pop()
+            sim.advance, sim.y0, 0.0, t_end, float(integ["tolerance"]),
+            dt0=dt, snapshot_every=every)
+    drive = integrators.march if integ["scheme"] == "strang" else integrators.integrate_fixed
+    return drive(sim.advance, sim.y0, 0.0, t_end, dt, snapshot_every=every)
 
 
 def _run_simulate(cfg: dict, out_dir: str) -> int:
     eq = cfg["equation"]
     integ = cfg["integrator"]
     p = config_mod.model_params(cfg)
+    try:
+        sim = _SIMULATIONS[eq](cfg, p)
+    except limitlab.DegenerateTransformError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     summary = {
         "command": "simulate", "equation": eq, "status": "ok",
         "t_end": float(integ["t_end"]), "dt": float(integ["dt"]),
-        "scheme": integ["scheme"],
+        "scheme": integ["scheme"], **(sim.extra or {}),
     }
-    failure = None
-
-    if eq in ("xxz-lattice", "hubbard-lattice"):
-        N = p.N
-        prof = _make_profile(cfg["initial"], float(N), N / 2.0)
-        sites = np.arange(N, dtype=float)
-        if eq == "xxz-lattice":
-            phi0 = prof(sites)[None, :]
-            rhs = latticedyn.xxz_rhs(p, symbol_mode=integ["symbol_mode"])
-            obs = lambda phi: latticedyn.xxz_observables(phi, p)
-        else:
-            prof2 = _make_profile(cfg["initial2"], float(N), N / 2.0)
-            phi0 = np.stack([prof(sites), prof2(sites)])
-            rhs = latticedyn.hubbard_rhs(p)
-            obs = lambda phi: latticedyn.hubbard_observables(phi, p)
-        try:
-            times, states = _integrate_checked(rhs, phi0, integ)
-        except integrators.IntegrationError as exc:
-            failure = str(exc)
-            times, states = exc.times, exc.states
-        summary["initial_observables"] = obs(phi0)
-        summary["final_observables"] = obs(states[-1])
-        _write_csv(
-            os.path.join(out_dir, "trajectory.csv"),
-            ("time", "site", "flavor", "re", "im"),
-            _lattice_rows(times, states),
-        )
-
-    else:
-        grid = continuum.Grid1D(float(cfg["grid"]["L"]), int(cfg["grid"]["M"]))
-        prof = _make_profile(cfg["initial"], grid.L, grid.L / 2.0)
-        u0 = prof(grid.xs)
-        pot = _make_potential(cfg["potential"], grid.L)
-        V = None if pot is None else pot(grid.xs)
-        dt = float(integ["dt"])
-        t_end = float(integ["t_end"])
-
-        if eq == "gp":
-            fields, failure = _march_splitstep(
-                lambda fs, h: (continuum.gp_step_splitstep(fs[0], h, grid, V=V),),
-                (continuum.ContinuumField(u0.copy()),), dt, t_end)
-            finals = [fields[0].values]
-            summary["initial_observables"] = continuum.continuum_observables(
-                continuum.ContinuumField(u0), grid, V=V)
-            summary["final_observables"] = continuum.continuum_observables(
-                fields[0], grid, V=V)
-        elif eq == "coupled-gp":
-            Uval = _uniform_scalar_U(p)
-            U_values = np.full(grid.M, Uval)
-            prof2 = _make_profile(cfg["initial2"], grid.L, grid.L / 2.0)
-            u1 = prof2(grid.xs)
-            fields, failure = _march_splitstep(
-                lambda fs, h: continuum.coupled_gp_step(fs, h, grid, p.t, U_values,
-                                                        hbar=p.hbar),
-                (continuum.ContinuumField(u0.copy()),
-                 continuum.ContinuumField(u1.copy())), dt, t_end)
-            finals = [f.values for f in fields]
-            summary["initial_observables"] = continuum.coupled_gp_observables(
-                (continuum.ContinuumField(u0), continuum.ContinuumField(u1)),
-                grid, p.t, U_values, hbar=p.hbar)
-            summary["final_observables"] = continuum.coupled_gp_observables(
-                fields, grid, p.t, U_values, hbar=p.hbar)
-        else:
-            if eq == "pretransform":
-                if any(v != 0.0 for v in p.h):
-                    raise ConfigError(
-                        "pretransform takes its site field from the potential "
-                        "section; set model.h to zero"
-                    )
-                rhs = continuum.pretransform_rhs_factory(
-                    p, grid, spacing=float(cfg["spacing"]), h_values=V)
-            else:
-                tc = limitlab.compute_transform(p)
-                try:
-                    A, B = tc.A, tc.B
-                except limitlab.DegenerateTransformError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 1
-                r1r0 = p.R1 / p.R0 if p.R0 else 0.0
-                rhs = continuum.precursor_rhs_factory(
-                    grid, A, B, V=V, r1_over_r0=r1r0, x_xi=p.x_xi,
-                    dispersive_scale=float(cfg["dispersive_scale"]),
-                )
-                summary["transform"] = {
-                    "A": A, "B": B, "time_scale": float(tc.time_scale),
-                }
-            try:
-                times, states = _integrate_checked(rhs, u0, integ)
-            except integrators.IntegrationError as exc:
-                failure = str(exc)
-                times, states = exc.times, exc.states
-            finals = [states[-1]]
-            if eq == "pretransform":
-                summary["initial_observables"] = {
-                    "norm": continuum.gp_norm(u0, grid),
-                    "momentum": continuum.gp_momentum(u0, grid),
-                }
-                summary["final_observables"] = {
-                    "norm": continuum.gp_norm(finals[0], grid),
-                    "momentum": continuum.gp_momentum(finals[0], grid),
-                }
-            else:
-                summary["initial_observables"] = continuum.continuum_observables(
-                    continuum.ContinuumField(u0), grid, V=V)
-                summary["final_observables"] = continuum.continuum_observables(
-                    continuum.ContinuumField(finals[0]), grid, V=V)
-
-        _write_csv(
-            os.path.join(out_dir, "field.csv"),
-            ("xi", "flavor", "re", "im"),
-            _field_rows(grid, finals),
-        )
-
-    if failure is not None:
-        summary["status"] = "failed"
-        summary["failure"] = failure
+    try:
+        times, states = _integrate(sim, integ)
+    except integrators.IntegrationError as exc:
+        summary.update(status="failed", failure=str(exc))
+        times, states = exc.times, exc.states  # the snapshots so far
+    summary["initial_observables"] = sim.observe(sim.y0)
+    summary["final_observables"] = sim.observe(states[-1])
+    name, header, rows = sim.output(times, states)
+    _write_csv(os.path.join(out_dir, name), header, rows)
     _write_json(os.path.join(out_dir, "run_summary.json"), summary)
     print(f"simulate {eq}: {summary['status']}")
-    return 0 if failure is None else 1
+    return 0 if summary["status"] == "ok" else 1
 
 
 # ----------------------------------------------------------- study command
@@ -388,39 +356,36 @@ def _run_study(cfg: dict, out_dir: str) -> int:
     kind = study["kind"]
     p = config_mod.model_params(cfg)
     L = float(study["L"])
-    prof_spec = {
-        k: study[k]
-        for k in ("profile", "amplitude", "width", "center", "mode", "eta", "value")
-        if k in study
-    }
     band = (float(study["slope_min"]), float(study["slope_max"]))
 
     if kind == "continuum-limit":
-        profile = _make_profile(prof_spec, L, L / 2.0)
-        report = limitlab.lattice_vs_continuum(
+        profile = _make_profile(study, L, L / 2.0)  # reads only the profile keys
+        run = lambda: limitlab.lattice_vs_continuum(
             p, profile, study["sizes"], L, float(study["t_end"]), float(study["dt"]),
             grid_refine=int(study["grid_refine"]), band=band,
         )
-        rows = [
-            (_fmt(pt["spacing"]), str(pt["N"]), _fmt(pt["error"]))
-            for pt in report.points
-        ]
         header = ("spacing", "N", "error")
+        row = lambda pt: (_fmt(pt["spacing"]), str(pt["N"]), _fmt(pt["error"]))
     else:
-        profile = _make_profile(prof_spec, L, 0.0)
-        report = limitlab.truncation_study(
+        profile = _make_profile(study, L, 0.0)
+        run = lambda: limitlab.truncation_study(
             p, study["s_values"], profile, L, int(study["M"]),
             float(study["t_end"]), float(study["dt"]), band=band,
         )
-        rows = []
-        for pt in report.points:
-            if pt.get("skipped"):
-                rows.append((_fmt(pt["s"]), "nan", "nan", "1"))
-            else:
-                rows.append((_fmt(pt["s"]), _fmt(pt["rho"]), _fmt(pt["error"]), "0"))
         header = ("s", "rho", "error", "skipped")
+        row = lambda pt: (
+            (_fmt(pt["s"]), "nan", "nan", "1") if pt.get("skipped")
+            else (_fmt(pt["s"]), _fmt(pt["rho"]), _fmt(pt["error"]), "0"))
+    try:
+        report = run()
+    except limitlab.DegenerateTransformError as exc:
+        # no slope to fit: the summary still records the points
+        print(f"error: {exc}", file=sys.stderr)
+        report = limitlab.ConvergenceReport(kind, [], [], None, None, exc.points,
+                                            band, False)
 
-    _write_csv(os.path.join(out_dir, "study.csv"), header, rows)
+    _write_csv(os.path.join(out_dir, "study.csv"), header,
+               [row(pt) for pt in report.points])
     _write_json(
         os.path.join(out_dir, "study_summary.json"),
         {
@@ -429,6 +394,8 @@ def _run_study(cfg: dict, out_dir: str) -> int:
             "passed": report.passed, "points": report.points,
         },
     )
+    if report.slope is None:
+        return 1
     verdict = "pass" if report.passed else "FAIL"
     print(
         f"study {kind}: slope {report.slope:.4f} "
@@ -453,8 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=blurb)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output directory (default: current)")
-        sp.add_argument("--threads", type=int, default=0,
-                        help="accepted and ignored: studies run in one thread")
         sp.add_argument("--dry-run", action="store_true",
                         help="print the resolved plan and exit")
     return parser

@@ -39,8 +39,20 @@ _SCHEMA = {
     "out": None,
 }
 
-_EQUATIONS = {"xxz-lattice", "hubbard-lattice", "pretransform", "precursor",
-              "gp", "coupled-gp"}
+# Each equation and the model family it needs (None: it needs none).
+_EQUATIONS = {"xxz-lattice": "xxz", "hubbard-lattice": "hubbard",
+              "pretransform": "xxz", "precursor": "xxz",
+              "gp": None, "coupled-gp": "hubbard"}
+_SPLIT_STEP = {"gp", "coupled-gp"}
+_LATTICE = {"xxz-lattice", "hubbard-lattice"}
+
+# Keys that only some equations read; given for any other, they are rejected.
+_READ_BY = (
+    ("potential", {"pretransform", "precursor", "gp"}),
+    ("spacing", {"pretransform"}),
+    ("dispersive_scale", {"precursor"}),
+    ("integrator.symbol_mode", {"xxz-lattice"}),
+)
 
 MIN_CLI_SITES = 5
 
@@ -138,8 +150,7 @@ def validate_config(cfg: dict, command: str) -> dict:
         model.setdefault("t", 1.0)
         model.setdefault("U", 1.0)
     n = model["N"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ConfigError(f"model.N must be an integer, got {n!r}")
+    _integer("model.N", n)
     for key in ("J0", "J1", "R0", "R1", "x_xi", "t"):
         if key in model:
             _number(f"model.{key}", model[key])
@@ -160,15 +171,23 @@ def validate_config(cfg: dict, command: str) -> dict:
     if not isinstance(m, int) or isinstance(m, bool) or m < 8 or m & (m - 1):
         raise ConfigError(f"grid.M must be a power of two >= 8, got {m!r}")
 
+    eq = out.setdefault("equation", "xxz-lattice") if command == "simulate" else None
+    if command == "simulate" and (not isinstance(eq, str) or eq not in _EQUATIONS):
+        raise ConfigError(f"equation must be one of {sorted(_EQUATIONS)}, got {eq!r}")
     integ = out.setdefault("integrator", {})
     integ.setdefault("dt", 1e-3)
     integ.setdefault("t_end", 1.0)
-    integ.setdefault("scheme", "rk4")
+    integ.setdefault("scheme", "strang" if eq in _SPLIT_STEP else "rk4")
     integ.setdefault("tolerance", 1e-8)
     integ.setdefault("symbol_mode", "naive")
     integ.setdefault("snapshot_every", 0)
-    if integ["scheme"] not in ("rk4", "rk45"):
-        raise ConfigError(f"integrator.scheme must be rk4 or rk45, got {integ['scheme']!r}")
+    scheme = integ["scheme"]
+    if scheme not in ("rk4", "rk45", "strang"):
+        raise ConfigError(f"integrator.scheme must be rk4, rk45 or strang, got {scheme!r}")
+    if command == "simulate" and (scheme == "strang") != (eq in _SPLIT_STEP):
+        raise ConfigError(
+            f"integrator.scheme {scheme!r} does not apply to equation {eq}: "
+            "gp and coupled-gp take strang, the others rk4 or rk45")
     if integ["symbol_mode"] not in ("naive", "wick"):
         raise ConfigError(
             f"integrator.symbol_mode must be naive or wick, got {integ['symbol_mode']!r}"
@@ -179,26 +198,29 @@ def validate_config(cfg: dict, command: str) -> dict:
     _integer("integrator.snapshot_every", integ["snapshot_every"], 0)
 
     if command == "simulate":
-        eq = out.setdefault("equation", "xxz-lattice")
-        if eq not in _EQUATIONS:
-            raise ConfigError(f"equation must be one of {sorted(_EQUATIONS)}, got {eq!r}")
-        if eq == "hubbard-lattice" and model["family"] != "hubbard":
-            raise ConfigError("equation hubbard-lattice requires model.family = hubbard")
-        if eq in ("xxz-lattice", "pretransform", "precursor") and model["family"] != "xxz":
-            raise ConfigError(f"equation {eq} requires model.family = xxz")
-        if eq == "coupled-gp" and model["family"] != "hubbard":
-            raise ConfigError("equation coupled-gp requires model.family = hubbard")
+        family = _EQUATIONS[eq]
+        if family not in (None, model["family"]):
+            raise ConfigError(f"equation {eq} requires model.family = {family}")
         for sec in ("initial", "initial2", "potential"):
             if sec in out:
                 _check_profile(sec, out[sec])
         out.setdefault("initial", {"profile": "zero"})
-        if eq == "coupled-gp":
+        if eq in ("hubbard-lattice", "coupled-gp"):
             out.setdefault("initial2", dict(out["initial"]))
         pot = out.setdefault("potential", {"profile": "zero"})
         if pot.get("profile", "zero") == "file":
             raise ConfigError("potential.profile = file is not supported")
         _number("spacing", out.setdefault("spacing", 1.0), 0, strict=True)
         _number("dispersive_scale", out.setdefault("dispersive_scale", 1.0))
+        for path, readers in _READ_BY:
+            section, _, key = path.partition(".")
+            given = key in cfg.get(section, {}) if key else section in cfg
+            if given and eq not in readers:
+                raise ConfigError(f"{path} is not read by equation {eq}")
+        if eq not in _LATTICE and integ["snapshot_every"] > 0:
+            raise ConfigError(
+                f"integrator.snapshot_every must be 0 for equation {eq}: "
+                "field.csv holds only the final field")
 
     if command == "study":
         study = out.get("study")
@@ -211,14 +233,15 @@ def validate_config(cfg: dict, command: str) -> dict:
             )
         study.setdefault("L", grid["L"])
         study.setdefault("dt", integ["dt"])
-        study.setdefault("threads", 1)
         study.setdefault("profile", "gaussian")
         if study["profile"] not in _PROFILES - {"file"}:
             raise ConfigError(f"study.profile {study['profile']!r} is not usable here")
         _check_profile_numbers("study", study)
         _number("study.L", study["L"], 0, strict=True)
         _number("study.dt", study["dt"], 0, strict=True)
-        _integer("study.threads", study["threads"], 0)
+        threads = study.get("threads", 1)
+        if type(threads) is not int or threads != 1:
+            raise ConfigError(f"study.threads must be 1, got {threads!r}")
         if kind == "continuum-limit":
             study.setdefault("sizes", [32, 64, 128, 256])
             study.setdefault("grid_refine", 4)
@@ -254,9 +277,7 @@ def validate_config(cfg: dict, command: str) -> dict:
         ver.setdefault("jw_sites", 4)
         if ver["site"] is not None:
             _integer("verify.site", ver["site"])
-        vn = ver["N"]
-        if not isinstance(vn, int) or vn < MIN_CLI_SITES:
-            raise ConfigError(f"verify.N must be an integer >= {MIN_CLI_SITES}, got {vn!r}")
+        _integer("verify.N", ver["N"], MIN_CLI_SITES)
         if not isinstance(ver["jw_sites"], int) or not 2 <= ver["jw_sites"] <= 6:
             raise ConfigError("verify.jw_sites must be an integer in [2, 6]")
 

@@ -281,6 +281,22 @@ def coupled_gp_step(fields, dt: float, grid: Grid1D, t_hop: float,
     return ContinuumField(a0, t_new), ContinuumField(a1, t_new)
 
 
+def gp_strang(grid: Grid1D, V=None, linear_offset: float = 1.0):
+    """gp_step_splitstep as an array step(t, u, h) -> u for integrators.march."""
+    return lambda t, u, h: gp_step_splitstep(
+        ContinuumField(u, t), h, grid, V=V, linear_offset=linear_offset).values
+
+
+def coupled_gp_strang(grid: Grid1D, t_hop: float, U_values, hbar: float = 1.0):
+    """coupled_gp_step as a step(t, u, h) -> u over (2, M) arrays, for march."""
+    def step(t, u, h):
+        pair = coupled_gp_step((ContinuumField(u[0], t), ContinuumField(u[1], t)),
+                               h, grid, t_hop, U_values, hbar=hbar)
+        return np.array([f.values for f in pair])
+
+    return step
+
+
 def coupled_gp_observables(fields, grid: Grid1D, t_hop: float, U_values,
                            hbar: float = 1.0) -> dict:
     u0, u1 = fields

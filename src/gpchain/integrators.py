@@ -1,8 +1,10 @@
 """Time steppers: classic RK4 and adaptive Dormand-Prince 5(4).
 
 Both integrate dy/dt = f(t, y) for complex numpy arrays of any shape.
-Step functions are pure; the integrate_* drivers collect snapshots and
-convert blow-ups into typed errors carrying the last good state.
+Step functions are pure.  march, the one fixed-step driver, runs RK4 or
+any step(t, y, h) such as a Strang split step; integrate_adaptive has
+its own controller.  Both collect snapshots and convert blow-ups into
+typed errors carrying the last good state.
 """
 
 from __future__ import annotations
@@ -53,11 +55,16 @@ def fixed_steps(t0, t_end, dt):
     return nfull, (rem if rem > 1e-12 * max(1.0, abs(t_end)) else 0.0)
 
 
-def integrate_fixed(f, y0, t0, t_end, dt, snapshot_every=0):
-    """March RK4 from t0 to t_end; returns (times, states).
+def march(step, y0, t0, t_end, dt, snapshot_every=0):
+    """Apply y <- step(t, y, h) from t0 to exactly t_end; returns (times, states).
 
+    This is the one fixed-step loop: RK4 (integrate_fixed) and the
+    Strang split steps run through it.  The steps follow fixed_steps,
+    so a dt that does not divide the span ends with one short step.
     Snapshots always include the initial and final state; with
-    snapshot_every = n > 0, every n-th step is kept as well.
+    snapshot_every = n > 0, every n-th full step is kept as well.  A
+    non-finite state raises NonFiniteError carrying the last finite
+    (t, y) and the snapshots so far.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -68,31 +75,29 @@ def integrate_fixed(f, y0, t0, t_end, dt, snapshot_every=0):
     times = [t]
     states = [y.copy()]
     nfull, rem = fixed_steps(t0, t_end, dt)
-    step = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while step < nfull:
-            y = rk4_step(f, t, y, dt)
-            step += 1
-            t = t0 + step * dt
-            if not np.all(np.isfinite(y.view(float))):
+        for n in range(1, nfull + 1 + bool(rem)):
+            full = n <= nfull
+            y_new = step(t, y, dt if full else rem)
+            t_new = t0 + n * dt if full else t_end
+            if not np.all(np.isfinite(y_new.view(float))):
                 raise NonFiniteError(
-                    f"state became non-finite at t={t:.6g}",
-                    t=times[-1], y=states[-1], times=times, states=states,
+                    f"state became non-finite at t={t_new:.6g}",
+                    t=t, y=y, times=times, states=states,
                 )
-            if snapshot_every and step % snapshot_every == 0 and step < nfull:
+            t, y = t_new, y_new
+            if snapshot_every and n % snapshot_every == 0 and n < nfull:
                 times.append(t)
                 states.append(y.copy())
-        if rem:
-            y = rk4_step(f, t, y, rem)
-            t = t_end
-            if not np.all(np.isfinite(y.view(float))):
-                raise NonFiniteError(
-                    f"state became non-finite at t={t:.6g}",
-                    t=times[-1], y=states[-1], times=times, states=states,
-                )
-    times.append(t)
+    times.append(float(t_end))  # the plan lands on t_end to 1e-9 relative
     states.append(y.copy())
     return times, states
+
+
+def integrate_fixed(f, y0, t0, t_end, dt, snapshot_every=0):
+    """March RK4 on dy/dt = f(t, y) from t0 to t_end; see march."""
+    return march(lambda t, y, h: rk4_step(f, t, y, h), y0, t0, t_end, dt,
+                 snapshot_every=snapshot_every)
 
 
 # Dormand-Prince 5(4) tableau

@@ -9,76 +9,15 @@ cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import integrators
 from .models import HubbardParams, XXZParams
 
 
-@dataclass
-class LatticeState:
-    """Complex field values, one row per flavor."""
-
-    phi: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        phi = np.array(self.phi, dtype=complex, copy=True)
-        if phi.ndim == 1:
-            phi = phi[None, :]
-        if phi.ndim != 2 or phi.shape[1] < 1:
-            raise ValueError(f"phi must be 1- or 2-d, got shape {phi.shape}")
-        if not np.all(np.isfinite(phi.view(float))):
-            raise ValueError("phi must be finite")
-        self.phi = phi
-
-    @property
-    def nsites(self) -> int:
-        return self.phi.shape[1]
-
-    @property
-    def nflavors(self) -> int:
-        return self.phi.shape[0]
-
-    def copy(self) -> "LatticeState":
-        return LatticeState(self.phi, self.time)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    dt: float = 1e-3
-    t_end: float = 1.0
-    scheme: str = "rk4"
-    tolerance: float = 1e-8
-    symbol_mode: str = "naive"
-    snapshot_every: int = 0
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if self.scheme not in ("rk4", "rk45"):
-            raise ValueError(f"scheme must be rk4 or rk45, got {self.scheme!r}")
-        if self.symbol_mode not in ("naive", "wick"):
-            raise ValueError(
-                f"symbol_mode must be naive or wick, got {self.symbol_mode!r}"
-            )
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be >= 0")
-
-
 def _bond_arrays(p: XXZParams, J_bond, R_bond):
-    if J_bond is None:
-        J_bond = np.full(p.N, p.J0 - p.J1 * p.x_xi)
-    else:
-        J_bond = np.asarray(J_bond, dtype=float)
-    if R_bond is None:
-        R_bond = np.full(p.N, p.R0 - p.R1 * p.x_xi)
-    else:
-        R_bond = np.asarray(R_bond, dtype=float)
+    J_bond = np.full(p.N, p.J0 - p.J1 * p.x_xi) if J_bond is None else J_bond
+    R_bond = np.full(p.N, p.R0 - p.R1 * p.x_xi) if R_bond is None else R_bond
+    J_bond, R_bond = np.asarray(J_bond, dtype=float), np.asarray(R_bond, dtype=float)
     if J_bond.shape != (p.N,) or R_bond.shape != (p.N,):
         raise ValueError(f"bond arrays must have shape ({p.N},)")
     return J_bond, R_bond
@@ -152,35 +91,7 @@ def rhs_from_polys(polys, bindings, hbar: float = 1.0, nflavors: int = 1):
     return f
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    fields: np.ndarray  # (nsnapshots, nflavors, nsites)
-
-    @property
-    def final(self) -> LatticeState:
-        return LatticeState(self.fields[-1], float(self.times[-1]))
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-def integrate(state: LatticeState, rhs, config: IntegratorConfig) -> Trajectory:
-    """Evolve a lattice state from state.time to config.t_end."""
-    if config.scheme == "rk4":
-        times, states = integrators.integrate_fixed(
-            rhs, state.phi, state.time, config.t_end, config.dt,
-            snapshot_every=config.snapshot_every,
-        )
-    else:
-        times, states = integrators.integrate_adaptive(
-            rhs, state.phi, state.time, config.t_end, config.tolerance,
-            dt0=config.dt, snapshot_every=config.snapshot_every,
-        )
-    return Trajectory(np.asarray(times), np.stack(states))
-
-
-def xxz_observables(state, p: XXZParams, J_bond=None, R_bond=None) -> dict:
+def xxz_observables(phi, p: XXZParams, J_bond=None, R_bond=None) -> dict:
     """Norm and energy of a chain configuration.
 
     The energy is the classical Hamiltonian whose canonical flow is the
@@ -190,8 +101,7 @@ def xxz_observables(state, p: XXZParams, J_bond=None, R_bond=None) -> dict:
             - sum_b R_b (s - n_b)(s - n_{b+1})
             - sum_j h_j (s - n_j)
     """
-    phi = state.phi if isinstance(state, LatticeState) else np.atleast_2d(state)
-    u = phi[0]
+    u = np.atleast_2d(phi)[0]
     Jb, Rb = _bond_arrays(p, J_bond, R_bond)
     n = np.abs(u) ** 2
     up = np.roll(u, -1)
@@ -205,13 +115,13 @@ def xxz_observables(state, p: XXZParams, J_bond=None, R_bond=None) -> dict:
     return {"norm": float(np.sum(n)), "energy": float(energy)}
 
 
-def hubbard_observables(state, p: HubbardParams) -> dict:
+def hubbard_observables(phi, p: HubbardParams) -> dict:
     """Norms (total and per flavor) and energy of a two-flavor configuration.
 
         E = -2 t sum_{j,kappa} (phi*_{j,kappa} phi_{j+1,kappa} + c.c.)
             + sum_j U_j n_{j,1} n_{j,0}
     """
-    phi = state.phi if isinstance(state, LatticeState) else np.atleast_2d(state)
+    phi = np.atleast_2d(phi)
     U = np.asarray(p.U, dtype=float)
     n = np.abs(phi) ** 2
     up = np.roll(phi, -1, axis=1)

@@ -20,7 +20,11 @@ from .models import XXZParams
 
 
 class DegenerateTransformError(ValueError):
-    """The rescaling does not exist for these couplings."""
+    """The rescaling does not exist; a study stopped by it carries its points."""
+
+    def __init__(self, message, points=()):
+        super().__init__(message)
+        self.points = list(points)
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,6 @@ def lattice_vs_continuum(
     reference: str = "continuum",
     h_profile=None,
     band: tuple = (1.7, 2.3),
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Distance between the lattice flow and its continuum-limit equation.
 
@@ -180,8 +183,7 @@ def lattice_vs_continuum(
     difference at t_end, sampled at the lattice points, is recorded
     against c.  reference="self" instead compares each lattice run
     against itself at half the time step (a pure integrator-error
-    measurement, useful as a floor).  threads is accepted and ignored:
-    the points run one after another.
+    measurement, useful as a floor).
     """
     if reference not in ("continuum", "self"):
         raise ValueError(f"reference must be continuum or self, got {reference!r}")
@@ -198,9 +200,8 @@ def lattice_vs_continuum(
         detail = {"N": int(N), "spacing": c, "skipped": False}
         if reference == "self":
             _, fine = integrators.integrate_fixed(rhs, phi0[None, :], 0.0, t_end, dt / 2)
-            err = _l2(c, phiT - fine[-1][0])
-            detail["error"] = err
-            return c, err, detail
+            detail["error"] = _l2(c, phiT - fine[-1][0])
+            return detail
         M = grid_refine * N
         grid = continuum.Grid1D(L, M)
         u0 = np.asarray(profile(grid.xs), dtype=complex)
@@ -211,12 +212,11 @@ def lattice_vs_continuum(
         err = _l2(c, phiT - uT)
         detail["error"] = err
         detail["relative_error"] = err / max(_l2(c, uT), 1e-300)
-        return c, err, detail
+        return detail
 
-    results = [worker(N) for N in sizes]
-    xs = [r[0] for r in results]
-    errors = [r[1] for r in results]
-    points = [r[2] for r in results]
+    points = [worker(N) for N in sizes]
+    xs = [pt["spacing"] for pt in points]
+    errors = [pt["error"] for pt in points]
     label = "continuum-limit" if reference == "continuum" else "lattice-self"
     if reference == "self":
         return ConvergenceReport(
@@ -236,17 +236,17 @@ def truncation_study(
     t_end: float,
     dt: float,
     band: tuple = (0.7, 1.3),
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Distance between the rescaled equation and GP vs rho = 2 R0 / (s J0).
 
     The initial profile is fixed in the original frame and rescaled per
     point (u0 = profile(B xi_centered) / A), so growing s shrinks the
     amplitude the way the transform itself does.  Degenerate points are
-    recorded and skipped.  Every usable point contributes two rows to
-    one (2S, M) RK4 integration: its precursor leg, and its GP leg as
-    the same precursor row with dispersive_scale = 0.  threads is
-    accepted and ignored.
+    recorded and skipped; with fewer than two usable points left,
+    DegenerateTransformError carries the recorded points.  Every usable
+    point contributes two rows to one (2S, M) RK4 integration: its
+    precursor leg, and its GP leg as the same precursor row with
+    dispersive_scale = 0.
     """
     grid = continuum.Grid1D(L, M)
     xs_c = grid.xs - L / 2.0
@@ -263,7 +263,9 @@ def truncation_study(
         points.append(detail)
         used.append(detail)
     if len(used) < 2:
-        raise ValueError("fewer than two usable truncation points")
+        raise DegenerateTransformError(
+            f"fewer than two usable truncation points ({len(used)} of "
+            f"{len(points)})", points)
 
     A = np.array([pt["A"] for pt in used])
     B = np.array([pt["B"] for pt in used])

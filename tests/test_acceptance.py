@@ -172,7 +172,7 @@ def test_criterion_6_continuum_limit_slope(capsys):
     rep = limitlab.lattice_vs_continuum(
         p, lambda x: 0.8 * np.exp(-(((x - L / 2) / 2.0) ** 2)),
         sizes=[32, 64, 128, 256], L=L, t_end=0.5, dt=1e-3,
-        grid_refine=4, threads=4,
+        grid_refine=4,
     )
     elapsed = time.perf_counter() - t0
     ok = (len(rep.xs) >= 4 and 1.7 <= rep.slope <= 2.3 and elapsed < 600.0)
@@ -190,7 +190,7 @@ def test_criterion_7_truncation_slope(capsys):
     rep = limitlab.truncation_study(
         p, s_values=[40.0, 126.0, 400.0, 1265.0, 4000.0],
         profile=lambda xi: 0.8 * np.exp(-((xi / 2.0) ** 2)),
-        L=8 * np.pi, M=256, t_end=1.0, dt=1e-3, threads=4,
+        L=8 * np.pi, M=256, t_end=1.0, dt=1e-3,
     )
     decades = np.log10(max(rep.xs) / min(rep.xs))
     elapsed = time.perf_counter() - t0

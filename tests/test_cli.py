@@ -195,7 +195,7 @@ def test_study_continuum_limit_cli(tmp_path):
                   "slope_min": 1.0, "slope_max": 3.0},
     })
     out = tmp_path / "cl"
-    assert main(["study", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "study.csv").read_text().splitlines()
     assert lines[0] == "spacing,N,error"
     assert len(lines) == 3
@@ -254,3 +254,105 @@ def test_ill_typed_numbers_exit_2(tmp_path, capsys, section):
     err = capsys.readouterr().err
     path = "integrator.dt" if "integrator" in section else "model.s"
     assert f"config error: {path}" in err
+
+
+_GRID = {"grid": {"M": 64}}
+_HUBBARD = {"model": {"family": "hubbard", "N": 8}}
+
+
+@pytest.mark.parametrize("command,section,path", [
+    ("simulate", {"equation": "gp", "integrator": {"scheme": "rk45"}, **_GRID},
+     "integrator.scheme"),
+    ("simulate", {"equation": "coupled-gp", "integrator": {"scheme": "rk4"},
+                  **_HUBBARD, **_GRID}, "integrator.scheme"),
+    ("simulate", {"equation": "precursor", "integrator": {"scheme": "strang"}, **_GRID},
+     "integrator.scheme"),
+    ("simulate", {"integrator": {"scheme": "strang"}}, "integrator.scheme"),
+    ("simulate", {"equation": "gp", "integrator": {"snapshot_every": 2}, **_GRID},
+     "integrator.snapshot_every"),
+    ("simulate", {"equation": "precursor", "integrator": {"snapshot_every": 1}, **_GRID},
+     "integrator.snapshot_every"),
+    ("simulate", {"equation": "pretransform", "integrator": {"snapshot_every": 3},
+                  **_GRID}, "integrator.snapshot_every"),
+    ("simulate", {"equation": "coupled-gp", "integrator": {"snapshot_every": 1},
+                  **_HUBBARD, **_GRID}, "integrator.snapshot_every"),
+    ("simulate", {"potential": {"profile": "uniform"}}, "potential"),
+    ("simulate", {"equation": "hubbard-lattice", "potential": {}, **_HUBBARD},
+     "potential"),
+    ("simulate", {"equation": "coupled-gp", "potential": {"profile": "zero"},
+                  **_HUBBARD, **_GRID}, "potential"),
+    ("simulate", {"equation": "coupled-gp", "spacing": 0.5, **_HUBBARD, **_GRID},
+     "spacing"),
+    ("simulate", {"equation": "precursor", "spacing": 0.5, **_GRID}, "spacing"),
+    ("simulate", {"spacing": 1.0}, "spacing"),
+    ("simulate", {"equation": "gp", "dispersive_scale": 0.5, **_GRID},
+     "dispersive_scale"),
+    ("simulate", {"equation": "pretransform", "dispersive_scale": 1.0, **_GRID},
+     "dispersive_scale"),
+    ("simulate", {"equation": "precursor", "integrator": {"symbol_mode": "naive"},
+                  **_GRID}, "integrator.symbol_mode"),
+    ("simulate", {"equation": "hubbard-lattice", "integrator": {"symbol_mode": "wick"},
+                  **_HUBBARD}, "integrator.symbol_mode"),
+    ("study", {"study": {"kind": "truncation", "threads": 4}}, "study.threads"),
+    ("study", {"study": {"kind": "continuum-limit", "threads": 0}}, "study.threads"),
+    ("study", {"study": {"kind": "truncation", "threads": True}}, "study.threads"),
+])
+def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section, path):
+    cfg = _write_cfg(tmp_path, section)
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_split_step_scheme_is_strang(tmp_path, capsys):
+    cfg = _gp_config(tmp_path)
+    assert main(["simulate", "--config", cfg, "--dry-run"]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert plan["config"]["integrator"]["scheme"] == "strang"
+    out = tmp_path / "gp"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["scheme"] == "strang"
+    # an explicit strang, and study.threads = 1, are accepted
+    explicit = _write_cfg(tmp_path, {"equation": "gp", "grid": {"M": 64},
+                                     "integrator": {"scheme": "strang"}}, "s.json")
+    assert main(["simulate", "--config", explicit, "--dry-run"]) == 0
+    study = _write_cfg(tmp_path, {"study": {"kind": "truncation", "threads": 1}},
+                       "t.json")
+    assert main(["study", "--config", study, "--dry-run"]) == 0
+
+
+def test_study_truncation_all_degenerate_writes_summary(tmp_path, capsys):
+    # J0 = R0 gives D = 0 at every s: no point is usable
+    cfg = _write_cfg(tmp_path, {"model": {"J0": 1, "R0": 1},
+                                "study": {"kind": "truncation"}})
+    out = tmp_path / "deg"
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 1
+    assert "error: fewer than two usable truncation points" in capsys.readouterr().err
+    summary = json.loads((out / "study_summary.json").read_text())
+    assert summary["passed"] is False and summary["slope"] is None
+    assert len(summary["points"]) == 5
+    assert all(pt["skipped"] for pt in summary["points"])
+    lines = (out / "study.csv").read_text().splitlines()
+    assert lines[0] == "s,rho,error,skipped"
+    assert all(line.endswith(",nan,nan,1") for line in lines[1:])
+
+
+def test_simulate_precursor_without_transform_fails(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {"equation": "precursor", "model": {"R0": 0.0},
+                                "grid": {"M": 64}, "integrator": {"t_end": 0.01}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "p")]) == 1
+    assert "error: R0 = 0" in capsys.readouterr().err
+
+
+def test_hubbard_lattice_second_flavor_defaults_to_first(tmp_path):
+    cfg = _write_cfg(tmp_path, {
+        "equation": "hubbard-lattice", "model": {"family": "hubbard", "N": 8},
+        "integrator": {"t_end": 0.01},
+        "initial": {"profile": "gaussian", "amplitude": 0.5, "width": 2.0},
+    })
+    out = tmp_path / "hub"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    final = json.loads((out / "run_summary.json").read_text())["final_observables"]
+    assert final["norm_flavor0"] == final["norm_flavor1"]

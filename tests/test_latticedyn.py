@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from gpchain import latticedyn, models
+from gpchain.integrators import integrate_adaptive, integrate_fixed
 from gpchain.latticedyn import (
-    IntegratorConfig,
-    LatticeState,
-    Trajectory,
     hubbard_observables,
     hubbard_rhs,
-    integrate,
     rhs_from_polys,
     xxz_observables,
     xxz_rhs,
@@ -30,14 +27,6 @@ def _random_state(rng, nflavors, nsites):
     re = rng.standard_normal((nflavors, nsites))
     im = rng.standard_normal((nflavors, nsites))
     return 0.3 * (re + 1j * im)
-
-
-def test_lattice_state_validation():
-    s = LatticeState(np.zeros(4, dtype=complex))
-    assert s.phi.shape == (1, 4)
-    assert s.nsites == 4 and s.nflavors == 1
-    with pytest.raises(ValueError):
-        LatticeState(np.array([[np.inf + 0j, 0, 0]]))
 
 
 def test_xxz_rhs_matches_symbolic_eom():
@@ -94,11 +83,9 @@ def test_norm_and_energy_conserved():
     p = XXZParams(N=32, J0=1.0, R0=0.5, s=1.0)
     rng = np.random.default_rng(3)
     phi0 = _random_state(rng, 1, p.N)
-    state = LatticeState(phi0)
-    cfg = IntegratorConfig(dt=1e-3, t_end=2.0)
-    traj = integrate(state, xxz_rhs(p), cfg)
+    _, states = integrate_fixed(xxz_rhs(p), phi0, 0.0, 2.0, 1e-3)
     o0 = xxz_observables(phi0, p)
-    o1 = xxz_observables(traj.final, p)
+    o1 = xxz_observables(states[-1], p)
     assert abs(o1["norm"] - o0["norm"]) < 1e-10
     assert abs(o1["energy"] - o0["energy"]) < 1e-8
 
@@ -108,9 +95,8 @@ def test_wick_flow_still_conserves_norm():
     p = XXZParams(N=16, J0=1.0, R0=0.7, s=1.0)
     rng = np.random.default_rng(4)
     phi0 = _random_state(rng, 1, p.N)
-    traj = integrate(LatticeState(phi0), xxz_rhs(p, symbol_mode="wick"),
-                     IntegratorConfig(dt=1e-3, t_end=1.0))
-    assert abs(xxz_observables(traj.final, p)["norm"]
+    _, states = integrate_fixed(xxz_rhs(p, symbol_mode="wick"), phi0, 0.0, 1.0, 1e-3)
+    assert abs(xxz_observables(states[-1], p)["norm"]
                - xxz_observables(phi0, p)["norm"]) < 1e-10
 
 
@@ -118,39 +104,35 @@ def test_hubbard_conservation_and_swap_symmetry():
     p = HubbardParams(N=16, t=1.0, U=0.8)
     rng = np.random.default_rng(5)
     phi0 = _random_state(rng, 2, p.N)
-    cfg = IntegratorConfig(dt=1e-3, t_end=1.0)
-    traj = integrate(LatticeState(phi0), hubbard_rhs(p), cfg)
+    _, states = integrate_fixed(hubbard_rhs(p), phi0, 0.0, 1.0, 1e-3)
     o0 = hubbard_observables(phi0, p)
-    o1 = hubbard_observables(traj.final, p)
+    o1 = hubbard_observables(states[-1], p)
     assert abs(o1["norm_flavor0"] - o0["norm_flavor0"]) < 1e-10
     assert abs(o1["norm_flavor1"] - o0["norm_flavor1"]) < 1e-10
     assert abs(o1["energy"] - o0["energy"]) < 1e-8
     # swapping the flavors commutes with the flow
-    swapped = integrate(LatticeState(phi0[::-1]), hubbard_rhs(p), cfg)
-    assert np.abs(swapped.final.phi - traj.final.phi[::-1]).max() < 1e-12
+    _, swapped = integrate_fixed(hubbard_rhs(p), phi0[::-1], 0.0, 1.0, 1e-3)
+    assert np.abs(swapped[-1] - states[-1][::-1]).max() < 1e-12
 
 
 def test_integrate_adaptive_scheme_close_to_fixed():
     p = XXZParams(N=8, J0=1.0, R0=0.4)
     rng = np.random.default_rng(6)
     phi0 = _random_state(rng, 1, p.N)
-    fixed = integrate(LatticeState(phi0), xxz_rhs(p),
-                      IntegratorConfig(dt=5e-4, t_end=1.0))
-    adap = integrate(LatticeState(phi0), xxz_rhs(p),
-                     IntegratorConfig(scheme="rk45", tolerance=1e-10, t_end=1.0))
-    assert np.abs(fixed.final.phi - adap.final.phi).max() < 1e-7
+    _, fixed = integrate_fixed(xxz_rhs(p), phi0, 0.0, 1.0, 5e-4)
+    _, adap = integrate_adaptive(xxz_rhs(p), phi0, 0.0, 1.0, 1e-10, dt0=1e-3)
+    assert np.abs(fixed[-1] - adap[-1]).max() < 1e-7
 
 
 def test_trajectory_snapshots():
     p = XXZParams(N=6)
     rng = np.random.default_rng(7)
     phi0 = _random_state(rng, 1, p.N)
-    traj = integrate(LatticeState(phi0), xxz_rhs(p),
-                     IntegratorConfig(dt=0.01, t_end=1.0, snapshot_every=20))
-    assert isinstance(traj, Trajectory)
-    assert len(traj) >= 5
-    assert traj.fields.shape[1:] == (1, p.N)
-    assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
+    times, states = integrate_fixed(xxz_rhs(p), phi0, 0.0, 1.0, 0.01,
+                                    snapshot_every=20)
+    assert len(times) == len(states) >= 5
+    assert np.stack(states).shape[1:] == (1, p.N)
+    assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
 
 
 def test_bond_override_matches_uniform_default():
@@ -163,11 +145,3 @@ def test_bond_override_matches_uniform_default():
     explicit = xxz_rhs(p, J_bond=Jb, R_bond=Rb)
     assert np.abs(default(0.0, phi) - explicit(0.0, phi)).max() == 0.0
 
-
-def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(scheme="euler")
-    with pytest.raises(ValueError):
-        IntegratorConfig(symbol_mode="other")

@@ -108,7 +108,7 @@ def test_lattice_vs_continuum_second_order():
     p = XXZParams(N=8, J0=1.0, R0=2.0, s=1.0)
     rep = lattice_vs_continuum(
         p, lambda x: _gaussian(x, L), sizes=[32, 64, 128],
-        L=L, t_end=0.3, dt=1e-3, grid_refine=4, threads=2,
+        L=L, t_end=0.3, dt=1e-3, grid_refine=4,
     )
     assert rep.passed is True
     assert 1.7 <= rep.slope <= 2.3
@@ -139,7 +139,7 @@ def test_truncation_study_first_order():
     rep = truncation_study(
         p, s_values=[40.0, 400.0],
         profile=lambda xi: 0.8 * np.exp(-((xi / 2.0) ** 2)),
-        L=L, M=128, t_end=0.3, dt=1e-3, threads=2,
+        L=L, M=128, t_end=0.3, dt=1e-3,
     )
     assert rep.label == "truncation"
     assert 0.7 <= rep.slope <= 1.3
