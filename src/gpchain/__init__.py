@@ -8,7 +8,7 @@ latticedyn), to spectral continuum solvers and convergence studies
 """
 
 from .coeffs import ParamCoeff, RationalComplex
-from .continuum import ContinuumField, Grid1D
+from .continuum import Grid1D
 from .limitlab import (
     DegenerateTransformError,
     TransformCoefficients,
@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algebra",
-    "ContinuumField",
     "CouplingMode",
     "DegenerateTransformError",
     "FieldPoly",

@@ -247,8 +247,7 @@ def _grid_setup(cfg):
 
 
 def _gp_observer(grid, V):
-    return lambda u: continuum.continuum_observables(
-        continuum.ContinuumField(u), grid, V=V)
+    return lambda u: continuum.continuum_observables(u, grid, V=V)
 
 
 def _pretransform(cfg, p):
@@ -294,9 +293,7 @@ def _coupled_gp(cfg, p):
     return _Simulation(
         np.stack([u0, u1]),
         continuum.coupled_gp_strang(grid, p.t, U_values, hbar=p.hbar),
-        lambda u: continuum.coupled_gp_observables(
-            (continuum.ContinuumField(u[0]), continuum.ContinuumField(u[1])),
-            grid, p.t, U_values, hbar=p.hbar),
+        lambda u: continuum.coupled_gp_observables(u, grid, p.t, U_values, hbar=p.hbar),
         _field_output(grid))
 
 

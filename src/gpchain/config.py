@@ -46,12 +46,16 @@ _EQUATIONS = {"xxz-lattice": "xxz", "hubbard-lattice": "hubbard",
 _SPLIT_STEP = {"gp", "coupled-gp"}
 _LATTICE = {"xxz-lattice", "hubbard-lattice"}
 
-# Keys that only some equations read; given for any other, they are rejected.
+# Keys that only some equations or schemes read; given for any other
+# equation and scheme, they are rejected.
 _READ_BY = (
     ("potential", {"pretransform", "precursor", "gp"}),
     ("spacing", {"pretransform"}),
     ("dispersive_scale", {"precursor"}),
+    ("initial2", {"hubbard-lattice", "coupled-gp"}),
+    ("grid", set(_EQUATIONS) - _LATTICE),
     ("integrator.symbol_mode", {"xxz-lattice"}),
+    ("integrator.tolerance", {"rk45"}),
 )
 
 MIN_CLI_SITES = 5
@@ -215,8 +219,9 @@ def validate_config(cfg: dict, command: str) -> dict:
         for path, readers in _READ_BY:
             section, _, key = path.partition(".")
             given = key in cfg.get(section, {}) if key else section in cfg
-            if given and eq not in readers:
-                raise ConfigError(f"{path} is not read by equation {eq}")
+            if given and readers.isdisjoint((eq, scheme)):
+                raise ConfigError(
+                    f"{path} is not read by equation {eq} with scheme {scheme}")
         if eq not in _LATTICE and integ["snapshot_every"] > 0:
             raise ConfigError(
                 f"integrator.snapshot_every must be 0 for equation {eq}: "
@@ -248,11 +253,17 @@ def validate_config(cfg: dict, command: str) -> dict:
             study.setdefault("t_end", 0.5)
             study.setdefault("slope_min", 1.7)
             study.setdefault("slope_max", 2.3)
-            for nn in study["sizes"]:
+            sizes = study["sizes"]
+            if not isinstance(sizes, list):
+                raise ConfigError(f"study.sizes must be a list, got {sizes!r}")
+            for nn in sizes:
                 if not isinstance(nn, int) or nn < 8 or nn & (nn - 1):
                     raise ConfigError(
                         f"study.sizes entries must be powers of two >= 8, got {nn!r}"
                     )
+            if len(set(sizes)) < 2:
+                raise ConfigError(
+                    f"study.sizes must hold at least two different sizes, got {sizes!r}")
         else:
             study.setdefault("s_values", [40.0, 126.0, 400.0, 1265.0, 4000.0])
             study.setdefault("M", 256)
@@ -266,6 +277,10 @@ def validate_config(cfg: dict, command: str) -> dict:
                 raise ConfigError("study.s_values must be a list")
             for i, sv in enumerate(study["s_values"]):
                 _number(f"study.s_values[{i}]", sv, 0, strict=True)
+            if len(set(study["s_values"])) < 2:
+                raise ConfigError(
+                    f"study.s_values must hold at least two different values, "
+                    f"got {study['s_values']!r}")
         _number("study.t_end", study["t_end"], 0)
         _number("study.slope_min", study["slope_min"])
         _number("study.slope_max", study["slope_max"])

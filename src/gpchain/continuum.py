@@ -16,14 +16,14 @@ All three belong to one cubic-dispersive family and share one fused
 RHS, which also evolves the rows of an (R, M) array as independent
 fields, so a batch of runs on one grid makes one integration.
 
-A two-component split step for the coupled (two-flavor) equation is
-also provided.
+The GP equation and the coupled two-flavor equation also have Strang
+split steps on plain arrays, both through one row-batched kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,21 +69,6 @@ class Grid1D:
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask over the wavenumbers; computed once, read-only."""
         return self._dealias
-
-
-@dataclass
-class ContinuumField:
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=complex, copy=True)
-        if v.ndim != 1:
-            raise ValueError(f"field values must be 1-d, got shape {v.shape}")
-        self.values = v
-
-    def copy(self) -> "ContinuumField":
-        return ContinuumField(self.values, self.time)
 
 
 def spectral_derivative(values, grid: Grid1D, order: int = 1) -> np.ndarray:
@@ -149,23 +134,33 @@ def gp_rhs_factory(grid: Grid1D, V=None, linear_offset: float = 1.0,
     return _cubic_rhs(grid, -1j, linear_offset, -1.0, -1.0, V=V, dealias=dealias)
 
 
-def gp_step_splitstep(field: ContinuumField, dt: float, grid: Grid1D,
-                      V=None, linear_offset: float = 1.0) -> ContinuumField:
-    """One Strang step of the GP equation.
+@lru_cache(maxsize=32)
+def _propagator(grid: Grid1D, a: float, b: float, dt: float) -> np.ndarray:
+    """exp(-i dt (a + b k^2)), built once per grid, dispersion and step size."""
+    return _readonly(np.exp(-1j * dt * (a + b * grid.k ** 2)))
 
-    Phase substeps are exact (they leave |u| pointwise invariant) and
-    the linear substep is a pure spectral rotation, so the discrete
-    norm is conserved to roundoff.
+
+def _strang(u, dt: float, grid: Grid1D, potential, a: float, b: float):
+    """One Strang step of  i u_t = P(u) u + (a - b d_xx) u  over the rows of u.
+
+    potential maps u to the real P(u) of each row; P depends only on
+    |u|, which the phase substeps exp(-i dt P / 2) leave unchanged, so
+    they are exact.  The linear substep is a spectral rotation, and the
+    norm of every row is conserved to roundoff.  All rows share one FFT
+    pair along the last axis.
     """
-    u = field.values
-    k2 = grid.k ** 2
+    half = -0.5j * dt
+    u = np.exp(half * potential(u)) * u
+    u = np.fft.ifft(_propagator(grid, a, b, dt) * np.fft.fft(u))
+    return np.exp(half * potential(u)) * u
+
+
+def gp_step_splitstep(u, dt: float, grid: Grid1D, V=None,
+                      linear_offset: float = 1.0) -> np.ndarray:
+    """One Strang step of the GP equation i u_t = (offset - |u|^2 - V) u - u_xx."""
     Varr = 0.0 if V is None else np.asarray(V, dtype=float)
-    phase = np.exp(-0.5j * dt * (linear_offset - np.abs(u) ** 2 - Varr))
-    u = phase * u
-    u = np.fft.ifft(np.exp(-1j * k2 * dt) * np.fft.fft(u))
-    phase = np.exp(-0.5j * dt * (linear_offset - np.abs(u) ** 2 - Varr))
-    u = phase * u
-    return ContinuumField(u, field.time + dt)
+    return _strang(u, dt, grid, lambda w: linear_offset - np.abs(w) ** 2 - Varr,
+                   0.0, 1.0)
 
 
 def gp_norm(values, grid: Grid1D) -> float:
@@ -253,9 +248,9 @@ def precursor_rhs_factory(grid: Grid1D, A, B, V=None, r1_over_r0=0.0,
     )
 
 
-def coupled_gp_step(fields, dt: float, grid: Grid1D, t_hop: float,
-                    U_values, hbar: float = 1.0):
-    """One Strang step for the coupled pair
+def coupled_gp_step(u, dt: float, grid: Grid1D, t_hop: float, U_values,
+                    hbar: float = 1.0) -> np.ndarray:
+    """One Strang step for the coupled pair, the rows of a (2, M) array,
 
         i hbar u_t^(k) = -4 t u^(k) - 2 t u_xx^(k) + U |u^(1-k)|^2 u^(k)
 
@@ -263,52 +258,30 @@ def coupled_gp_step(fields, dt: float, grid: Grid1D, t_hop: float,
     untouched by the other's phase rotation; per-flavor norms are
     conserved to roundoff.
     """
-    u0, u1 = fields
-    Uarr = np.asarray(U_values, dtype=float)
-    half = -0.5j * dt / hbar
-    p0 = np.exp(half * Uarr * np.abs(u1.values) ** 2)
-    p1 = np.exp(half * Uarr * np.abs(u0.values) ** 2)
-    a0 = p0 * u0.values
-    a1 = p1 * u1.values
-    lin = np.exp((-1j * dt / hbar) * (-4.0 * t_hop + 2.0 * t_hop * grid.k ** 2))
-    a0 = np.fft.ifft(lin * np.fft.fft(a0))
-    a1 = np.fft.ifft(lin * np.fft.fft(a1))
-    p0 = np.exp(half * Uarr * np.abs(a1) ** 2)
-    p1 = np.exp(half * Uarr * np.abs(a0) ** 2)
-    a0 = p0 * a0
-    a1 = p1 * a1
-    t_new = u0.time + dt
-    return ContinuumField(a0, t_new), ContinuumField(a1, t_new)
+    U = np.asarray(U_values, dtype=float) / hbar
+    return _strang(u, dt, grid, lambda w: U * np.abs(w[::-1]) ** 2,
+                   -4.0 * t_hop / hbar, 2.0 * t_hop / hbar)
 
 
 def gp_strang(grid: Grid1D, V=None, linear_offset: float = 1.0):
-    """gp_step_splitstep as an array step(t, u, h) -> u for integrators.march."""
-    return lambda t, u, h: gp_step_splitstep(
-        ContinuumField(u, t), h, grid, V=V, linear_offset=linear_offset).values
+    """gp_step_splitstep as a step(t, u, h) -> u for integrators.march."""
+    return lambda t, u, h: gp_step_splitstep(u, h, grid, V, linear_offset)
 
 
 def coupled_gp_strang(grid: Grid1D, t_hop: float, U_values, hbar: float = 1.0):
     """coupled_gp_step as a step(t, u, h) -> u over (2, M) arrays, for march."""
-    def step(t, u, h):
-        pair = coupled_gp_step((ContinuumField(u[0], t), ContinuumField(u[1], t)),
-                               h, grid, t_hop, U_values, hbar=hbar)
-        return np.array([f.values for f in pair])
-
-    return step
+    return lambda t, u, h: coupled_gp_step(u, h, grid, t_hop, U_values, hbar)
 
 
-def coupled_gp_observables(fields, grid: Grid1D, t_hop: float, U_values,
+def coupled_gp_observables(u, grid: Grid1D, t_hop: float, U_values,
                            hbar: float = 1.0) -> dict:
-    u0, u1 = fields
-    n0 = np.abs(u0.values) ** 2
-    n1 = np.abs(u1.values) ** 2
-    d0 = spectral_derivative(u0.values, grid)
-    d1 = spectral_derivative(u1.values, grid)
-    Uarr = np.asarray(U_values, dtype=float)
+    """Per-flavor norms and the energy of a (2, M) coupled pair."""
+    n0, n1 = np.abs(u) ** 2
+    d0, d1 = np.abs(spectral_derivative(u, grid)) ** 2
     e = (
         -4.0 * t_hop * (n0 + n1)
-        + 2.0 * t_hop * (np.abs(d0) ** 2 + np.abs(d1) ** 2)
-        + Uarr * n0 * n1
+        + 2.0 * t_hop * (d0 + d1)
+        + np.asarray(U_values, dtype=float) * n0 * n1
     )
     return {
         "norm_flavor0": float(grid.dx * n0.sum()),
@@ -317,10 +290,10 @@ def coupled_gp_observables(fields, grid: Grid1D, t_hop: float, U_values,
     }
 
 
-def continuum_observables(field: ContinuumField, grid: Grid1D, V=None,
+def continuum_observables(u, grid: Grid1D, V=None,
                           linear_offset: float = 1.0) -> dict:
     return {
-        "norm": gp_norm(field.values, grid),
-        "energy": gp_energy(field.values, grid, V, linear_offset),
-        "momentum": gp_momentum(field.values, grid),
+        "norm": gp_norm(u, grid),
+        "energy": gp_energy(u, grid, V, linear_offset),
+        "momentum": gp_momentum(u, grid),
     }

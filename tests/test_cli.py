@@ -296,6 +296,18 @@ _HUBBARD = {"model": {"family": "hubbard", "N": 8}}
     ("study", {"study": {"kind": "truncation", "threads": 4}}, "study.threads"),
     ("study", {"study": {"kind": "continuum-limit", "threads": 0}}, "study.threads"),
     ("study", {"study": {"kind": "truncation", "threads": True}}, "study.threads"),
+    ("simulate", {"initial2": {"profile": "zero"}}, "initial2"),
+    ("simulate", {"equation": "gp", "initial2": {}, **_GRID}, "initial2"),
+    ("simulate", {"grid": {"M": 64}}, "grid"),
+    ("simulate", {"equation": "hubbard-lattice", **_HUBBARD, **_GRID}, "grid"),
+    ("simulate", {"integrator": {"tolerance": 1e-6}}, "integrator.tolerance"),
+    ("simulate", {"equation": "gp", "integrator": {"tolerance": 1e-6}, **_GRID},
+     "integrator.tolerance"),
+    ("study", {"study": {"kind": "continuum-limit", "sizes": [32]}}, "study.sizes"),
+    ("study", {"study": {"kind": "continuum-limit", "sizes": 32}}, "study.sizes"),
+    ("study", {"study": {"kind": "continuum-limit", "sizes": [64, 64]}}, "study.sizes"),
+    ("study", {"study": {"kind": "truncation", "s_values": [400.0]}}, "study.s_values"),
+    ("study", {"study": {"kind": "truncation", "s_values": 400.0}}, "study.s_values"),
 ])
 def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section, path):
     cfg = _write_cfg(tmp_path, section)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gpchain.continuum import (
-    ContinuumField,
     Grid1D,
     continuum_observables,
     coupled_gp_observables,
@@ -33,18 +32,6 @@ def test_grid_validation():
         Grid1D(L=5.0, M=4)
 
 
-def test_field_copies_and_validates():
-    v = np.ones(8)
-    f = ContinuumField(v)
-    f.values[0] = 5.0
-    assert v[0] == 1.0
-    g = f.copy()
-    g.values[1] = -2.0
-    assert f.values[1] == 1.0
-    with pytest.raises(ValueError):
-        ContinuumField(np.ones((4, 4)))
-
-
 def test_spectral_derivative_exact_on_modes():
     g = Grid1D(L=2 * np.pi, M=64)
     x = g.xs
@@ -71,12 +58,11 @@ def test_splitstep_norm_exact():
     g = Grid1D(L=20.0, M=128)
     rng = np.random.default_rng(7)
     u0 = rng.normal(size=g.M) + 1j * rng.normal(size=g.M)
-    f = ContinuumField(u0)
-    n0 = gp_norm(f.values, g)
+    u = u0
+    n0 = gp_norm(u, g)
     for _ in range(500):
-        f = gp_step_splitstep(f, 1e-3, g)
-    assert abs(gp_norm(f.values, g) - n0) < 1e-12 * n0
-    assert f.time == pytest.approx(0.5)
+        u = gp_step_splitstep(u, 1e-3, g)
+    assert abs(gp_norm(u, g) - n0) < 1e-12 * n0
 
 
 def test_splitstep_is_second_order():
@@ -87,10 +73,10 @@ def test_splitstep_is_second_order():
     _, ref = integrate_fixed(rhs, u0, 0.0, 0.2, 1e-4)
     errs = []
     for dt in (2e-3, 1e-3):
-        f = ContinuumField(u0)
+        u = u0
         for _ in range(int(round(0.2 / dt))):
-            f = gp_step_splitstep(f, dt, g)
-        errs.append(np.abs(f.values - ref[-1]).max())
+            u = gp_step_splitstep(u, dt, g)
+        errs.append(np.abs(u - ref[-1]).max())
     ratio = errs[0] / errs[1]
     assert 3.3 < ratio < 4.7
 
@@ -214,28 +200,28 @@ def test_pretransform_field_profile():
 def test_coupled_norms_and_swap():
     g = Grid1D(L=30.0, M=128)
     x = g.xs
-    a = ContinuumField(0.8 / np.cosh(0.5 * (x - 10.0)))
-    b = ContinuumField(0.6 / np.cosh(0.4 * (x - 20.0)) * np.exp(0.2j * x))
+    a = 0.8 / np.cosh(0.5 * (x - 10.0))
+    b = 0.6 / np.cosh(0.4 * (x - 20.0)) * np.exp(0.2j * x)
     U = 1.3
-    na = gp_norm(a.values, g)
-    nb = gp_norm(b.values, g)
-    fa, fb = a, b
-    ga, gb = b.copy(), a.copy()
+    na = gp_norm(a, g)
+    nb = gp_norm(b, g)
+    f = np.array([a, b])
+    swapped = np.array([b, a])
     for _ in range(400):
-        fa, fb = coupled_gp_step((fa, fb), 1e-3, g, t_hop=0.7, U_values=U)
-        ga, gb = coupled_gp_step((ga, gb), 1e-3, g, t_hop=0.7, U_values=U)
-    assert abs(gp_norm(fa.values, g) - na) < 1e-12 * na
-    assert abs(gp_norm(fb.values, g) - nb) < 1e-12 * nb
+        f = coupled_gp_step(f, 1e-3, g, t_hop=0.7, U_values=U)
+        swapped = coupled_gp_step(swapped, 1e-3, g, t_hop=0.7, U_values=U)
+    assert abs(gp_norm(f[0], g) - na) < 1e-12 * na
+    assert abs(gp_norm(f[1], g) - nb) < 1e-12 * nb
     # relabeling the flavors commutes with the flow
-    assert np.abs(fa.values - gb.values).max() < 1e-13
-    assert np.abs(fb.values - ga.values).max() < 1e-13
+    assert np.abs(f[0] - swapped[1]).max() < 1e-13
+    assert np.abs(f[1] - swapped[0]).max() < 1e-13
 
 
 def test_coupled_energy_drift_small():
     g = Grid1D(L=30.0, M=128)
     x = g.xs
-    f = (ContinuumField(0.8 / np.cosh(0.5 * (x - 12.0))),
-         ContinuumField(0.7 / np.cosh(0.5 * (x - 18.0))))
+    f = np.array([0.8 / np.cosh(0.5 * (x - 12.0)),
+                  0.7 / np.cosh(0.5 * (x - 18.0))])
     obs0 = coupled_gp_observables(f, g, t_hop=0.5, U_values=1.0)
     for _ in range(1000):
         f = coupled_gp_step(f, 1e-3, g, t_hop=0.5, U_values=1.0)
@@ -248,25 +234,25 @@ def test_coupled_decouples_at_zero_U():
     g = Grid1D(L=16.0, M=64)
     x = g.xs
     u0 = np.exp(1j * 2 * np.pi * x / g.L)
-    f = (ContinuumField(u0), ContinuumField(np.zeros(g.M)))
+    f = np.array([u0, np.zeros(g.M)])
     t_hop, dt, n = 0.9, 1e-2, 50
     for _ in range(n):
         f = coupled_gp_step(f, dt, g, t_hop=t_hop, U_values=0.0)
     k1 = 2 * np.pi / g.L
     phase = np.exp(-1j * dt * n * (-4 * t_hop + 2 * t_hop * k1 ** 2))
-    assert np.abs(f[0].values - phase * u0).max() < 1e-12
-    assert np.abs(f[1].values).max() == 0.0
+    assert np.abs(f[0] - phase * u0).max() < 1e-12
+    assert np.abs(f[1]).max() == 0.0
 
 
 def test_observable_dicts():
     g = Grid1D(L=12.0, M=64)
-    u = ContinuumField(np.full(g.M, 0.5 + 0.0j))
+    u = np.full(g.M, 0.5 + 0.0j)
     obs = continuum_observables(u, g)
     assert obs["norm"] == pytest.approx(0.25 * g.L)
     # constant field: E = offset*|u|^2 - |u|^4/2 integrated
     assert obs["energy"] == pytest.approx(g.L * (0.25 - 0.5 * 0.0625))
     assert obs["momentum"] == pytest.approx(0.0, abs=1e-14)
-    pair = (u, ContinuumField(np.full(g.M, 1.0 + 0.0j)))
+    pair = np.array([u, np.full(g.M, 1.0 + 0.0j)])
     cobs = coupled_gp_observables(pair, g, t_hop=0.5, U_values=2.0)
     assert cobs["norm_flavor0"] == pytest.approx(0.25 * g.L)
     assert cobs["norm_flavor1"] == pytest.approx(g.L)
@@ -434,3 +420,30 @@ def test_grid_arrays_cached_read_only():
         with pytest.raises(ValueError):
             arr[0] = 1
     assert np.array_equal(g.k, 2 * np.pi * np.fft.fftfreq(64, d=g.dx))
+
+
+# Reference oracle: the two-field coupled split step the row-batched
+# Strang kernel replaced, one FFT pair per flavor.
+
+def _oracle_coupled_step(u0, u1, dt, grid, t_hop, U_values, hbar=1.0):
+    Uarr = np.asarray(U_values, dtype=float)
+    half = -0.5j * dt / hbar
+    a0 = np.exp(half * Uarr * np.abs(u1) ** 2) * u0
+    a1 = np.exp(half * Uarr * np.abs(u0) ** 2) * u1
+    lin = np.exp((-1j * dt / hbar) * (-4.0 * t_hop + 2.0 * t_hop * grid.k ** 2))
+    a0 = np.fft.ifft(lin * np.fft.fft(a0))
+    a1 = np.fft.ifft(lin * np.fft.fft(a1))
+    p0 = np.exp(half * Uarr * np.abs(a1) ** 2)
+    p1 = np.exp(half * Uarr * np.abs(a0) ** 2)
+    return p0 * a0, p1 * a1
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_coupled_step_matches_two_field_oracle(hbar):
+    g = Grid1D(L=30.0, M=128)
+    u = np.array([_test_field(g, 7), _test_field(g, 8)[::-1]])
+    U = 1.3 + 0.2 * np.cos(2 * np.pi * g.xs / g.L)
+    got = coupled_gp_step(u, 0.01, g, 0.7, U, hbar=hbar)
+    assert got.shape == (2, g.M)
+    for row, want in zip(got, _oracle_coupled_step(u[0], u[1], 0.01, g, 0.7, U, hbar)):
+        _assert_agrees(row, want)
