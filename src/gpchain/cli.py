@@ -34,11 +34,11 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, blocks) -> None:
+    """Write the header line, then each block of finished CSV lines."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(blocks)
 
 
 # ---------------------------------------------------------------- profiles
@@ -184,26 +184,35 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
 
 # -------------------------------------------------------- simulate command
 
+def _row_values(snap, lead=None):
+    """The %-arguments of one snapshot's rows: [lead,] re, im per value."""
+    flat = np.ravel(snap)
+    re, im = flat.real.tolist(), flat.imag.tolist()
+    width = 2 if lead is None else 3
+    args = [lead] * (width * len(re))
+    args[width - 2::width] = re
+    args[width - 1::width] = im
+    return tuple(args)
+
+
 def _trajectory_output(times, states):
     """Every snapshot, one row per time, site and flavor."""
-    rows = [
-        (_fmt(t), str(site), str(flavor), _fmt(z.real), _fmt(z.imag))
-        for t, snap in zip(times, states)
-        for flavor, vals in enumerate(snap)
-        for site, z in enumerate(vals)
-    ]
-    return "trajectory.csv", ("time", "site", "flavor", "re", "im"), rows
+    nflavors, nsites = np.shape(states[0])
+    template = "".join(
+        f"%s,{site},{flavor},%.17g,%.17g\n"
+        for flavor in range(nflavors) for site in range(nsites))
+    blocks = (template % _row_values(snap, _fmt(t)) for t, snap in zip(times, states))
+    return "trajectory.csv", ("time", "site", "flavor", "re", "im"), blocks
 
 
 def _field_output(grid):
     """Only the final field, one block of rows per flavor."""
     def output(times, states):
-        rows = [
-            (_fmt(xi), str(flavor), _fmt(z.real), _fmt(z.imag))
-            for flavor, vals in enumerate(np.atleast_2d(states[-1]))
-            for xi, z in zip(grid.xs, vals)
-        ]
-        return "field.csv", ("xi", "flavor", "re", "im"), rows
+        final = np.atleast_2d(states[-1])
+        template = "".join(
+            f"{_fmt(xi)},{flavor},%.17g,%.17g\n"
+            for flavor in range(len(final)) for xi in grid.xs)
+        return "field.csv", ("xi", "flavor", "re", "im"), [template % _row_values(final)]
 
     return output
 
@@ -214,7 +223,7 @@ class _Simulation(NamedTuple):
     y0: np.ndarray  # (F, N) on the lattice, (M,) or (2, M) on a grid
     advance: Callable  # RHS f(t, y); with scheme strang, a step(t, y, h)
     observe: Callable  # state -> dict of observables
-    output: Callable  # (times, states) -> (file name, header, rows)
+    output: Callable  # (times, states) -> (file name, header, text blocks)
     extra: dict = None  # further run_summary.json entries
 
 
@@ -339,8 +348,8 @@ def _run_simulate(cfg: dict, out_dir: str) -> int:
         times, states = exc.times, exc.states  # the snapshots so far
     summary["initial_observables"] = sim.observe(sim.y0)
     summary["final_observables"] = sim.observe(states[-1])
-    name, header, rows = sim.output(times, states)
-    _write_csv(os.path.join(out_dir, name), header, rows)
+    name, header, blocks = sim.output(times, states)
+    _write_csv(os.path.join(out_dir, name), header, blocks)
     _write_json(os.path.join(out_dir, "run_summary.json"), summary)
     print(f"simulate {eq}: {summary['status']}")
     return 0 if summary["status"] == "ok" else 1
@@ -382,7 +391,7 @@ def _run_study(cfg: dict, out_dir: str) -> int:
                                             band, False)
 
     _write_csv(os.path.join(out_dir, "study.csv"), header,
-               [row(pt) for pt in report.points])
+               [",".join(row(pt)) + "\n" for pt in report.points])
     _write_json(
         os.path.join(out_dir, "study_summary.json"),
         {

@@ -46,16 +46,29 @@ _EQUATIONS = {"xxz-lattice": "xxz", "hubbard-lattice": "hubbard",
 _SPLIT_STEP = {"gp", "coupled-gp"}
 _LATTICE = {"xxz-lattice", "hubbard-lattice"}
 
-# Keys that only some equations or schemes read; given for any other
-# equation and scheme, they are rejected.
+# Keys that only some commands, equations or schemes read; given on any
+# other run, they are rejected.  A simulate run matches its command, its
+# equation and its scheme; a study or verify-derivation run matches its
+# command alone.  A study reads grid.L and integrator.dt as the defaults
+# of study.L and study.dt.
 _READ_BY = (
+    ("model", {"simulate", "study"}),
+    ("equation", {"simulate"}),
+    ("grid", {"study"} | set(_EQUATIONS) - _LATTICE),
+    ("grid.M", set(_EQUATIONS) - _LATTICE),
+    ("integrator", {"simulate", "study"}),
+    ("integrator.t_end", {"simulate"}),
+    ("integrator.scheme", {"simulate"}),
+    ("integrator.snapshot_every", {"simulate"}),
+    ("integrator.symbol_mode", {"xxz-lattice"}),
+    ("integrator.tolerance", {"rk45"}),
+    ("initial", {"simulate"}),
+    ("initial2", {"hubbard-lattice", "coupled-gp"}),
     ("potential", {"pretransform", "precursor", "gp"}),
     ("spacing", {"pretransform"}),
     ("dispersive_scale", {"precursor"}),
-    ("initial2", {"hubbard-lattice", "coupled-gp"}),
-    ("grid", set(_EQUATIONS) - _LATTICE),
-    ("integrator.symbol_mode", {"xxz-lattice"}),
-    ("integrator.tolerance", {"rk45"}),
+    ("study", {"study"}),
+    ("verify", {"verify-derivation"}),
 )
 
 MIN_CLI_SITES = 5
@@ -216,16 +229,20 @@ def validate_config(cfg: dict, command: str) -> dict:
             raise ConfigError("potential.profile = file is not supported")
         _number("spacing", out.setdefault("spacing", 1.0), 0, strict=True)
         _number("dispersive_scale", out.setdefault("dispersive_scale", 1.0))
-        for path, readers in _READ_BY:
-            section, _, key = path.partition(".")
-            given = key in cfg.get(section, {}) if key else section in cfg
-            if given and readers.isdisjoint((eq, scheme)):
-                raise ConfigError(
-                    f"{path} is not read by equation {eq} with scheme {scheme}")
-        if eq not in _LATTICE and integ["snapshot_every"] > 0:
-            raise ConfigError(
-                f"integrator.snapshot_every must be 0 for equation {eq}: "
-                "field.csv holds only the final field")
+
+    run = (command, eq, scheme) if command == "simulate" else (command,)
+    for path, readers in _READ_BY:
+        section, _, key = path.partition(".")
+        given = key in cfg.get(section, {}) if key else section in cfg
+        if given and readers.isdisjoint(run):
+            by = (f"equation {eq} with scheme {scheme}" if command == "simulate"
+                  else f"the {command} command")
+            raise ConfigError(f"{path} is not read by {by}")
+
+    if command == "simulate" and eq not in _LATTICE and integ["snapshot_every"] > 0:
+        raise ConfigError(
+            f"integrator.snapshot_every must be 0 for equation {eq}: "
+            "field.csv holds only the final field")
 
     if command == "study":
         study = out.get("study")

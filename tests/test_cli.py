@@ -1,11 +1,15 @@
+import glob
 import json
 import os
 
 import numpy as np
 import pytest
 
-from gpchain import models
+from gpchain import cli, continuum, integrators, models
 from gpchain.cli import main
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                        "*.json")))
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -258,6 +262,7 @@ def test_ill_typed_numbers_exit_2(tmp_path, capsys, section):
 
 _GRID = {"grid": {"M": 64}}
 _HUBBARD = {"model": {"family": "hubbard", "N": 8}}
+_TRUNCATION = {"study": {"kind": "truncation"}}
 
 
 @pytest.mark.parametrize("command,section,path", [
@@ -308,6 +313,16 @@ _HUBBARD = {"model": {"family": "hubbard", "N": 8}}
     ("study", {"study": {"kind": "continuum-limit", "sizes": [64, 64]}}, "study.sizes"),
     ("study", {"study": {"kind": "truncation", "s_values": [400.0]}}, "study.s_values"),
     ("study", {"study": {"kind": "truncation", "s_values": 400.0}}, "study.s_values"),
+    ("study", {"integrator": {"t_end": 5.0}, **_TRUNCATION}, "integrator.t_end"),
+    ("study", {"integrator": {"scheme": "rk45"}, **_TRUNCATION}, "integrator.scheme"),
+    ("study", {"integrator": {"tolerance": 1e-3}, **_TRUNCATION},
+     "integrator.tolerance"),
+    ("study", {"grid": {"M": 64}, **_TRUNCATION}, "grid.M"),
+    ("study", {"equation": "gp", **_TRUNCATION}, "equation"),
+    ("simulate", {"study": {"kind": "truncation"}}, "study"),
+    ("verify-derivation", {"model": {"J0": 5.0, "R0": 3.0}}, "model"),
+    ("verify-derivation", {"equation": "gp"}, "equation"),
+    ("verify-derivation", {"integrator": {"dt": 0.01}}, "integrator"),
 ])
 def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section, path):
     cfg = _write_cfg(tmp_path, section)
@@ -368,3 +383,105 @@ def test_hubbard_lattice_second_flavor_defaults_to_first(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     final = json.loads((out / "run_summary.json").read_text())["final_observables"]
     assert final["norm_flavor0"] == final["norm_flavor1"]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_sample_config_dry_run(path, capsys):
+    with open(path) as fh:
+        command = "study" if "study" in json.load(fh) else "simulate"
+    assert main([command, "--config", path, "--dry-run"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == command
+
+
+# ------------------------------------------------- CSV byte oracle
+#
+# The row-by-row formatter the CLI first had: one tuple per row, every
+# float through "%.17g".  The block-formatted writer must match its bytes.
+
+def _fmt(x):
+    return "%.17g" % float(x)
+
+
+def _oracle_csv(header, rows):
+    return "".join(",".join(row) + "\n" for row in [header, *rows]).encode()
+
+
+def _oracle_trajectory(times, states):
+    return _oracle_csv(("time", "site", "flavor", "re", "im"), [
+        (_fmt(t), str(site), str(flavor), _fmt(z.real), _fmt(z.imag))
+        for t, snap in zip(times, states)
+        for flavor, vals in enumerate(snap)
+        for site, z in enumerate(vals)
+    ])
+
+
+def _oracle_field(xs, state):
+    return _oracle_csv(("xi", "flavor", "re", "im"), [
+        (_fmt(xi), str(flavor), _fmt(z.real), _fmt(z.imag))
+        for flavor, vals in enumerate(np.atleast_2d(state))
+        for xi, z in zip(xs, vals)
+    ])
+
+
+_BYTE_RUNS = {
+    "xxz": (0, {
+        "equation": "xxz-lattice",
+        "model": {"N": 12, "J0": 1.0, "R0": 0.5, "h": 0.2},
+        "integrator": {"dt": 1e-2, "t_end": 0.5, "snapshot_every": 7},
+        "initial": {"profile": "gaussian", "amplitude": 0.4, "width": 3.0},
+    }),
+    "hubbard": (0, {
+        "equation": "hubbard-lattice",
+        "model": {"family": "hubbard", "N": 10, "t": 0.8, "U": 1.5},
+        "integrator": {"dt": 1e-2, "t_end": 0.2, "scheme": "rk45", "snapshot_every": 1},
+        "initial": {"profile": "gaussian", "amplitude": 0.7, "width": 2.0},
+        "initial2": {"profile": "plane-wave", "amplitude": -0.3, "mode": 1},
+    }),
+    "blowup": (1, {
+        "equation": "xxz-lattice",
+        "model": {"N": 8, "J0": 1.0, "R0": 1.0},
+        "integrator": {"dt": 10.0, "t_end": 100.0, "snapshot_every": 1},
+        "initial": {"profile": "uniform", "value": 50.0},
+    }),
+    "gp": (0, {
+        "equation": "gp",
+        "grid": {"L": 20.0, "M": 64},
+        "integrator": {"dt": 1e-3, "t_end": 0.05},
+        "initial": {"profile": "sech-soliton", "eta": 1.0},
+    }),
+    "coupled-gp": (0, {
+        "equation": "coupled-gp",
+        "model": {"family": "hubbard", "N": 8, "t": 0.5, "U": 1.0},
+        "grid": {"L": 30.0, "M": 32},
+        "integrator": {"dt": 1e-3, "t_end": 0.02},
+        "initial": {"profile": "gaussian", "amplitude": 0.6, "width": 3.0},
+        "initial2": {"profile": "gaussian", "amplitude": 0.4, "width": 3.0},
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BYTE_RUNS))
+def test_csv_bytes_match_row_oracle(tmp_path, monkeypatch, name):
+    rc, payload = _BYTE_RUNS[name]
+    seen = {}
+    integrate = cli._integrate
+
+    def recording(sim, integ):
+        try:
+            seen["run"] = integrate(sim, integ)
+        except integrators.IntegrationError as exc:
+            seen["run"] = exc.times, exc.states
+            raise
+        return seen["run"]
+
+    monkeypatch.setattr(cli, "_integrate", recording)
+    out = tmp_path / name
+    assert main(["simulate", "--config", _write_cfg(tmp_path, payload),
+                 "--out", str(out)]) == rc
+    times, states = seen["run"]
+    if "grid" in payload:
+        xs = continuum.Grid1D(payload["grid"]["L"], payload["grid"]["M"]).xs
+        assert (out / "field.csv").read_bytes() == _oracle_field(xs, states[-1])
+    else:
+        assert len(times) >= 2
+        assert (out / "trajectory.csv").read_bytes() == _oracle_trajectory(times, states)

@@ -103,6 +103,18 @@ def test_study_section_requirements():
                                    "sizes": [32, 48]}}, "study")
 
 
+def test_study_reads_only_grid_length_and_step():
+    cfg = validate_config({"study": {"kind": "truncation"}, "grid": {"L": 9.0},
+                           "integrator": {"dt": 0.01}}, "study")
+    assert (cfg["study"]["L"], cfg["study"]["dt"]) == (9.0, 0.01)
+    for section, path in (({"integrator": {"snapshot_every": 2}},
+                           "integrator.snapshot_every"),
+                          ({"initial": {"profile": "zero"}}, "initial"),
+                          ({"verify": {"N": 7}}, "verify")):
+        with pytest.raises(ConfigError, match=f"^{path} is not read by the study"):
+            validate_config({"study": {"kind": "truncation"}, **section}, "study")
+
+
 def test_verify_section():
     cfg = validate_config({}, "verify-derivation")
     assert cfg["verify"]["N"] == 7

@@ -145,3 +145,121 @@ def test_bond_override_matches_uniform_default():
     explicit = xxz_rhs(p, J_bond=Jb, R_bond=Rb)
     assert np.abs(default(0.0, phi) - explicit(0.0, phi)).max() == 0.0
 
+
+
+# ------------------------------------------------ bitwise np.roll oracle
+#
+# The closed forms as first written, with np.roll for every neighbour.
+# The gather-indexed RHSes and observables must reproduce them bit for bit.
+
+def _roll_xxz_rhs(p, symbol_mode="naive", J_bond=None, R_bond=None):
+    Jb, Rb = latticedyn._bond_arrays(p, J_bond, R_bond)
+    Jbm = np.roll(Jb, 1)
+    Rbm = np.roll(Rb, 1)
+    h = np.asarray(p.h, dtype=float)
+    s = p.s
+    wick = symbol_mode == "wick"
+    scale = 1j / p.hbar
+
+    def f(t, phi):
+        u = phi[0]
+        up = np.roll(u, -1)
+        um = np.roll(u, 1)
+        P = s * Jb * up + s * Jbm * um
+        P -= s * (Rb + Rbm) * u
+        P += (Rb * np.abs(up) ** 2 + Rbm * np.abs(um) ** 2) * u
+        P -= h * u
+        if wick:
+            P += 0.5 * (Rb + Rbm) * u
+        return scale * P[None, :]
+
+    return f
+
+
+def _roll_hubbard_rhs(p):
+    U = np.asarray(p.U, dtype=float)
+    scale = 1j / p.hbar
+    two_t = 2.0 * p.t
+
+    def f(t, phi):
+        up = np.roll(phi, -1, axis=1)
+        um = np.roll(phi, 1, axis=1)
+        other = np.abs(phi[::-1]) ** 2
+        P = two_t * (up + um) - U * other * phi
+        return scale * P
+
+    return f
+
+
+def _roll_xxz_energy(phi, p, J_bond=None, R_bond=None):
+    u = np.atleast_2d(phi)[0]
+    Jb, Rb = latticedyn._bond_arrays(p, J_bond, R_bond)
+    n = np.abs(u) ** 2
+    npp = np.roll(n, -1)
+    h = np.asarray(p.h, dtype=float)
+    return float(
+        -2.0 * p.s * np.sum(Jb * np.real(np.conj(u) * np.roll(u, -1)))
+        - np.sum(Rb * (p.s - n) * (p.s - npp))
+        - np.sum(h * (p.s - n)))
+
+
+def _roll_hubbard_energy(phi, p):
+    U = np.asarray(p.U, dtype=float)
+    n = np.abs(phi) ** 2
+    hop = -4.0 * p.t * np.sum(np.real(np.conj(phi) * np.roll(phi, -1, axis=1)))
+    return float(hop + np.sum(U * n[1] * n[0]))
+
+
+def _assert_xxz_bitwise(p, phi, J_bond=None, R_bond=None):
+    for mode in ("naive", "wick"):
+        got = xxz_rhs(p, mode, J_bond, R_bond)(0.0, phi)
+        want = _roll_xxz_rhs(p, mode, J_bond, R_bond)(0.0, phi)
+        assert np.array_equal(got, want), mode
+    assert xxz_observables(phi, p, J_bond, R_bond)["energy"] \
+        == _roll_xxz_energy(phi, p, J_bond, R_bond)
+
+
+def _assert_hubbard_bitwise(p, phi):
+    assert np.array_equal(hubbard_rhs(p)(0.0, phi), _roll_hubbard_rhs(p)(0.0, phi))
+    assert hubbard_observables(phi, p)["energy"] == _roll_hubbard_energy(phi, p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 256])
+def test_rhs_bitwise_equal_to_roll_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    # uniform bonds, no field, hbar = 1
+    _assert_xxz_bitwise(XXZParams(N=n, J0=1.0, R0=1.0, s=1.0), _random_state(rng, 1, n))
+    # non-uniform bonds, a site field and hbar != 1
+    p = XXZParams(N=n, J0=0.8, J1=0.1, R0=0.6, R1=0.07, s=1.3, x_xi=0.3,
+                  h=tuple(rng.uniform(-0.5, 0.5, n)), hbar=0.7)
+    Jb, Rb = rng.uniform(0.2, 1.5, n), rng.uniform(-0.4, 1.2, n)
+    _assert_xxz_bitwise(p, _random_state(rng, 1, n))
+    _assert_xxz_bitwise(p, _random_state(rng, 1, n), J_bond=Jb, R_bond=Rb)
+    # uniform and non-uniform U
+    phi2 = _random_state(rng, 2, n)
+    _assert_hubbard_bitwise(HubbardParams(N=n, t=1.0, U=2.0), phi2)
+    _assert_hubbard_bitwise(
+        HubbardParams(N=n, t=0.9, U=tuple(rng.uniform(-1.0, 2.0, n)), hbar=1.7), phi2)
+
+
+def test_rhs_bitwise_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.booleans())
+    def check(n, seed, uniform):
+        rng = np.random.default_rng(seed)
+        if uniform:
+            p, Jb, Rb = XXZParams(N=n, h=float(rng.normal())), None, None
+        else:
+            p = XXZParams(N=n, s=float(rng.uniform(0.5, 3.0)),
+                          h=tuple(rng.normal(size=n)), hbar=float(rng.uniform(0.3, 2.0)))
+            Jb, Rb = rng.normal(size=n), rng.normal(size=n)
+        _assert_xxz_bitwise(p, _random_state(rng, 1, n), J_bond=Jb, R_bond=Rb)
+        U = float(rng.normal()) if uniform else tuple(rng.normal(size=n))
+        _assert_hubbard_bitwise(HubbardParams(N=n, t=float(rng.normal()), U=U,
+                                              hbar=float(rng.uniform(0.3, 2.0))),
+                                _random_state(rng, 2, n))
+
+    check()
