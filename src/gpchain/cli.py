@@ -43,8 +43,22 @@ def _write_csv(path: str, header, blocks) -> None:
 
 # ---------------------------------------------------------------- profiles
 
-def _make_profile(opts: dict, length: float, default_center: float):
-    """Turn an initial-condition section into a callable over positions."""
+def _read_profile_file(section: str, path: str) -> np.ndarray:
+    """The complex samples of a .npy file, or of CSV columns re[,im]."""
+    try:
+        if path.endswith(".npy"):
+            data = np.load(path)
+        else:
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
+            data = raw[:, 0] + 1j * raw[:, 1] if raw.shape[1] >= 2 else raw[:, 0]
+        return np.asarray(data).astype(complex).ravel()
+    except (OSError, EOFError, ValueError, TypeError) as exc:
+        raise ConfigError(f"{section}.path: cannot read {path}: {exc}") from exc
+
+
+def _make_profile(cfg: dict, section: str, length: float, default_center: float):
+    """Turn a profile section of cfg into a callable over positions."""
+    opts = cfg[section]
     kind = opts.get("profile", "zero")
     amp = float(opts.get("amplitude", 1.0))
     width = float(opts.get("width", length / 8.0))
@@ -68,17 +82,12 @@ def _make_profile(opts: dict, length: float, default_center: float):
         ).astype(complex)
     if kind == "file":
         path = opts["path"]
-        if path.endswith(".npy"):
-            data = np.load(path)
-        else:
-            raw = np.loadtxt(path, delimiter=",", ndmin=2)
-            data = raw[:, 0] + 1j * raw[:, 1] if raw.shape[1] >= 2 else raw[:, 0]
-        arr = np.asarray(data).astype(complex).ravel()
+        arr = _read_profile_file(section, path)
 
         def from_file(x):
             if np.size(x) != arr.size:
                 raise ConfigError(
-                    f"initial data file {path} has {arr.size} samples, need {np.size(x)}"
+                    f"{section}.path: {path} has {arr.size} samples, need {np.size(x)}"
                 )
             return arr.copy()
 
@@ -228,7 +237,7 @@ class _Simulation(NamedTuple):
 
 
 def _lattice_profile(cfg, section, N):
-    return _make_profile(cfg[section], float(N), N / 2.0)(np.arange(N, dtype=float))
+    return _make_profile(cfg, section, float(N), N / 2.0)(np.arange(N, dtype=float))
 
 
 def _xxz_lattice(cfg, p):
@@ -248,11 +257,12 @@ def _hubbard_lattice(cfg, p):
 def _grid_setup(cfg):
     """The grid, the initial field on it and the potential (None when zero)."""
     grid = continuum.Grid1D(float(cfg["grid"]["L"]), int(cfg["grid"]["M"]))
-    u0 = _make_profile(cfg["initial"], grid.L, grid.L / 2.0)(grid.xs)
+    u0 = _make_profile(cfg, "initial", grid.L, grid.L / 2.0)(grid.xs)
     pot = cfg["potential"]
     if pot.get("profile", "zero") == "zero":
         return grid, u0, None
-    return grid, u0, np.real(_make_profile(pot, grid.L, grid.L / 2.0)(grid.xs))
+    V = _make_profile(cfg, "potential", grid.L, grid.L / 2.0)(grid.xs)
+    return grid, u0, np.real(V)
 
 
 def _gp_observer(grid, V):
@@ -295,7 +305,7 @@ def _gp(cfg, p):
 
 def _coupled_gp(cfg, p):
     grid, u0, _ = _grid_setup(cfg)
-    u1 = _make_profile(cfg["initial2"], grid.L, grid.L / 2.0)(grid.xs)
+    u1 = _make_profile(cfg, "initial2", grid.L, grid.L / 2.0)(grid.xs)
     if len(set(p.U)) != 1:
         raise ConfigError("this equation needs a single uniform model.U")
     U_values = np.full(grid.M, p.U[0])
@@ -365,7 +375,7 @@ def _run_study(cfg: dict, out_dir: str) -> int:
     band = (float(study["slope_min"]), float(study["slope_max"]))
 
     if kind == "continuum-limit":
-        profile = _make_profile(study, L, L / 2.0)  # reads only the profile keys
+        profile = _make_profile(cfg, "study", L, L / 2.0)  # reads only the profile keys
         run = lambda: limitlab.lattice_vs_continuum(
             p, profile, study["sizes"], L, float(study["t_end"]), float(study["dt"]),
             grid_refine=int(study["grid_refine"]), band=band,
@@ -373,7 +383,7 @@ def _run_study(cfg: dict, out_dir: str) -> int:
         header = ("spacing", "N", "error")
         row = lambda pt: (_fmt(pt["spacing"]), str(pt["N"]), _fmt(pt["error"]))
     else:
-        profile = _make_profile(study, L, 0.0)
+        profile = _make_profile(cfg, "study", L, 0.0)
         run = lambda: limitlab.truncation_study(
             p, study["s_values"], profile, L, int(study["M"]),
             float(study["t_end"]), float(study["dt"]), band=band,

@@ -1,9 +1,13 @@
-"""Exact scalar arithmetic for operator coefficients.
+"""Exact scalar arithmetic for operator coefficients, and the sums built on it.
 
 Coefficients of ladder-operator expressions are polynomials in named real
 parameters (couplings, spin length, field strengths) whose numeric parts are
 exact rational complex numbers.  Floats only appear once a fully bound
 coefficient is evaluated.
+
+TermSum is the exact sparse sum behind ParamCoeff, opalg.OperatorExpr and
+symbolmap.FieldPoly: their arithmetic, equality, term order and printed
+form are written once there.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-__all__ = ["RationalComplex", "ParamCoeff", "Monomial"]
+__all__ = ["RationalComplex", "TermSum", "ParamCoeff", "Monomial"]
 
 ScalarLike = Union["RationalComplex", Fraction, int]
 
@@ -122,6 +126,172 @@ RC_ZERO = RationalComplex()
 RC_ONE = RationalComplex(Fraction(1))
 RC_I = RationalComplex(Fraction(0), Fraction(1))
 
+
+class TermSum:
+    """Exact sparse sum: a dict from canonical key to nonzero coefficient.
+
+    ParamCoeff, OperatorExpr and FieldPoly are TermSums.  This class holds
+    what they share: the ring arithmetic, equality and hashing, the
+    canonical term order, map_coeffs, and the printed form
+    "(coeff) factors + ...".  Each subclass supplies
+        _term(raw_key, coeff)  the canonical (key, coeff) of one raw term,
+                               or None when the term vanishes;
+        _scalar(x)             x as a coefficient, or None when it is not one;
+        _sort_key(key)         canonical order, led by the key's degree;
+        _key_text(key)         the printed factors of a key;
+    and overrides _new and _coerce when it carries more state than its terms.
+    Products concatenate raw keys, so a subclass's _term is its product rule.
+    Sums are immutable once built.
+    """
+
+    __slots__ = ("_terms",)
+
+    def _new(self, terms: dict):
+        """A sum of this kind over terms already in canonical form."""
+        obj = object.__new__(type(self))
+        obj._terms = terms
+        return obj
+
+    @staticmethod
+    def _accumulate(terms: dict, key, c) -> None:
+        """Add c to terms[key], dropping the key when the sum is zero."""
+        acc = terms[key] + c if key in terms else c
+        if acc.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = acc
+
+    def _collect(self, pairs) -> dict:
+        """Canonical terms of (raw key, coefficient) pairs, like terms merged."""
+        terms: dict = {}
+        for raw, c in pairs:
+            term = self._term(raw, c)
+            if term is not None:
+                self._accumulate(terms, *term)
+        return terms
+
+    def _coerce(self, other):
+        """other as a sum of this kind, or None when it is not one or a coefficient."""
+        if isinstance(other, type(self)):
+            return other
+        c = self._scalar(other)
+        if c is None:
+            return None
+        return self._new({} if c.is_zero() else {(): c})
+
+    # -- ring operations ----------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for key, c in o._terms.items():
+            self._accumulate(out, key, c)
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if len(o._terms) == 1 and () in o._terms:
+            # a scalar factor leaves every key canonical
+            c = o._terms[()]
+            return self._new({k: v * c for k, v in self._terms.items()})
+        return self._new(self._collect(
+            (k1 + k2, c1 * c2)
+            for k1, c1 in self._terms.items()
+            for k2, c2 in o._terms.items()
+        ))
+
+    # coefficients commute with every key, so order is immaterial
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        """This sum times the coefficient c."""
+        if self._scalar(c) is None:
+            raise TypeError(f"cannot scale {type(self).__name__} by {type(c).__name__}")
+        return self * c
+
+    def map_coeffs(self, fn):
+        """Apply fn to every coefficient, dropping those it sends to zero."""
+        out = {}
+        for k, c in self._terms.items():
+            nc = fn(c)
+            if not nc.is_zero():
+                out[k] = nc
+        return self._new(out)
+
+    def rename_params(self, mapping: Mapping[str, str]):
+        return self.map_coeffs(lambda c: c.rename_params(mapping))
+
+    # -- queries ------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def terms(self):
+        """Terms as (key, coefficient) pairs in canonical order."""
+        return tuple(
+            (k, self._terms[k]) for k in sorted(self._terms, key=self._sort_key)
+        )
+
+    def degree(self) -> int:
+        return max((self._sort_key(k)[0] for k in self._terms), default=0)
+
+    def num_terms(self) -> int:
+        return len(self._terms)
+
+    def parameters(self) -> frozenset:
+        """Names of all symbolic parameters appearing in coefficients."""
+        return frozenset(s for c in self._terms.values() for s in c.parameters())
+
+    # -- identity and display -----------------------------------------
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._terms == o._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        parts = []
+        for key, coeff in self.terms():
+            factors = self._key_text(key)
+            parts.append(f"({coeff}) {factors}" if factors else f"({coeff})")
+        return " + ".join(parts)
+
+
+def power_text(pairs) -> str:
+    """Printed factors of (base, exponent) pairs: "x y^2"."""
+    return " ".join(str(b) if e == 1 else f"{b}^{e}" for b, e in pairs)
+
+
 # A monomial is a sorted tuple of (parameter name, positive exponent) pairs.
 Monomial = tuple
 
@@ -146,27 +316,27 @@ def _mono_sort_key(mono: Monomial):
     return (sum(e for _, e in mono), mono)
 
 
-class ParamCoeff:
+class ParamCoeff(TermSum):
     """Polynomial in named real parameters with RationalComplex coefficients.
 
-    Immutable; all arithmetic returns fresh objects.  Parameters are assumed
-    real, so conjugation touches only the numeric parts.
+    A TermSum keyed by Monomial.  Immutable; all arithmetic returns fresh
+    objects.  Parameters are assumed real, so conjugation touches only the
+    numeric parts.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _scalar = staticmethod(RationalComplex._try)
+    _sort_key = staticmethod(_mono_sort_key)
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
-        clean: dict[Monomial, RationalComplex] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = RationalComplex.coerce(c)
-                mono = _normalize_monomial(mono)
-                acc = clean.get(mono, RC_ZERO) + c
-                if acc.is_zero():
-                    clean.pop(mono, None)
-                else:
-                    clean[mono] = acc
-        self._terms = clean
+        self._terms = self._collect(
+            (mono, RationalComplex.coerce(c)) for mono, c in (terms or {}).items()
+        )
+
+    @staticmethod
+    def _term(mono, c):
+        return _normalize_monomial(mono), c
 
     # -- constructors -------------------------------------------------
 
@@ -205,19 +375,10 @@ class ParamCoeff:
 
     @staticmethod
     def _try_coerce(x) -> "ParamCoeff | None":
-        if isinstance(x, ParamCoeff):
-            return x
-        if isinstance(x, (RationalComplex, Fraction, int)):
-            return ParamCoeff.scalar(x)
-        return None
+        # every ParamCoeff coerces alike; PC_ZERO is just one to ask
+        return PC_ZERO._coerce(x)
 
     # -- queries ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def is_constant(self) -> bool:
         return all(m == () for m in self._terms)
@@ -231,71 +392,10 @@ class ParamCoeff:
     def symbols(self) -> frozenset:
         return frozenset(n for mono in self._terms for n, _ in mono)
 
-    def degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self._terms)
-
-    def terms(self):
-        """Terms as (monomial, RationalComplex) in canonical order."""
-        return tuple(
-            (m, self._terms[m]) for m in sorted(self._terms, key=_mono_sort_key)
-        )
+    # the parameters of a coefficient are its own keys' names
+    parameters = symbols
 
     # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other) -> "ParamCoeff":
-        o = ParamCoeff._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for mono, c in o._terms.items():
-            acc = out.get(mono, RC_ZERO) + c
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        res = ParamCoeff.__new__(ParamCoeff)
-        res._terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ParamCoeff":
-        o = ParamCoeff._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "ParamCoeff":
-        o = ParamCoeff._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self) -> "ParamCoeff":
-        res = ParamCoeff.__new__(ParamCoeff)
-        res._terms = {m: -c for m, c in self._terms.items()}
-        return res
-
-    def __mul__(self, other) -> "ParamCoeff":
-        o = ParamCoeff._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict[Monomial, RationalComplex] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
-                mono = _normalize_monomial(m1 + m2)
-                acc = out.get(mono, RC_ZERO) + c1 * c2
-                if acc.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = acc
-        res = ParamCoeff.__new__(ParamCoeff)
-        res._terms = out
-        return res
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ParamCoeff":
         if not isinstance(n, int) or n < 0:
@@ -306,25 +406,16 @@ class ParamCoeff:
         return out
 
     def conjugate(self) -> "ParamCoeff":
-        res = ParamCoeff.__new__(ParamCoeff)
-        res._terms = {m: c.conjugate() for m, c in self._terms.items()}
-        return res
+        return self.map_coeffs(RationalComplex.conjugate)
 
     def rename(self, mapping: Mapping[str, str]) -> "ParamCoeff":
         """Rename parameters; monomials that collide after renaming merge."""
-        out: dict[Monomial, RationalComplex] = {}
-        for mono, c in self._terms.items():
-            new = _normalize_monomial(
-                tuple((mapping.get(n, n), e) for n, e in mono)
-            )
-            acc = out.get(new, RC_ZERO) + c
-            if acc.is_zero():
-                out.pop(new, None)
-            else:
-                out[new] = acc
-        res = ParamCoeff.__new__(ParamCoeff)
-        res._terms = out
-        return res
+        return self._new(self._collect(
+            (tuple((mapping.get(n, n), e) for n, e in mono), c)
+            for mono, c in self._terms.items()
+        ))
+
+    rename_params = rename
 
     def evaluate(self, bindings: Mapping[str, complex]) -> complex:
         """Substitute numeric values for every parameter and sum."""
@@ -338,32 +429,19 @@ class ParamCoeff:
             total += val
         return total
 
-    # -- identity -----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (RationalComplex, Fraction, int)):
-            other = ParamCoeff.scalar(other)
-        if not isinstance(other, ParamCoeff):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+    # -- display ------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         pieces = []
-        for mono in sorted(self._terms, key=_mono_sort_key):
-            c = self._terms[mono]
+        for mono, c in self.terms():
             negative = (c.im == 0 and c.re < 0) or (c.re == 0 and c.im < 0)
             if negative:
                 c = -c
-            body = []
-            if not (c == RC_ONE and mono):
-                body.append(str(c))
-            for name, exp in mono:
-                body.append(name if exp == 1 else f"{name}^{exp}")
+            body = [] if c == RC_ONE and mono else [str(c)]
+            if mono:
+                body.append(power_text(mono))
             text = " ".join(body)
             if not pieces:
                 pieces.append(("-" if negative else "") + text)

@@ -17,7 +17,11 @@ class ConfigError(ValueError):
 
 _PROFILE_KEYS = {"profile", "amplitude", "width", "center", "mode", "eta",
                  "value", "path"}
-_PROFILES = {"zero", "uniform", "gaussian", "plane-wave", "sech-soliton", "file"}
+# Each profile and the profile keys it reads.
+_PROFILES = {"zero": set(), "uniform": {"value"},
+             "gaussian": {"amplitude", "width", "center"},
+             "plane-wave": {"amplitude", "mode"}, "sech-soliton": {"eta", "center"},
+             "file": {"path"}}
 _POTENTIALS = {"zero", "uniform", "gaussian"}
 
 _SCHEMA = {
@@ -46,13 +50,17 @@ _EQUATIONS = {"xxz-lattice": "xxz", "hubbard-lattice": "hubbard",
 _SPLIT_STEP = {"gp", "coupled-gp"}
 _LATTICE = {"xxz-lattice", "hubbard-lattice"}
 
-# Keys that only some commands, equations or schemes read; given on any
-# other run, they are rejected.  A simulate run matches its command, its
-# equation and its scheme; a study or verify-derivation run matches its
+# Keys that only some commands, equations, schemes, model families or
+# study kinds read; given on any other run, they are rejected.  A simulate
+# run matches its command, equation, scheme and model family; a study run
+# its command, model family and study kind; a verify-derivation run its
 # command alone.  A study reads grid.L and integrator.dt as the defaults
 # of study.L and study.dt.
 _READ_BY = (
-    ("model", {"simulate", "study"}),
+    ("model", {"study"} | set(_EQUATIONS) - {"gp"}),
+    *((f"model.{key}", {"xxz"}) for key in ("J0", "J1", "R0", "R1", "s", "x_xi", "h")),
+    ("model.t", {"hubbard"}),
+    ("model.U", {"hubbard"}),
     ("equation", {"simulate"}),
     ("grid", {"study"} | set(_EQUATIONS) - _LATTICE),
     ("grid.M", set(_EQUATIONS) - _LATTICE),
@@ -68,6 +76,10 @@ _READ_BY = (
     ("spacing", {"pretransform"}),
     ("dispersive_scale", {"precursor"}),
     ("study", {"study"}),
+    ("study.sizes", {"continuum-limit"}),
+    ("study.grid_refine", {"continuum-limit"}),
+    ("study.s_values", {"truncation"}),
+    ("study.M", {"truncation"}),
     ("verify", {"verify-derivation"}),
 )
 
@@ -114,6 +126,11 @@ def _integer(path: str, value, low=None) -> None:
         raise ConfigError(f"{path} must be an integer{bound}, got {value!r}")
 
 
+def _power_of_two(path: str, value, low: int) -> None:
+    if type(value) is not int or value < low or value & (value - 1):
+        raise ConfigError(f"{path} must be a power of two >= {low}, got {value!r}")
+
+
 def _numbers(path: str, value) -> None:
     """A number, or a list of numbers (per-site values)."""
     if not isinstance(value, list):
@@ -123,23 +140,24 @@ def _numbers(path: str, value) -> None:
         _number(f"{path}[{i}]", v)
 
 
-def _check_profile_numbers(section: str, opts: dict) -> None:
-    for key in ("amplitude", "width", "center", "eta"):
+def _check_profile(section: str, opts: dict) -> None:
+    for key in ("amplitude", "width", "center", "eta", "value"):
         if key in opts:
             _number(f"{section}.{key}", opts[key])
     if "mode" in opts:
         _integer(f"{section}.mode", opts["mode"])
-
-
-def _check_profile(section: str, opts: dict) -> None:
-    _check_profile_numbers(section, opts)
     kind = opts.get("profile", "zero")
-    if kind not in _PROFILES:
+    if not isinstance(kind, str) or kind not in _PROFILES:
         raise ConfigError(
             f"{section}.profile must be one of {sorted(_PROFILES)}, got {kind!r}"
         )
+    unread = sorted((opts.keys() & _PROFILE_KEYS) - _PROFILES[kind] - {"profile"})
+    if unread:
+        raise ConfigError(f"{section}.{unread[0]} is not read by profile {kind}")
     if kind == "file" and "path" not in opts:
         raise ConfigError(f"{section}.profile = file requires {section}.path")
+    if kind == "file" and not isinstance(opts["path"], str):
+        raise ConfigError(f"{section}.path must be a file name, got {opts['path']!r}")
 
 
 def validate_config(cfg: dict, command: str) -> dict:
@@ -184,9 +202,7 @@ def validate_config(cfg: dict, command: str) -> dict:
     grid.setdefault("L", 8.0 * 3.141592653589793)
     grid.setdefault("M", 512)
     _number("grid.L", grid["L"], 0, strict=True)
-    m = grid["M"]
-    if not isinstance(m, int) or isinstance(m, bool) or m < 8 or m & (m - 1):
-        raise ConfigError(f"grid.M must be a power of two >= 8, got {m!r}")
+    _power_of_two("grid.M", grid["M"], 8)
 
     eq = out.setdefault("equation", "xxz-lattice") if command == "simulate" else None
     if command == "simulate" and (not isinstance(eq, str) or eq not in _EQUATIONS):
@@ -230,13 +246,28 @@ def validate_config(cfg: dict, command: str) -> dict:
         _number("spacing", out.setdefault("spacing", 1.0), 0, strict=True)
         _number("dispersive_scale", out.setdefault("dispersive_scale", 1.0))
 
-    run = (command, eq, scheme) if command == "simulate" else (command,)
+    family = model["family"]
+    kind = None
+    if command == "study":
+        if "study" not in out:
+            raise ConfigError("study command requires a study section")
+        kind = out["study"].get("kind")
+        if kind not in ("continuum-limit", "truncation"):
+            raise ConfigError(
+                f"study.kind must be continuum-limit or truncation, got {kind!r}"
+            )
+        if family != "xxz":
+            raise ConfigError(f"model.family must be xxz for a study, got {family!r}")
+    run, by = {
+        "simulate": ((command, eq, scheme, family),
+                     f"equation {eq} with scheme {scheme} on model family {family}"),
+        "study": ((command, family, kind),
+                  f"the study command with kind {kind} on model family {family}"),
+    }.get(command, ((command,), f"the {command} command"))
     for path, readers in _READ_BY:
         section, _, key = path.partition(".")
         given = key in cfg.get(section, {}) if key else section in cfg
         if given and readers.isdisjoint(run):
-            by = (f"equation {eq} with scheme {scheme}" if command == "simulate"
-                  else f"the {command} command")
             raise ConfigError(f"{path} is not read by {by}")
 
     if command == "simulate" and eq not in _LATTICE and integ["snapshot_every"] > 0:
@@ -245,20 +276,13 @@ def validate_config(cfg: dict, command: str) -> dict:
             "field.csv holds only the final field")
 
     if command == "study":
-        study = out.get("study")
-        if study is None:
-            raise ConfigError("study command requires a study section")
-        kind = study.get("kind")
-        if kind not in ("continuum-limit", "truncation"):
-            raise ConfigError(
-                f"study.kind must be continuum-limit or truncation, got {kind!r}"
-            )
+        study = out["study"]
         study.setdefault("L", grid["L"])
         study.setdefault("dt", integ["dt"])
         study.setdefault("profile", "gaussian")
-        if study["profile"] not in _PROFILES - {"file"}:
-            raise ConfigError(f"study.profile {study['profile']!r} is not usable here")
-        _check_profile_numbers("study", study)
+        if study["profile"] == "file":
+            raise ConfigError("study.profile 'file' is not usable here")
+        _check_profile("study", study)
         _number("study.L", study["L"], 0, strict=True)
         _number("study.dt", study["dt"], 0, strict=True)
         threads = study.get("threads", 1)
@@ -270,6 +294,7 @@ def validate_config(cfg: dict, command: str) -> dict:
             study.setdefault("t_end", 0.5)
             study.setdefault("slope_min", 1.7)
             study.setdefault("slope_max", 2.3)
+            _power_of_two("study.grid_refine", study["grid_refine"], 1)
             sizes = study["sizes"]
             if not isinstance(sizes, list):
                 raise ConfigError(f"study.sizes must be a list, got {sizes!r}")
@@ -287,9 +312,7 @@ def validate_config(cfg: dict, command: str) -> dict:
             study.setdefault("t_end", 1.0)
             study.setdefault("slope_min", 0.7)
             study.setdefault("slope_max", 1.3)
-            sm = study["M"]
-            if not isinstance(sm, int) or isinstance(sm, bool) or sm < 8 or sm & (sm - 1):
-                raise ConfigError(f"study.M must be a power of two >= 8, got {sm!r}")
+            _power_of_two("study.M", study["M"], 8)
             if not isinstance(study["s_values"], list):
                 raise ConfigError("study.s_values must be a list")
             for i, sv in enumerate(study["s_values"]):

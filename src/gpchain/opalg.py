@@ -6,17 +6,17 @@ fermionic.  Words are kept in a canonical form obtained by commuting factors
 that act on distinct modes (picking up fermionic signs); factors on the same
 mode never reorder.  Canonicalization therefore applies no commutation
 relation: a(1) ad(1) and ad(1) a(1) stay distinct until normal_order is
-called explicitly.
+called explicitly.  OperatorExpr is a coeffs.TermSum keyed by such words,
+so its arithmetic, equality and printed form are the shared ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple
 
-from .coeffs import PC_ONE, PC_ZERO, ParamCoeff, RationalComplex
+from .coeffs import PC_ONE, PC_ZERO, ParamCoeff, TermSum
 
 __all__ = [
     "Statistics",
@@ -24,7 +24,6 @@ __all__ = [
     "OperatorExpr",
     "Algebra",
     "canonical_word",
-    "multiply",
     "commutator",
     "normal_order",
     "adjoint",
@@ -132,99 +131,52 @@ def _normal_order_word(word: Word, fermi: bool) -> dict:
     return out
 
 
-class OperatorExpr:
-    """Sum of ladder-operator words with ParamCoeff coefficients."""
+class OperatorExpr(TermSum):
+    """Sum of ladder-operator words with ParamCoeff coefficients.
 
-    __slots__ = ("statistics", "_terms")
+    A TermSum keyed by canonical words (canonical_word), tagged with its
+    statistics: sums of different statistics never combine and never
+    compare equal.
+    """
+
+    __slots__ = ("statistics",)
+
+    _scalar = staticmethod(ParamCoeff._try_coerce)
+    _sort_key = staticmethod(_word_sort_key)
 
     def __init__(self, statistics: Statistics, terms: Iterable = ()):
         self.statistics = Statistics(statistics)
-        self._terms: dict[Word, ParamCoeff] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for factors, coeff in items:
-            self._accumulate(tuple(factors), ParamCoeff.coerce_coeff(coeff))
+        self._terms = self._collect(
+            (tuple(factors), ParamCoeff.coerce_coeff(coeff)) for factors, coeff in items
+        )
 
-    @classmethod
-    def _from_canonical(cls, statistics: Statistics, terms: dict) -> "OperatorExpr":
-        obj = cls.__new__(cls)
-        obj.statistics = statistics
-        obj._terms = terms
+    def _new(self, terms: dict) -> "OperatorExpr":
+        obj = super()._new(terms)
+        obj.statistics = self.statistics
         return obj
 
     @property
     def fermi(self) -> bool:
         return self.statistics is Statistics.FERMI
 
-    def _accumulate(self, factors: Word, coeff: ParamCoeff) -> None:
-        if coeff.is_zero():
-            return
+    def _term(self, factors: Word, coeff: ParamCoeff):
         res = canonical_word(factors, self.fermi)
         if res is None:
-            return
+            return None
         sign, cw = res
-        acc = self._terms.get(cw, PC_ZERO) + (coeff if sign > 0 else -coeff)
-        if acc.is_zero():
-            self._terms.pop(cw, None)
-        else:
-            self._terms[cw] = acc
+        return cw, (coeff if sign > 0 else -coeff)
 
-    def _check(self, other: "OperatorExpr") -> None:
-        if self.statistics is not other.statistics:
+    def _coerce(self, other):
+        if isinstance(other, OperatorExpr) and self.statistics is not other.statistics:
             raise ValueError("cannot combine expressions with different statistics")
+        return super()._coerce(other)
 
-    def _coerce(self, other) -> "OperatorExpr":
-        if isinstance(other, OperatorExpr):
-            self._check(other)
-            return other
-        c = ParamCoeff.coerce_coeff(other)
-        terms = {} if c.is_zero() else {(): c}
-        return OperatorExpr._from_canonical(self.statistics, terms)
+    @staticmethod
+    def _key_text(word: Word) -> str:
+        return " ".join(str(f) for f in word)
 
     # -- ring operations ----------------------------------------------
-
-    def __add__(self, other) -> "OperatorExpr":
-        o = self._coerce(other)
-        out = dict(self._terms)
-        for w, c in o._terms.items():
-            acc = out.get(w, PC_ZERO) + c
-            if acc.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = acc
-        return OperatorExpr._from_canonical(self.statistics, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "OperatorExpr":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "OperatorExpr":
-        return self._coerce(other) + (-self)
-
-    def __neg__(self) -> "OperatorExpr":
-        out = {w: -c for w, c in self._terms.items()}
-        return OperatorExpr._from_canonical(self.statistics, out)
-
-    def __mul__(self, other) -> "OperatorExpr":
-        if isinstance(other, OperatorExpr):
-            self._check(other)
-            prod = OperatorExpr._from_canonical(self.statistics, {})
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
-                    prod._accumulate(w1 + w2, c1 * c2)
-            return prod
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "OperatorExpr":
-        # scalars commute with everything, so order is immaterial
-        return self.scale(other)
-
-    def scale(self, c) -> "OperatorExpr":
-        c = ParamCoeff.coerce_coeff(c)
-        if c.is_zero():
-            return OperatorExpr._from_canonical(self.statistics, {})
-        out = {w: k * c for w, k in self._terms.items()}
-        return OperatorExpr._from_canonical(self.statistics, out)
 
     def commutator(self, other: "OperatorExpr") -> "OperatorExpr":
         """[self, other], fully normal ordered.
@@ -235,51 +187,27 @@ class OperatorExpr:
         return (self * other - other * self).normal_order()
 
     def adjoint(self) -> "OperatorExpr":
-        out = OperatorExpr._from_canonical(self.statistics, {})
-        for word, coeff in self._terms.items():
-            raw = tuple(f.conjugate() for f in reversed(word))
-            out._accumulate(raw, coeff.conjugate())
-        return out
+        return self._new(self._collect(
+            (tuple(f.conjugate() for f in reversed(word)), coeff.conjugate())
+            for word, coeff in self._terms.items()
+        ))
 
     def normal_order(self) -> "OperatorExpr":
         acc: dict[Word, ParamCoeff] = {}
         for word, coeff in self._terms.items():
             for nword, k in _normal_order_word(word, self.fermi).items():
-                c = acc.get(nword, PC_ZERO) + coeff * k
-                if c.is_zero():
-                    acc.pop(nword, None)
-                else:
-                    acc[nword] = c
-        return OperatorExpr._from_canonical(self.statistics, acc)
+                self._accumulate(acc, nword, coeff * k)
+        return self._new(acc)
 
     # -- queries ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def terms(self) -> Tuple[Tuple[Word, ParamCoeff], ...]:
-        """Terms in deterministic canonical order."""
-        return tuple(
-            (w, self._terms[w]) for w in sorted(self._terms, key=_word_sort_key)
-        )
-
     def coefficient(self, factors: Iterable[LadderOp]) -> ParamCoeff:
         """Coefficient of the given word (sign-adjusted to its canonical form)."""
-        res = canonical_word(tuple(factors), self.fermi)
-        if res is None:
+        term = self._term(tuple(factors), PC_ONE)
+        if term is None:
             return PC_ZERO
-        sign, cw = res
-        c = self._terms.get(cw, PC_ZERO)
-        return c if sign > 0 else -c
-
-    def degree(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
-
-    def num_terms(self) -> int:
-        return len(self._terms)
+        cw, sign = term
+        return self._terms.get(cw, PC_ZERO) * sign
 
     def sites(self) -> frozenset:
         return frozenset(f.site for w in self._terms for f in w)
@@ -287,42 +215,13 @@ class OperatorExpr:
     def flavors(self) -> frozenset:
         return frozenset(f.flavor for w in self._terms for f in w)
 
-    def parameters(self) -> frozenset:
-        """Names of all symbolic parameters appearing in coefficients."""
-        return frozenset(s for c in self._terms.values() for s in c.symbols())
-
-    def map_coeffs(self, fn) -> "OperatorExpr":
-        out = {}
-        for w, c in self._terms.items():
-            nc = fn(c)
-            if not nc.is_zero():
-                out[w] = nc
-        return OperatorExpr._from_canonical(self.statistics, out)
-
-    def rename_params(self, mapping: Mapping[str, str]) -> "OperatorExpr":
-        return self.map_coeffs(lambda c: c.rename(mapping))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorExpr):
             return NotImplemented
         return self.statistics is other.statistics and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(
-            (self.statistics, frozenset((w, c) for w, c in self._terms.items()))
-        )
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for word, coeff in self.terms():
-            factors = " ".join(str(f) for f in word)
-            if factors:
-                parts.append(f"({coeff}) {factors}")
-            else:
-                parts.append(f"({coeff})")
-        return " + ".join(parts)
+        return hash((self.statistics, super().__hash__()))
 
     def __repr__(self) -> str:
         tag = self.statistics.value
@@ -368,10 +267,6 @@ class Algebra:
             LadderOp(f.dagger, self._site(f.site), f.flavor) for f in factors
         )
         return OperatorExpr(self.statistics, [(word, coeff)])
-
-
-def multiply(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a * b
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:

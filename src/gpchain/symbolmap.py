@@ -4,7 +4,8 @@ Replacing a -> phi and ad -> phi* in a word gives its naive symbol; doing
 so after normal ordering gives the Wick symbol (the coherent-state
 expectation value).  The difference between the two is the ordering
 correction picked up when a product of ladder operators is read off in
-written order instead of normal order.
+written order instead of normal order.  Symbols are FieldPolys, the
+coeffs.TermSum keyed by field monomials.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .coeffs import PC_ZERO, ParamCoeff
+from .coeffs import PC_ONE, PC_ZERO, ParamCoeff, TermSum, power_text
 from .opalg import OperatorExpr, Statistics
 
 
@@ -75,51 +76,45 @@ def _field_mono_key(mono: FieldMonomial):
     return (deg, tuple((f.sort_key, e) for f, e in mono))
 
 
-class FieldPoly:
-    """Polynomial in commuting field variables phi/phi* with ParamCoeff coefficients."""
+class FieldPoly(TermSum):
+    """Polynomial in commuting field variables phi/phi* with ParamCoeff coefficients.
 
-    __slots__ = ("_terms",)
+    A TermSum keyed by FieldMonomial.
+    """
+
+    __slots__ = ()
+
+    _scalar = staticmethod(ParamCoeff._try_coerce)
+    _sort_key = staticmethod(_field_mono_key)
+    _key_text = staticmethod(power_text)
 
     def __init__(self, terms=None):
-        out: dict[FieldMonomial, ParamCoeff] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for mono, coeff in items:
-                mono = _normalize_field_monomial(mono)
-                c = ParamCoeff.coerce_coeff(coeff)
-                acc = out.get(mono, PC_ZERO) + c
-                if acc.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = acc
-        self._terms = out
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        self._terms = self._collect(
+            (mono, ParamCoeff.coerce_coeff(coeff)) for mono, coeff in items
+        )
 
     @staticmethod
-    def _from_canonical(terms: dict) -> "FieldPoly":
-        res = FieldPoly.__new__(FieldPoly)
-        res._terms = terms
-        return res
+    def _term(factors, coeff):
+        return _normalize_field_monomial(factors), coeff
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zero() -> "FieldPoly":
-        return FieldPoly._from_canonical({})
+        return FieldPoly()
 
     @staticmethod
     def scalar(c) -> "FieldPoly":
-        c = ParamCoeff.coerce_coeff(c)
-        return FieldPoly._from_canonical({} if c.is_zero() else {(): c})
+        return FieldPoly([((), c)])
 
     @staticmethod
     def phi(site: int, flavor: int = 0) -> "FieldPoly":
-        f = FieldFactor(False, site, flavor)
-        return FieldPoly._from_canonical({((f, 1),): ParamCoeff.one()})
+        return FieldPoly([((FieldFactor(False, site, flavor),), PC_ONE)])
 
     @staticmethod
     def phi_star(site: int, flavor: int = 0) -> "FieldPoly":
-        f = FieldFactor(True, site, flavor)
-        return FieldPoly._from_canonical({((f, 1),): ParamCoeff.one()})
+        return FieldPoly([((FieldFactor(True, site, flavor),), PC_ONE)])
 
     @staticmethod
     def from_monomial(factors: Iterable, coeff=1) -> "FieldPoly":
@@ -127,88 +122,16 @@ class FieldPoly:
 
     # -- ring operations ----------------------------------------------
 
-    def _coerce(self, other) -> "FieldPoly":
-        if isinstance(other, FieldPoly):
-            return other
-        return FieldPoly.scalar(other)
-
-    def __add__(self, other) -> "FieldPoly":
-        o = self._coerce(other)
-        out = dict(self._terms)
-        for m, c in o._terms.items():
-            acc = out.get(m, PC_ZERO) + c
-            if acc.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = acc
-        return FieldPoly._from_canonical(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "FieldPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "FieldPoly":
-        return self._coerce(other) + (-self)
-
-    def __neg__(self) -> "FieldPoly":
-        return FieldPoly._from_canonical({m: -c for m, c in self._terms.items()})
-
-    def __mul__(self, other) -> "FieldPoly":
-        if isinstance(other, FieldPoly):
-            out: dict[FieldMonomial, ParamCoeff] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    mono = _normalize_field_monomial(m1 + m2)
-                    acc = out.get(mono, PC_ZERO) + c1 * c2
-                    if acc.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = acc
-            return FieldPoly._from_canonical(out)
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "FieldPoly":
-        return self.scale(other)
-
-    def scale(self, c) -> "FieldPoly":
-        c = ParamCoeff.coerce_coeff(c)
-        if c.is_zero():
-            return FieldPoly.zero()
-        return FieldPoly._from_canonical({m: k * c for m, k in self._terms.items()})
-
     def conjugate(self) -> "FieldPoly":
-        out: dict[FieldMonomial, ParamCoeff] = {}
-        for mono, c in self._terms.items():
-            cm = _normalize_field_monomial((f.conjugate(), e) for f, e in mono)
-            out[cm] = c.conjugate()
-        return FieldPoly._from_canonical(out)
+        return self._new(self._collect(
+            (((f.conjugate(), e) for f, e in mono), c.conjugate())
+            for mono, c in self._terms.items()
+        ))
 
     # -- queries -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def terms(self):
-        """Terms in deterministic canonical order."""
-        return tuple(
-            (m, self._terms[m]) for m in sorted(self._terms, key=_field_mono_key)
-        )
-
     def coefficient(self, factors: Iterable) -> ParamCoeff:
-        mono = _normalize_field_monomial(
-            (f, 1) if isinstance(f, FieldFactor) else f for f in factors
-        )
-        return self._terms.get(mono, PC_ZERO)
-
-    def degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self._terms), default=0)
-
-    def num_terms(self) -> int:
-        return len(self._terms)
+        return self._terms.get(_normalize_field_monomial(factors), PC_ZERO)
 
     def sites(self) -> frozenset:
         return frozenset(f.site for m in self._terms for f, _ in m)
@@ -216,27 +139,13 @@ class FieldPoly:
     def flavors(self) -> frozenset:
         return frozenset(f.flavor for m in self._terms for f, _ in m)
 
-    def parameters(self) -> frozenset:
-        return frozenset(s for c in self._terms.values() for s in c.symbols())
-
     def filter_degree(self, degree: int) -> "FieldPoly":
         """The part whose monomials have the given total field degree."""
         out = {
             m: c for m, c in self._terms.items()
             if sum(e for _, e in m) == degree
         }
-        return FieldPoly._from_canonical(out)
-
-    def map_coeffs(self, fn) -> "FieldPoly":
-        out = {}
-        for m, c in self._terms.items():
-            nc = fn(c)
-            if not nc.is_zero():
-                out[m] = nc
-        return FieldPoly._from_canonical(out)
-
-    def rename_params(self, mapping: Mapping[str, str]) -> "FieldPoly":
-        return self.map_coeffs(lambda c: c.rename(mapping))
+        return self._new(out)
 
     # -- evaluation ----------------------------------------------------
 
@@ -263,34 +172,6 @@ class FieldPoly:
             total = t
         return total
 
-    # -- comparisons and display --------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldPoly):
-            return self._terms == other._terms
-        try:
-            o = FieldPoly.scalar(other)
-        except TypeError:
-            return NotImplemented
-        return self._terms == o._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.terms():
-            factors = " ".join(
-                str(f) if e == 1 else f"{f}^{e}" for f, e in mono
-            )
-            if factors:
-                parts.append(f"({coeff}) {factors}")
-            else:
-                parts.append(f"({coeff})")
-        return " + ".join(parts)
-
     def __repr__(self) -> str:
         return f"<FieldPoly {self}>"
 
@@ -316,17 +197,10 @@ def _field_lookup(values):
 
 def naive_symbol(expr: OperatorExpr) -> FieldPoly:
     """Replace each ladder factor by its field in written (canonical) order."""
-    out: dict[FieldMonomial, ParamCoeff] = {}
-    for word, coeff in expr.terms():
-        mono = _normalize_field_monomial(
-            FieldFactor(f.dagger, f.site, f.flavor) for f in word
-        )
-        acc = out.get(mono, PC_ZERO) + coeff
-        if acc.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = acc
-    return FieldPoly._from_canonical(out)
+    return FieldPoly(
+        ((FieldFactor(f.dagger, f.site, f.flavor) for f in word), coeff)
+        for word, coeff in expr.terms()
+    )
 
 
 def wick_symbol(expr: OperatorExpr) -> FieldPoly:

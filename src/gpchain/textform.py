@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .coeffs import ParamCoeff, RationalComplex
-from .opalg import Algebra, LadderOp, OperatorExpr, Statistics, canonical_word
+from .opalg import Algebra, LadderOp, OperatorExpr, Statistics
 from .symbolmap import FieldFactor, FieldPoly
 
 _SCALAR_RE = re.compile(
@@ -148,58 +148,56 @@ def _term_parts(term: str) -> tuple[str, list[str]]:
     raise TextFormError(f"unterminated coefficient in {term!r}")
 
 
+def _ladder_factor(tok: str) -> LadderOp:
+    m = _LADDER_RE.match(tok)
+    if not m:
+        raise TextFormError(f"bad ladder factor {tok!r}")
+    return LadderOp(
+        m.group("op") == "ad",
+        int(m.group("site")),
+        int(m.group("flavor") or 0),
+    )
+
+
+def _field_factor(tok: str) -> tuple[FieldFactor, int]:
+    m = _FIELD_RE.match(tok)
+    if not m:
+        raise TextFormError(f"bad field factor {tok!r}")
+    f = FieldFactor(
+        m.group("op") == "phi*",
+        int(m.group("site")),
+        int(m.group("flavor") or 0),
+    )
+    return f, int(m.group("exp") or 1)
+
+
+def _read_terms(text: str, factor) -> list:
+    """(factors, coeff) of each term of the canonical "(coeff) factors + ..." text."""
+    text = text.strip()
+    if text == "0":
+        return []
+    terms = []
+    for term in _split_terms(text):
+        coeff_text, factor_toks = _term_parts(term)
+        factors = [factor(tok) for tok in factor_toks]
+        terms.append((factors, coeff_from_text(coeff_text)))
+    return terms
+
+
 def expr_from_text(
     text: str,
     statistics: Statistics = Statistics.BOSE,
     nsites: int | None = None,
 ) -> OperatorExpr:
     """Parse a ladder-operator expression."""
-    text = text.strip()
     alg = Algebra(statistics, nsites)
-    if text == "0":
-        return alg.zero()
-    total = alg.zero()
-    for term in _split_terms(text):
-        coeff_text, factor_toks = _term_parts(term)
-        coeff = coeff_from_text(coeff_text)
-        factors = []
-        for tok in factor_toks:
-            m = _LADDER_RE.match(tok)
-            if not m:
-                raise TextFormError(f"bad ladder factor {tok!r}")
-            factors.append(
-                LadderOp(
-                    m.group("op") == "ad",
-                    int(m.group("site")),
-                    int(m.group("flavor") or 0),
-                )
-            )
-        total = total + alg.from_word(factors, coeff)
-    return total
+    terms = _read_terms(text, _ladder_factor)
+    return sum((alg.from_word(f, c) for f, c in terms), alg.zero())
 
 
 def poly_from_text(text: str) -> FieldPoly:
     """Parse a field polynomial."""
-    text = text.strip()
-    if text == "0":
-        return FieldPoly.zero()
-    total = FieldPoly.zero()
-    for term in _split_terms(text):
-        coeff_text, factor_toks = _term_parts(term)
-        coeff = coeff_from_text(coeff_text)
-        factors = []
-        for tok in factor_toks:
-            m = _FIELD_RE.match(tok)
-            if not m:
-                raise TextFormError(f"bad field factor {tok!r}")
-            f = FieldFactor(
-                m.group("op") == "phi*",
-                int(m.group("site")),
-                int(m.group("flavor") or 0),
-            )
-            factors.append((f, int(m.group("exp") or 1)))
-        total = total + FieldPoly([(tuple(factors), coeff)])
-    return total
+    return FieldPoly(_read_terms(text, _field_factor))
 
 
 def from_text(text: str, statistics: Statistics = Statistics.BOSE, nsites=None):

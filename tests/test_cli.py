@@ -323,6 +323,33 @@ _TRUNCATION = {"study": {"kind": "truncation"}}
     ("verify-derivation", {"model": {"J0": 5.0, "R0": 3.0}}, "model"),
     ("verify-derivation", {"equation": "gp"}, "equation"),
     ("verify-derivation", {"integrator": {"dt": 0.01}}, "integrator"),
+    ("simulate", {"initial": {"profile": "file", "path": 5}}, "initial.path"),
+    ("simulate", {"initial": {"profile": "uniform", "value": "abc"}}, "initial.value"),
+    ("study", {"study": {"kind": "continuum-limit", "grid_refine": 0}},
+     "study.grid_refine"),
+    ("study", {"study": {"kind": "continuum-limit", "grid_refine": 3}},
+     "study.grid_refine"),
+    ("simulate", {"model": {"U": 2.0}}, "model.U"),
+    ("simulate", {"model": {"t": 0.5}}, "model.t"),
+    ("study", {"model": {"U": 2.0}, **_TRUNCATION}, "model.U"),
+    *[("simulate", {"equation": "hubbard-lattice",
+                    "model": {"family": "hubbard", "N": 8, key: 1.0}}, f"model.{key}")
+      for key in ("J0", "J1", "R0", "R1", "s", "x_xi", "h")],
+    ("study", {"study": {"kind": "truncation", "sizes": [32, 64]}}, "study.sizes"),
+    ("study", {"study": {"kind": "truncation", "grid_refine": 4}}, "study.grid_refine"),
+    ("study", {"study": {"kind": "continuum-limit", "s_values": [40.0, 400.0]}},
+     "study.s_values"),
+    ("study", {"study": {"kind": "continuum-limit", "M": 256}}, "study.M"),
+    ("simulate", {"initial": {"profile": "sech-soliton", "amplitude": 1.0}},
+     "initial.amplitude"),
+    ("simulate", {"initial": {"profile": "sech-soliton", "width": 2.0}}, "initial.width"),
+    ("simulate", {"initial": {"profile": "gaussian", "value": 1.0}}, "initial.value"),
+    ("simulate", {"equation": "hubbard-lattice", **_HUBBARD,
+                  "initial2": {"profile": "plane-wave", "center": 3.0}},
+     "initial2.center"),
+    ("study", {"study": {"kind": "truncation", "eta": 1.0}}, "study.eta"),
+    ("study", {"model": {"family": "hubbard"}, **_TRUNCATION}, "model.family"),
+    ("simulate", {"equation": "gp", "model": {"J0": 2.0}, **_GRID}, "model"),
 ])
 def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section, path):
     cfg = _write_cfg(tmp_path, section)
@@ -330,6 +357,41 @@ def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"config error: {path}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section,path", [
+    ({"initial": {"profile": "file", "path": "nope.npy"}}, "initial.path"),
+    ({"initial": {"profile": "file", "path": "garbage.npy"}}, "initial.path"),
+    ({"initial": {"profile": "file", "path": "garbage.csv"}}, "initial.path"),
+    ({"initial": {"profile": "file", "path": "short.csv"}}, "initial.path"),
+    ({"equation": "hubbard-lattice", **_HUBBARD,
+      "initial2": {"profile": "file", "path": "nope.csv"}}, "initial2.path"),
+])
+def test_unreadable_initial_data_exits_2(tmp_path, capsys, monkeypatch, section, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "garbage.npy").write_text("not an array")
+    (tmp_path / "garbage.csv").write_text("re,im\n")
+    (tmp_path / "short.csv").write_text("0.1,0.2\n")
+    cfg = _write_cfg(tmp_path, {"model": {"N": 8}, "integrator": {"t_end": 0.01},
+                                **section})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}" in err
+    assert "Traceback" not in err
+
+
+def test_initial_data_file_is_read(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    u0 = 0.1 * np.arange(8) + 0.2j
+    np.save(tmp_path / "u0.npy", u0)
+    (tmp_path / "u0.csv").write_text("".join(f"{z.real},{z.imag}\n" for z in u0))
+    for name in ("u0.npy", "u0.csv"):
+        cfg = _write_cfg(tmp_path, {"model": {"N": 8}, "integrator": {"t_end": 0.0},
+                                    "initial": {"profile": "file", "path": name}})
+        out = tmp_path / name.replace(".", "_")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        norm = json.loads((out / "run_summary.json").read_text())["initial_observables"]
+        assert abs(norm["norm"] - np.sum(np.abs(u0) ** 2)) < 1e-12
 
 
 def test_split_step_scheme_is_strang(tmp_path, capsys):

@@ -15,11 +15,56 @@ from gpchain.opalg import (  # noqa: E402
     adjoint,
     commutator,
 )
+from gpchain.symbolmap import FieldFactor, FieldPoly  # noqa: E402
+from gpchain.textform import (  # noqa: E402
+    coeff_from_text,
+    expr_from_text,
+    poly_from_text,
+    to_text,
+)
 
 _part = st.tuples(st.integers(-3, 3), st.integers(1, 3))
 coeffs = st.builds(
     lambda re, im: ParamCoeff.rational(*re) + ParamCoeff.i() * ParamCoeff.rational(*im),
     _part, _part)
+
+
+_symbols = st.sampled_from(["s", "J[0,1]", "R[1,0]", "h[2]"])
+# sums of up to three parametric monomials; terms may merge or cancel
+param_coeffs = st.lists(
+    st.tuples(coeffs, st.lists(st.tuples(_symbols, st.integers(1, 2)), max_size=2)),
+    max_size=3,
+).map(lambda terms: sum(
+    (c * ParamCoeff({tuple(mono): 1}) for c, mono in terms), ParamCoeff.zero()))
+_fields = st.builds(FieldFactor, st.booleans(), st.integers(-1, 2), st.integers(0, 1))
+field_polys = st.lists(
+    st.tuples(st.lists(st.tuples(_fields, st.integers(1, 2)), max_size=3), param_coeffs),
+    max_size=3,
+).map(FieldPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(param_coeffs, min_size=3, max_size=3))
+def test_param_coeff_ring_identities(xyz):
+    x, y, z = xyz
+    assert x + y == y + x
+    assert hash(x + y) == hash(y + x)
+    assert x * (y + z) == x * y + x * z
+    assert hash(x * (y + z)) == hash(x * y + x * z)
+    assert (x - x).is_zero()
+    assert coeff_from_text(to_text(x)) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(field_polys, min_size=3, max_size=3))
+def test_field_poly_ring_identities(xyz):
+    x, y, z = xyz
+    assert x + y == y + x
+    assert hash(x + y) == hash(y + x)
+    assert x * (y + z) == x * y + x * z
+    assert hash(x * (y + z)) == hash(x * y + x * z)
+    assert (x - x).is_zero()
+    assert poly_from_text(to_text(x)) == x
 
 
 @st.composite
@@ -58,6 +103,13 @@ def test_adjoint_is_an_involution_that_reverses_products(xy):
     x, y = xy
     assert adjoint(adjoint(x)) == x
     assert adjoint(x * y) == adjoint(y) * adjoint(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expressions(1))
+def test_expr_text_round_trip(x):
+    (x,) = x
+    assert expr_from_text(to_text(x), x.statistics) == x
 
 
 @settings(max_examples=60, deadline=None)
