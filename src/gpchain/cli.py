@@ -255,11 +255,10 @@ def _hubbard_lattice(cfg, p):
 
 
 def _grid_setup(cfg):
-    """The grid, the initial field on it and the potential (None when zero)."""
+    """The grid, the initial field on it and the potential (None when zero or unread)."""
     grid = continuum.Grid1D(float(cfg["grid"]["L"]), int(cfg["grid"]["M"]))
     u0 = _make_profile(cfg, "initial", grid.L, grid.L / 2.0)(grid.xs)
-    pot = cfg["potential"]
-    if pot.get("profile", "zero") == "zero":
+    if cfg.get("potential", {}).get("profile", "zero") == "zero":
         return grid, u0, None
     V = _make_profile(cfg, "potential", grid.L, grid.L / 2.0)(grid.xs)
     return grid, u0, np.real(V)
@@ -340,7 +339,7 @@ def _integrate(sim: _Simulation, integ: dict):
 def _run_simulate(cfg: dict, out_dir: str) -> int:
     eq = cfg["equation"]
     integ = cfg["integrator"]
-    p = config_mod.model_params(cfg)
+    p = config_mod.model_params(cfg) if "model" in cfg else None
     try:
         sim = _SIMULATIONS[eq](cfg, p)
     except limitlab.DegenerateTransformError as exc:

@@ -65,6 +65,23 @@ def test_dry_run_prints_plan_only(tmp_path, capsys):
     assert not out.exists()
 
 
+def _command(path):
+    with open(path) as fh:
+        return "study" if "study" in json.load(fh) else "simulate"
+
+
+@pytest.mark.parametrize("command,path", [
+    *((_command(path), path) for path in CONFIGS),
+    ("simulate", None), ("verify-derivation", None),
+])
+def test_dry_run_config_is_accepted_back(tmp_path, capsys, command, path):
+    assert main([command, "--dry-run"] + (["--config", path] if path else [])) == 0
+    plan = capsys.readouterr().out
+    resolved = _write_cfg(tmp_path, json.loads(plan)["config"])
+    assert main([command, "--config", resolved, "--dry-run"]) == 0
+    assert capsys.readouterr().out == plan
+
+
 def _gp_config(tmp_path, name="gp.json"):
     return _write_cfg(tmp_path, {
         "equation": "gp",
@@ -350,6 +367,10 @@ _TRUNCATION = {"study": {"kind": "truncation"}}
     ("study", {"study": {"kind": "truncation", "eta": 1.0}}, "study.eta"),
     ("study", {"model": {"family": "hubbard"}, **_TRUNCATION}, "model.family"),
     ("simulate", {"equation": "gp", "model": {"J0": 2.0}, **_GRID}, "model"),
+    ("simulate", {"equation": "gp", **_GRID, "potential": {
+        "profile": "plane-wave", "amplitude": 0.5, "mode": 1}}, "potential.profile"),
+    ("simulate", {"equation": "precursor", **_GRID, "potential": {
+        "profile": "sech-soliton", "eta": 1.0}}, "potential.profile"),
 ])
 def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section, path):
     cfg = _write_cfg(tmp_path, section)

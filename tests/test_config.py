@@ -1,4 +1,7 @@
+import copy
+import glob
 import json
+import os
 
 import pytest
 
@@ -16,11 +19,14 @@ def test_defaults_filled_for_simulate():
     assert cfg["model"]["family"] == "xxz"
     assert cfg["model"]["N"] == 256
     assert cfg["model"]["J0"] == 1.0
-    assert cfg["grid"]["M"] == 512
     assert cfg["integrator"]["scheme"] == "rk4"
     assert cfg["equation"] == "xxz-lattice"
     assert cfg["initial"] == {"profile": "zero"}
-    assert cfg["spacing"] == 1.0
+    # the default lattice run reads neither key; pretransform reads both
+    assert "grid" not in cfg and "spacing" not in cfg
+    pre = validate_config({"equation": "pretransform"}, "simulate")
+    assert pre["grid"]["M"] == 512
+    assert pre["spacing"] == 1.0
 
 
 def test_input_not_mutated():
@@ -174,3 +180,66 @@ def test_ill_typed_and_out_of_range_numbers_rejected_with_path():
     cfg = validate_config({"model": {"N": 6, "h": [0.1] * 5}}, "simulate")
     with pytest.raises(ConfigError, match="model: h must have one entry per site"):
         model_params(cfg)
+
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                        "*.json")))
+_FAMILIES = {"xxz-lattice": "xxz", "hubbard-lattice": "hubbard", "pretransform": "xxz",
+             "precursor": "xxz", "gp": None, "coupled-gp": "hubbard"}
+_BASES = [
+    *(("study" if "study" in cfg else "simulate", cfg)
+      for cfg in map(load_config, CONFIGS)),
+    ("simulate", {}), ("verify-derivation", {}),
+    ("study", {"study": {"kind": "continuum-limit"}}),
+    ("study", {"study": {"kind": "truncation"}}),
+    *(("simulate", {"equation": eq, **({"model": {"family": fam}} if fam else {})})
+      for eq, fam in _FAMILIES.items()),
+]
+
+
+@pytest.mark.parametrize("command,base", _BASES)
+def test_resolved_config_validates_to_itself(command, base):
+    resolved = validate_config(base, command)
+    assert validate_config(resolved, command) == resolved
+
+
+def _paths(cfg):
+    """Each top-level key of cfg and the dotted path of each key in a section."""
+    paths = []
+    for section, value in cfg.items():
+        paths.append(section)
+        if isinstance(value, dict):
+            paths += [f"{section}.{key}" for key in value]
+    return paths
+
+
+def test_accepted_mutations_validate_to_themselves():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    paths = sorted({p for command, base in _BASES
+                    for p in _paths(validate_config(base, command))})
+    values = st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 600), st.floats(-10.0, 5000.0),
+        st.sampled_from(["xxz", "hubbard", "gp", "coupled-gp", "pretransform", "rk45",
+                         "strang", "wick", "truncation", "gaussian", "uniform",
+                         "plane-wave", "file", "x.npy"]),
+        st.lists(st.sampled_from([8, 16, 32, 64, 40.0, 400.0]), max_size=4),
+        st.just({}), st.just({"profile": "zero"}))
+
+    @settings(max_examples=400, deadline=None)
+    @given(base=st.sampled_from(_BASES), path=st.sampled_from(paths), value=values)
+    def check(base, path, value):
+        command, cfg = base[0], copy.deepcopy(base[1])
+        section, _, key = path.partition(".")
+        if key:
+            cfg[section] = {**cfg.get(section, {}), key: value}
+        else:
+            cfg[section] = value
+        try:
+            resolved = validate_config(cfg, command)
+        except ConfigError:
+            return
+        assert validate_config(resolved, command) == resolved
+
+    check()
