@@ -269,11 +269,6 @@ def _gp_observer(grid, V):
 
 
 def _pretransform(cfg, p):
-    if any(v != 0.0 for v in p.h):
-        raise ConfigError(
-            "pretransform takes its site field from the potential "
-            "section; set model.h to zero"
-        )
     grid, u0, V = _grid_setup(cfg)
     rhs = continuum.pretransform_rhs_factory(
         p, grid, spacing=float(cfg["spacing"]), h_values=V)
@@ -305,8 +300,6 @@ def _gp(cfg, p):
 def _coupled_gp(cfg, p):
     grid, u0, _ = _grid_setup(cfg)
     u1 = _make_profile(cfg, "initial2", grid.L, grid.L / 2.0)(grid.xs)
-    if len(set(p.U)) != 1:
-        raise ConfigError("this equation needs a single uniform model.U")
     U_values = np.full(grid.M, p.U[0])
     return _Simulation(
         np.stack([u0, u1]),

@@ -79,6 +79,14 @@ class RationalComplex:
         o = RationalComplex._try(other)
         if o is None:
             return NotImplemented
+        # a real factor of 1 or -1 costs no product, any other real one two
+        for x, y in ((self, o), (o, self)):
+            if y.im == 0:
+                if y.re == 1:
+                    return x
+                if y.re == -1:
+                    return -x
+                return RationalComplex(x.re * y.re, x.im * y.re)
         return RationalComplex(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -139,6 +147,7 @@ class TermSum:
         _scalar(x)             x as a coefficient, or None when it is not one;
         _sort_key(key)         canonical order, led by the key's degree;
         _key_text(key)         the printed factors of a key;
+        _one, _minus_one       the coefficients 1 and -1;
     and overrides _new and _coerce when it carries more state than its terms.
     Products concatenate raw keys, so a subclass's _term is its product rule.
     Sums are immutable once built.
@@ -185,9 +194,17 @@ class TermSum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        return self.add_all((o,))
+
+    def add_all(self, others):
+        """This sum plus each of others, added into one copy of its terms."""
         out = dict(self._terms)
-        for key, c in o._terms.items():
-            self._accumulate(out, key, c)
+        for other in others:
+            o = self._coerce(other)
+            if o is None:
+                raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
+            for key, c in o._terms.items():
+                self._accumulate(out, key, c)
         return self._new(out)
 
     __radd__ = __add__
@@ -207,14 +224,31 @@ class TermSum:
     def __neg__(self):
         return self._new({k: -c for k, c in self._terms.items()})
 
+    def _constant(self):
+        """The coefficient of a one-term constant sum, else None."""
+        terms = self._terms
+        return terms[()] if len(terms) == 1 and () in terms else None
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(o._terms) == 1 and () in o._terms:
-            # a scalar factor leaves every key canonical
-            c = o._terms[()]
+        c = o._constant()
+        if c is not None:
+            # a scalar factor leaves every key canonical; 1 and -1 multiply nothing
+            if c == self._one:
+                return self
+            if c == self._minus_one:
+                return -self
             return self._new({k: v * c for k, v in self._terms.items()})
+        # a leading 1 or -1 likewise; any other leading scalar keeps the general
+        # product, whose coefficients c1 * c2 keep their terms' order
+        c = self._constant()
+        if c is not None:
+            if c == self._one:
+                return o
+            if c == self._minus_one:
+                return -o
         return self._new(self._collect(
             (k1 + k2, c1 * c2)
             for k1, c1 in self._terms.items()
@@ -328,6 +362,7 @@ class ParamCoeff(TermSum):
 
     _scalar = staticmethod(RationalComplex._try)
     _sort_key = staticmethod(_mono_sort_key)
+    _one, _minus_one = RC_ONE, -RC_ONE
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
         self._terms = self._collect(
@@ -455,3 +490,4 @@ class ParamCoeff(TermSum):
 
 PC_ZERO = ParamCoeff.zero()
 PC_ONE = ParamCoeff.one()
+PC_MINUS_ONE = -PC_ONE

@@ -84,6 +84,11 @@ def _numbers(path: str, value) -> None:
         _number(f"{path}[{i}]", v)
 
 
+def _listed(value) -> list:
+    """A per-site value as a list: a single number becomes a list of one."""
+    return value if isinstance(value, list) else [value]
+
+
 def _one_of(*allowed):
     def check(path: str, value) -> None:
         if not isinstance(value, str) or value not in allowed:
@@ -118,6 +123,11 @@ def _size(path: str, value) -> None:
 def _site(path: str, value) -> None:
     if value is not None:
         _integer(path, value)
+
+
+def _string(path: str, value) -> None:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string, got {value!r}")
 
 
 _positive = partial(_number, low=0, strict=True)
@@ -210,7 +220,7 @@ _KEYS = (
     _Key("verify.N", 7, partial(_integer, low=MIN_CLI_SITES)),
     _Key("verify.site", None, _site),
     _Key("verify.jw_sites", 4, partial(_integer, low=2, high=6)),
-    _Key("out", _ABSENT),
+    _Key("out", _ABSENT, _string),
 )
 
 
@@ -295,6 +305,15 @@ def _check_rules(cfg: dict, command: str, run) -> None:
         if _EQUATIONS[eq] not in (None, family):
             raise ConfigError(
                 f"model.family must be {_EQUATIONS[eq]} for equation {eq}, got {family!r}")
+        if eq == "pretransform" and any(_listed(_get(cfg, "model.h", run) or 0.0)):
+            raise ConfigError(
+                "model.h must be zero for equation pretransform: "
+                "it takes its site field from the potential section")
+        if eq == "coupled-gp":
+            U = _get(cfg, "model.U", run)
+            if len(set(_listed(U))) != 1:
+                raise ConfigError(
+                    f"model.U must be one uniform value for equation coupled-gp, got {U!r}")
         if eq not in _LATTICE and _get(cfg, "integrator.snapshot_every", run) > 0:
             raise ConfigError(
                 f"integrator.snapshot_every must be 0 for equation {eq}: "

@@ -131,46 +131,45 @@ def build_xxz_bosonized(
     """
     alg = Algebra(statistics, p.N)
     s = ParamCoeff.symbol("s")
-    H = alg.zero()
-    for j in range(p.N):
-        for sigma in (1, -1):
-            k = (j + sigma) % p.N
-            Jc = _coupling("J", k, j, mode)
-            Rc = _coupling("R", k, j, mode)
-            hop = alg.ad(j) * alg.a(k) + alg.ad(k) * alg.a(j)
-            H = H - hop.scale(_HALF * s * Jc)
-            dens = (alg.identity().scale(s) - alg.number(k)) * (
-                alg.identity().scale(s) - alg.number(j)
-            )
-            H = H - dens.scale(_HALF * Rc)
-    for j in range(p.N):
-        hj = ParamCoeff.symbol(f"h[{j}]")
-        H = H - (alg.identity().scale(s) - alg.number(j)).scale(hj)
-    return H
+
+    def terms():
+        for j in range(p.N):
+            for sigma in (1, -1):
+                k = (j + sigma) % p.N
+                Jc = _coupling("J", k, j, mode)
+                Rc = _coupling("R", k, j, mode)
+                hop = alg.ad(j) * alg.a(k) + alg.ad(k) * alg.a(j)
+                yield -hop.scale(_HALF * s * Jc)
+                dens = (alg.identity().scale(s) - alg.number(k)) * (
+                    alg.identity().scale(s) - alg.number(j)
+                )
+                yield -dens.scale(_HALF * Rc)
+        for j in range(p.N):
+            hj = ParamCoeff.symbol(f"h[{j}]")
+            yield -(alg.identity().scale(s) - alg.number(j)).scale(hj)
+
+    return alg.zero().add_all(terms())
 
 
 def build_hubbard_hop(p: HubbardParams, statistics: Statistics = Statistics.FERMI) -> OperatorExpr:
     """H1 = -t sum_{sigma,j,kappa} (ad_{j,kappa} a_{j+sigma,kappa} + ad_{j+sigma,kappa} a_{j,kappa})."""
     alg = Algebra(statistics, p.N)
     t = ParamCoeff.symbol("t")
-    H = alg.zero()
-    for kappa in (0, 1):
-        for j in range(p.N):
-            for sigma in (1, -1):
-                k = (j + sigma) % p.N
-                hop = alg.ad(j, kappa) * alg.a(k, kappa) + alg.ad(k, kappa) * alg.a(j, kappa)
-                H = H - hop.scale(t)
-    return H
+    return alg.zero().add_all(
+        -(alg.ad(j, kappa) * alg.a(k, kappa) + alg.ad(k, kappa) * alg.a(j, kappa)).scale(t)
+        for kappa in (0, 1)
+        for j in range(p.N)
+        for k in ((j + 1) % p.N, (j - 1) % p.N)
+    )
 
 
 def build_hubbard_interaction(p: HubbardParams, statistics: Statistics = Statistics.FERMI) -> OperatorExpr:
     """H2 = sum_j U_j n_{j,1} n_{j,0}."""
     alg = Algebra(statistics, p.N)
-    H = alg.zero()
-    for j in range(p.N):
-        Uj = ParamCoeff.symbol(f"U[{j}]")
-        H = H + (alg.number(j, 1) * alg.number(j, 0)).scale(Uj)
-    return H
+    return alg.zero().add_all(
+        (alg.number(j, 1) * alg.number(j, 0)).scale(ParamCoeff.symbol(f"U[{j}]"))
+        for j in range(p.N)
+    )
 
 
 def build_hubbard(p: HubbardParams, statistics: Statistics = Statistics.FERMI) -> OperatorExpr:
@@ -180,14 +179,25 @@ def build_hubbard(p: HubbardParams, statistics: Statistics = Statistics.FERMI) -
 def derive_eom(H: OperatorExpr, site: int, flavor: int = 0) -> OperatorExpr:
     """[H, a_{site,flavor}], normal ordered: the RHS of -i*hbar da/dt = [H, a].
 
+    Only the words of H that can fail to commute with a = a_{site,flavor}
+    enter the commutator: those that contain the mode (flavor, site), and
+    under Fermi statistics every odd-length word, since w a - a w = 2 w a
+    for an odd w that does not touch the mode.  A word without the mode
+    commutes with a under Bose statistics, and so does an even one under
+    Fermi statistics; constants always do.  The result equals
+    H.commutator(a) exactly.
+
     The site (and flavor, where applicable) must occur in H.
     """
     if site not in H.sites():
         raise ValueError(f"site {site} does not occur in the Hamiltonian")
-    if H.flavors() and flavor not in H.flavors():
+    flavors = H.flavors()
+    if flavors and flavor not in flavors:
         raise ValueError(f"flavor {flavor} does not occur in the Hamiltonian")
-    alg = Algebra(H.statistics)
-    return H.commutator(alg.a(site, flavor))
+    fermi = H.fermi
+    part = H.filter_words(lambda w: (fermi and len(w) % 2 == 1) or any(
+        f.site == site and f.flavor == flavor for f in w))
+    return part.commutator(Algebra(H.statistics).a(site, flavor))
 
 
 def xxz_commutator_reference(

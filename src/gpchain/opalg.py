@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Tuple
 
-from .coeffs import PC_ONE, PC_ZERO, ParamCoeff, TermSum
+from .coeffs import PC_MINUS_ONE, PC_ONE, PC_ZERO, ParamCoeff, TermSum
 
 __all__ = [
     "Statistics",
@@ -143,6 +143,7 @@ class OperatorExpr(TermSum):
 
     _scalar = staticmethod(ParamCoeff._try_coerce)
     _sort_key = staticmethod(_word_sort_key)
+    _one, _minus_one = PC_ONE, PC_MINUS_ONE
 
     def __init__(self, statistics: Statistics, terms: Iterable = ()):
         self.statistics = Statistics(statistics)
@@ -208,6 +209,10 @@ class OperatorExpr(TermSum):
             return PC_ZERO
         cw, sign = term
         return self._terms.get(cw, PC_ZERO) * sign
+
+    def filter_words(self, keep) -> "OperatorExpr":
+        """The part whose words satisfy keep, in this sum's term order."""
+        return self._new({w: c for w, c in self._terms.items() if keep(w)})
 
     def sites(self) -> frozenset:
         return frozenset(f.site for w in self._terms for f in w)

@@ -16,7 +16,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .coeffs import PC_ONE, PC_ZERO, ParamCoeff, TermSum, power_text
+from .coeffs import PC_MINUS_ONE, PC_ONE, PC_ZERO, ParamCoeff, TermSum, power_text
 from .opalg import OperatorExpr, Statistics
 
 
@@ -86,6 +86,7 @@ class FieldPoly(TermSum):
 
     _scalar = staticmethod(ParamCoeff._try_coerce)
     _sort_key = staticmethod(_field_mono_key)
+    _one, _minus_one = PC_ONE, PC_MINUS_ONE
     _key_text = staticmethod(power_text)
 
     def __init__(self, terms=None):

@@ -371,12 +371,34 @@ _TRUNCATION = {"study": {"kind": "truncation"}}
         "profile": "plane-wave", "amplitude": 0.5, "mode": 1}}, "potential.profile"),
     ("simulate", {"equation": "precursor", **_GRID, "potential": {
         "profile": "sech-soliton", "eta": 1.0}}, "potential.profile"),
+    ("simulate", {"out": 5}, "out must be a string"),
+    ("simulate", {"out": ["a"]}, "out must be a string"),
 ])
 def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section, path):
     cfg = _write_cfg(tmp_path, section)
     out = tmp_path / "x"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"config error: {path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,message", [
+    ({"equation": "pretransform", "model": {"h": 0.3}, **_GRID},
+     "model.h must be zero for equation pretransform: "),
+    ({"equation": "pretransform", "model": {"N": 8, "h": [0.0] * 7 + [0.1]}, **_GRID},
+     "model.h must be zero for equation pretransform: "),
+    ({"equation": "coupled-gp", "model": {**_HUBBARD["model"], "U": [1.0] * 7 + [2.0]},
+      **_GRID}, "model.U must be one uniform value for equation coupled-gp"),
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_equation_rules_exit_2_before_any_output(tmp_path, capsys, section, message,
+                                                 dry_run):
+    # --dry-run rejects exactly what the run would reject
+    cfg = _write_cfg(tmp_path, section)
+    out = tmp_path / "x"
+    args = ["simulate", "--config", cfg, "--out", str(out)]
+    assert main(args + ["--dry-run"] * dry_run) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

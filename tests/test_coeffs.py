@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gpchain.coeffs import ParamCoeff, RationalComplex
+from gpchain.opalg import Algebra, Statistics
 
 
 def test_rational_complex_arithmetic():
@@ -86,3 +87,48 @@ def test_param_coeff_foreign_operand_defers():
     s = ParamCoeff.symbol("s")
     with pytest.raises(TypeError):
         s + object()
+
+
+def _four_products(a, b):
+    """a * b in the general complex form: four products and two sums."""
+    return RationalComplex(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def _layout(x, factor=None):
+    """Keys in insertion order down to the numbers, each times factor in the
+    general form.  Insertion order is the order ParamCoeff.evaluate sums in;
+    equal layouts also mean equal sums with equal terms()."""
+    if isinstance(x, RationalComplex):
+        return x if factor is None else _four_products(x, factor)
+    return [(k, _layout(c, factor)) for k, c in x._terms.items()]
+
+
+_Z = RationalComplex(Fraction(1, 2), Fraction(-1, 3))
+_PC = (ParamCoeff.symbol("s") * _Z + ParamCoeff.i()
+       + ParamCoeff.rational(3, 4) * ParamCoeff.symbol("J[0,1]"))
+_ALG = Algebra(Statistics.FERMI)
+_EXPR = ((_ALG.ad(0) * _ALG.a(1)).scale(_PC) + _ALG.number(1).scale(-2)
+         + _ALG.scalar(ParamCoeff.symbol("h[0]")))
+
+
+@pytest.mark.parametrize("x", [_Z, _PC, _EXPR], ids=["rc", "coeff", "expr"])
+@pytest.mark.parametrize("unit", [1, -1])
+def test_unit_factors_equal_the_general_product(x, unit):
+    want = _layout(x, RationalComplex.coerce(unit))
+    factors = [unit, RationalComplex.coerce(unit)]
+    if not isinstance(x, RationalComplex):
+        factors.append(ParamCoeff.scalar(unit))
+    if x is _EXPR:
+        factors.append(_ALG.scalar(unit))
+    for factor in factors:
+        for product in (x * factor, factor * x):
+            assert product == (x if unit == 1 else -x)
+            assert _layout(product) == want
+
+
+def test_rational_complex_real_factor_equals_four_products():
+    assert _Z * 1 is _Z and 1 * _Z is _Z and RationalComplex.coerce(1) * _Z is _Z
+    for r in (Fraction(3, 7), Fraction(-5, 2), 0, 2, RationalComplex(Fraction(-2, 9))):
+        rc = RationalComplex.coerce(r)
+        assert _Z * r == _four_products(_Z, rc)
+        assert r * _Z == _four_products(rc, _Z)

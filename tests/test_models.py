@@ -57,6 +57,73 @@ def test_eom_matches_reference_every_site():
         )
 
 
+@pytest.mark.parametrize("mode", list(CouplingMode))
+def test_eom_matches_reference_every_site_n256(mode):
+    # the derivation touches only the words on each site's mode, so the whole
+    # ring stays cheap
+    p = XXZParams(N=256)
+    H = build_xxz_bosonized(p, mode)
+    for site in range(p.N):
+        assert derive_eom(H, site) == xxz_commutator_reference(p, site, mode)
+
+
+def _xxz_oracle(p, mode, statistics):
+    """build_xxz_bosonized as one H = H - term per term."""
+    alg = Algebra(statistics, p.N)
+    s = ParamCoeff.symbol("s")
+    half = ParamCoeff.rational(1, 2)
+    H = alg.zero()
+    for j in range(p.N):
+        for sigma in (1, -1):
+            k = (j + sigma) % p.N
+            Jc = models._coupling("J", k, j, mode)
+            Rc = models._coupling("R", k, j, mode)
+            hop = alg.ad(j) * alg.a(k) + alg.ad(k) * alg.a(j)
+            H = H - hop.scale(half * s * Jc)
+            dens = (alg.identity().scale(s) - alg.number(k)) * (
+                alg.identity().scale(s) - alg.number(j)
+            )
+            H = H - dens.scale(half * Rc)
+    for j in range(p.N):
+        hj = ParamCoeff.symbol(f"h[{j}]")
+        H = H - (alg.identity().scale(s) - alg.number(j)).scale(hj)
+    return H
+
+
+def _hubbard_hop_oracle(p, statistics):
+    alg = Algebra(statistics, p.N)
+    t = ParamCoeff.symbol("t")
+    H = alg.zero()
+    for kappa in (0, 1):
+        for j in range(p.N):
+            for sigma in (1, -1):
+                k = (j + sigma) % p.N
+                hop = alg.ad(j, kappa) * alg.a(k, kappa) + alg.ad(k, kappa) * alg.a(j, kappa)
+                H = H - hop.scale(t)
+    return H
+
+
+def _hubbard_interaction_oracle(p, statistics):
+    alg = Algebra(statistics, p.N)
+    H = alg.zero()
+    for j in range(p.N):
+        Uj = ParamCoeff.symbol(f"U[{j}]")
+        H = H + (alg.number(j, 1) * alg.number(j, 0)).scale(Uj)
+    return H
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 16])
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_builders_equal_term_by_term_oracles(N, statistics):
+    p = XXZParams(N=N)
+    for mode in CouplingMode:
+        assert build_xxz_bosonized(p, mode, statistics) == _xxz_oracle(p, mode, statistics)
+    ph = HubbardParams(N=N)
+    assert build_hubbard_hop(ph, statistics) == _hubbard_hop_oracle(ph, statistics)
+    assert build_hubbard_interaction(ph, statistics) == _hubbard_interaction_oracle(
+        ph, statistics)
+
+
 def test_eom_matches_reference_expanded_mode():
     p = XXZParams(N=5)
     H = build_xxz_bosonized(p, CouplingMode.EXPANDED)

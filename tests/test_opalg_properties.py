@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gpchain import fock  # noqa: E402
 from gpchain.coeffs import ParamCoeff  # noqa: E402
+from gpchain.models import derive_eom  # noqa: E402
 from gpchain.opalg import (  # noqa: E402
     Algebra,
     LadderOp,
@@ -95,6 +96,18 @@ def test_jacobi_identity(xyz):
              + commutator(y, commutator(z, x))
              + commutator(z, commutator(x, y)))
     assert total.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(expressions(1, max_terms=4, max_len=5))
+def test_derive_eom_equals_full_commutator(x):
+    # words of length 0 to 5: constants, odd fermionic words off the mode, and
+    # words on the mode all enter; the full commutator is the oracle
+    (H,) = x
+    alg = Algebra(H.statistics)
+    for site in H.sites():
+        for flavor in H.flavors():
+            assert derive_eom(H, site, flavor) == H.commutator(alg.a(site, flavor))
 
 
 @settings(max_examples=100, deadline=None)
