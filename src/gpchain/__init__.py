@@ -3,7 +3,7 @@
 The pipeline runs from exact ladder-operator algebra (opalg, fock),
 through the classical field equations it induces (symbolmap, models,
 latticedyn), to spectral continuum solvers and convergence studies
-(continuum, limitlab).  `textform` parses and prints expressions;
+(continuum, limitlab).  `textform` parses the str() text of expressions;
 `cli` exposes the whole thing as the `gpchain` command.
 """
 
@@ -25,9 +25,9 @@ from .models import (
     derive_eom,
     eqmotannih_reference,
 )
-from .opalg import Algebra, LadderOp, OperatorExpr, Statistics, commutator, normal_order
+from .opalg import Algebra, LadderOp, OperatorExpr, Statistics
 from .symbolmap import FieldPoly, naive_symbol, ordering_correction, wick_symbol
-from .textform import expr_from_text, from_text, poly_from_text, to_text
+from .textform import expr_from_text, poly_from_text
 
 __version__ = "0.1.0"
 
@@ -47,18 +47,14 @@ __all__ = [
     "XXZParams",
     "build_hubbard",
     "build_xxz_bosonized",
-    "commutator",
     "compute_transform",
     "derive_eom",
     "eqmotannih_reference",
     "expr_from_text",
-    "from_text",
     "lattice_vs_continuum",
     "naive_symbol",
-    "normal_order",
     "ordering_correction",
     "poly_from_text",
-    "to_text",
     "truncation_study",
     "wick_symbol",
     "__version__",

@@ -130,7 +130,6 @@ class RationalComplex:
         return f"RationalComplex({self})"
 
 
-RC_ZERO = RationalComplex()
 RC_ONE = RationalComplex(Fraction(1))
 RC_I = RationalComplex(Fraction(0), Fraction(1))
 
@@ -418,17 +417,9 @@ class ParamCoeff(TermSum):
     def is_constant(self) -> bool:
         return all(m == () for m in self._terms)
 
-    def constant_value(self) -> RationalComplex:
-        """The purely numeric value; raises if any parameter is present."""
-        if not self.is_constant():
-            raise ValueError(f"coefficient {self} is not constant")
-        return self._terms.get((), RC_ZERO)
-
-    def symbols(self) -> frozenset:
+    def parameters(self) -> frozenset:
+        """Names of the parameters: those in this coefficient's own keys."""
         return frozenset(n for mono in self._terms for n, _ in mono)
-
-    # the parameters of a coefficient are its own keys' names
-    parameters = symbols
 
     # -- arithmetic ---------------------------------------------------
 
@@ -443,14 +434,12 @@ class ParamCoeff(TermSum):
     def conjugate(self) -> "ParamCoeff":
         return self.map_coeffs(RationalComplex.conjugate)
 
-    def rename(self, mapping: Mapping[str, str]) -> "ParamCoeff":
+    def rename_params(self, mapping: Mapping[str, str]) -> "ParamCoeff":
         """Rename parameters; monomials that collide after renaming merge."""
         return self._new(self._collect(
             (tuple((mapping.get(n, n), e) for n, e in mono), c)
             for mono, c in self._terms.items()
         ))
-
-    rename_params = rename
 
     def evaluate(self, bindings: Mapping[str, complex]) -> complex:
         """Substitute numeric values for every parameter and sum."""

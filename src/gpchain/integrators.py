@@ -140,7 +140,8 @@ def integrate_adaptive(f, y0, t0, t_end, tol, dt0=None, snapshot_every=0,
     """Adaptive Dormand-Prince march; returns (times, states).
 
     tol acts as both absolute and relative tolerance.  snapshot_every
-    counts accepted steps.
+    counts accepted steps.  The step that reaches t_end ends at exactly
+    t_end.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -163,6 +164,7 @@ def integrate_adaptive(f, y0, t0, t_end, tol, dt0=None, snapshot_every=0,
                 raise IntegrationError(
                     f"exceeded {max_steps} steps", t=t, y=y, times=times, states=states
                 )
+            last = dt >= t_end - t
             dt = min(dt, t_end - t)
             if dt < 1e-14 * span:
                 raise StepUnderflowError(
@@ -176,7 +178,7 @@ def integrate_adaptive(f, y0, t0, t_end, tol, dt0=None, snapshot_every=0,
             scale = tol * (1.0 + np.abs(y).max())
             ratio = np.abs(err).max() / scale
             if ratio <= 1.0:
-                t = t + dt
+                t = t_end if last else t + dt  # t + dt may round past t_end
                 y = y_new
                 accepted += 1
                 if snapshot_every and accepted % snapshot_every == 0 and t < t_end:

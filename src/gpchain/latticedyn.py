@@ -97,7 +97,7 @@ def hubbard_rhs(p: HubbardParams):
     return f
 
 
-def rhs_from_polys(polys, bindings, hbar: float = 1.0, nflavors: int = 1):
+def rhs_from_polys(polys, bindings, hbar: float = 1.0):
     """Generic RHS from per-mode polynomials P with -i hbar phi_dot = P.
 
     polys maps (site, flavor) -> FieldPoly (or site -> FieldPoly for a

@@ -406,34 +406,26 @@ class JordanWignerReport:
     swapped_product_deviation: float
 
 
-def _embed(local: np.ndarray, site: int, nsites: int) -> np.ndarray:
-    mats = [np.eye(2)] * nsites
-    mats[site] = local
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def verify_jordan_wigner(nsites: int, tol: float = 1e-12) -> JordanWignerReport:
     """Check S+_j S-_{j+sigma} = ad_j a_{j+sigma} and S^z_j = n_j - 1/2.
 
-    Spin operators act on a chain of spin-1/2 sites (basis index 0 is
-    down); the fermionic side carries the string convention built into
-    fock.ladder_matrices.  Nearest-neighbour pairs are taken without
-    wrap-around, since the string makes the dictionary an open-chain
-    statement.  swapped_product_deviation reports how far the
-    annihilator-first pairing S-_j S+_{j+sigma} is from a_{j+sigma} ad_j;
-    it is not part of the identity check.
+    Spin 1/2 is the hard-core boson (Matsubara and Matsuda, Prog. Theor.
+    Phys. 16, 569, 1956), so S-_j is the bosonic annihilator of
+    fock.ladder_matrices at cutoff 1 (basis index 0 is down), S+_j its
+    transpose and S^z_j = S+_j S-_j - 1/2.  The fermionic side carries
+    the string convention built into fock.ladder_matrices.
+    Nearest-neighbour pairs are taken without wrap-around, since the
+    string makes the dictionary an open-chain statement.
+    swapped_product_deviation reports how far the annihilator-first
+    pairing S-_j S+_{j+sigma} is from a_{j+sigma} ad_j; it is not part
+    of the identity check.
     """
     if not 2 <= nsites <= 6:
         raise ValueError(f"nsites must be in 2..6, got {nsites}")
-    sp = np.array([[0.0, 0.0], [1.0, 0.0]])
-    sm = sp.T.copy()
-    sz = np.diag([-0.5, 0.5])
-    Sp = [_embed(sp, j, nsites) for j in range(nsites)]
-    Sm = [_embed(sm, j, nsites) for j in range(nsites)]
-    Sz = [_embed(sz, j, nsites) for j in range(nsites)]
+    eye = np.eye(2 ** nsites)
+    Sm = fock.ladder_matrices(nsites, 1, Statistics.BOSE)
+    Sp = [m.T for m in Sm]
+    Sz = [up @ down - 0.5 * eye for up, down in zip(Sp, Sm)]
     ann = fock.ladder_matrices(nsites, 1, Statistics.FERMI)
     cre = [m.conj().T for m in ann]
 
@@ -443,7 +435,6 @@ def verify_jordan_wigner(nsites: int, tol: float = 1e-12) -> JordanWignerReport:
     for j in range(1, nsites):
         dev = max(dev, np.abs(Sp[j] @ Sm[j - 1] - cre[j] @ ann[j - 1]).max())
     sz_dev = 0.0
-    eye = np.eye(2 ** nsites)
     for j in range(nsites):
         sz_dev = max(sz_dev, np.abs(Sz[j] - (cre[j] @ ann[j] - 0.5 * eye)).max())
 

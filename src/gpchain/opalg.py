@@ -24,9 +24,6 @@ __all__ = [
     "OperatorExpr",
     "Algebra",
     "canonical_word",
-    "commutator",
-    "normal_order",
-    "adjoint",
 ]
 
 
@@ -272,15 +269,3 @@ class Algebra:
             LadderOp(f.dagger, self._site(f.site), f.flavor) for f in factors
         )
         return OperatorExpr(self.statistics, [(word, coeff)])
-
-
-def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a.commutator(b)
-
-
-def normal_order(x: OperatorExpr) -> OperatorExpr:
-    return x.normal_order()
-
-
-def adjoint(x: OperatorExpr) -> OperatorExpr:
-    return x.adjoint()

@@ -117,10 +117,6 @@ class FieldPoly(TermSum):
     def phi_star(site: int, flavor: int = 0) -> "FieldPoly":
         return FieldPoly([((FieldFactor(True, site, flavor),), PC_ONE)])
 
-    @staticmethod
-    def from_monomial(factors: Iterable, coeff=1) -> "FieldPoly":
-        return FieldPoly([(tuple(factors), coeff)])
-
     # -- ring operations ----------------------------------------------
 
     def conjugate(self) -> "FieldPoly":

@@ -7,8 +7,8 @@ The canonical text of an expression is exactly its str() form:
 Ladder factors look like a(3), ad(3), a(3,1); field factors like phi(3),
 phi*(3,1), optionally with a power suffix phi(3)^2.  Coefficients are
 polynomials over named parameters with exact rational-complex scalars,
-e.g. "1/2 s J[2,3] + -1/2+1/3i h[4]^2".  from_text parses that grammar
-back; parse(to_text(x)) == x for every expression.
+e.g. "1/2 s J[2,3] + -1/2+1/3i h[4]^2".  expr_from_text, poly_from_text
+and coeff_from_text parse that grammar back; each returns x from str(x).
 """
 
 from __future__ import annotations
@@ -36,13 +36,6 @@ _FIELD_RE = re.compile(
 
 class TextFormError(ValueError):
     """Raised when a text form does not match the expression grammar."""
-
-
-def to_text(obj) -> str:
-    """Canonical text of an OperatorExpr, FieldPoly, or ParamCoeff."""
-    if isinstance(obj, (OperatorExpr, FieldPoly, ParamCoeff)):
-        return str(obj)
-    raise TypeError(f"no text form for {type(obj).__name__}")
 
 
 def _parse_scalar(token: str) -> RationalComplex | None:
@@ -198,10 +191,3 @@ def expr_from_text(
 def poly_from_text(text: str) -> FieldPoly:
     """Parse a field polynomial."""
     return FieldPoly(_read_terms(text, _field_factor))
-
-
-def from_text(text: str, statistics: Statistics = Statistics.BOSE, nsites=None):
-    """Parse either kind of expression, chosen by the factors present."""
-    if "phi" in text:
-        return poly_from_text(text)
-    return expr_from_text(text, statistics, nsites)

@@ -590,3 +590,72 @@ def test_csv_bytes_match_row_oracle(tmp_path, monkeypatch, name):
     else:
         assert len(times) >= 2
         assert (out / "trajectory.csv").read_bytes() == _oracle_trajectory(times, states)
+
+
+# ------------------------------------------------- potentials on the grid
+
+_BUMP = {"profile": "gaussian", "amplitude": 0.3, "width": 2.0}
+
+
+def _bump(grid):
+    return 0.3 * np.exp(-(((grid.xs - grid.L / 2.0) / 2.0) ** 2))
+
+
+def test_pretransform_takes_its_site_field_from_the_potential(tmp_path):
+    payload = {
+        "equation": "pretransform",
+        "model": {"N": 16, "J0": 1.0, "R0": 2.0, "s": 1.0},
+        "grid": {"L": 16.0, "M": 32}, "spacing": 0.5,
+        "integrator": {"dt": 1e-3, "t_end": 0.05},
+        "initial": {"profile": "gaussian", "amplitude": 0.5, "width": 2.0},
+    }
+    outs = {}
+    for name, extra in (("bump", {"potential": _BUMP}), ("flat", {})):
+        outs[name] = tmp_path / name
+        assert main(["simulate", "--config", _write_cfg(tmp_path, {**payload, **extra}),
+                     "--out", str(outs[name])]) == 0
+    grid = continuum.Grid1D(16.0, 32)
+    p = models.XXZParams(N=16, J0=1.0, R0=2.0, s=1.0)
+    rhs = continuum.pretransform_rhs_factory(p, grid, spacing=0.5, h_values=_bump(grid))
+    u0 = (0.5 * np.exp(-(((grid.xs - 8.0) / 2.0) ** 2))).astype(complex)
+    _, states = integrators.integrate_fixed(rhs, u0, 0.0, 0.05, 1e-3)
+    field = (outs["bump"] / "field.csv").read_bytes()
+    assert field == _oracle_field(grid.xs, states[-1])
+    assert field != (outs["flat"] / "field.csv").read_bytes()
+
+
+def test_gp_energy_includes_the_potential(tmp_path):
+    payload = {
+        "equation": "gp",
+        "grid": {"L": 20.0, "M": 64},
+        "integrator": {"dt": 1e-3, "t_end": 0.02},
+        "initial": {"profile": "sech-soliton", "eta": 1.0},
+        "potential": _BUMP,
+    }
+    out = tmp_path / "gpv"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, payload),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "run_summary.json").read_text())
+    grid = continuum.Grid1D(20.0, 64)
+    V = _bump(grid)
+    (u,) = _read_field(out / "field.csv")
+    final = summary["final_observables"]
+    assert final == continuum.continuum_observables(u, grid, V=V)
+    assert final["energy"] != continuum.continuum_observables(u, grid)["energy"]
+    u0 = (np.sqrt(2.0) / np.cosh(grid.xs - 10.0)).astype(complex)
+    assert summary["initial_observables"] == continuum.continuum_observables(u0, grid, V=V)
+
+
+def test_rk45_run_ends_at_exactly_t_end(tmp_path):
+    # the last step starts before t_end / 2, where t + dt rounds past t_end
+    payload = {
+        "model": {"N": 8},
+        "integrator": {"dt": 0.001, "t_end": 0.45, "scheme": "rk45", "tolerance": 1e-6},
+        "initial": {"profile": "uniform", "value": 0.5},
+    }
+    out = tmp_path / "rk45"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, payload),
+                 "--out", str(out)]) == 0
+    times = [float(line.split(",")[0])
+             for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    assert times[-1] == 0.45 == json.loads((out / "run_summary.json").read_text())["t_end"]

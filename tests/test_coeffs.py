@@ -33,7 +33,7 @@ def test_param_coeff_constructors():
     assert ParamCoeff.i() * ParamCoeff.i() == ParamCoeff.rational(-1)
     s = ParamCoeff.symbol("s")
     assert s.degree() == 1
-    assert s.symbols() == frozenset({"s"})
+    assert s.parameters() == frozenset({"s"})
 
 
 def test_param_coeff_polynomial_algebra():
@@ -52,7 +52,7 @@ def test_param_coeff_indexed_symbols():
     h3 = ParamCoeff.symbol("h[3]")
     j = ParamCoeff.symbol("J[2,3]")
     prod = h3 * j
-    assert prod.symbols() == frozenset({"h[3]", "J[2,3]"})
+    assert prod.parameters() == frozenset({"h[3]", "J[2,3]"})
     assert prod.evaluate({"h[3]": 2.0, "J[2,3]": -1.5}) == -3.0
 
 
@@ -73,7 +73,7 @@ def test_param_coeff_conjugate_flips_i():
 
 def test_param_coeff_rename():
     c = ParamCoeff.symbol("J[1,2]") + ParamCoeff.symbol("s")
-    r = c.rename({"J[1,2]": "J[2,1]"})
+    r = c.rename_params({"J[1,2]": "J[2,1]"})
     assert r == ParamCoeff.symbol("J[2,1]") + ParamCoeff.symbol("s")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from gpchain import fock
 from gpchain.coeffs import ParamCoeff
-from gpchain.opalg import Algebra, LadderOp, Statistics, normal_order
+from gpchain.opalg import Algebra, LadderOp, Statistics
 
 B = Algebra(Statistics.BOSE)
 F = Algebra(Statistics.FERMI)
@@ -66,7 +66,7 @@ def test_normal_order_preserves_matrix():
         deg = max(expr.degree(), 1)
         cutoff = deg + 2
         m1 = fock.to_matrix(expr, nsites, cutoff)
-        m2 = fock.to_matrix(normal_order(expr), nsites, cutoff)
+        m2 = fock.to_matrix(expr.normal_order(), nsites, cutoff)
         stats = Statistics.FERMI if fermi else Statistics.BOSE
         mask = fock.interior_mask(nsites, cutoff, margin=deg, statistics=stats)
         assert fock.max_interior_diff(m1, m2, mask) < 1e-10

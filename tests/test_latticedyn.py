@@ -72,7 +72,7 @@ def test_hubbard_rhs_matches_symbolic_eom():
         for j in range(p.N)
         for f in (0, 1)
     }
-    slow = rhs_from_polys(polys, hubbard_bindings(p), hbar=p.hbar, nflavors=2)
+    slow = rhs_from_polys(polys, hubbard_bindings(p), hbar=p.hbar)
     fast = hubbard_rhs(p)
     rng = np.random.default_rng(2)
     phi = _random_state(rng, 2, p.N)

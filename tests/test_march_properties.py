@@ -1,4 +1,4 @@
-"""Property tests of the fixed-step driver on random spans and step sizes."""
+"""Property tests of the step drivers on random spans and step sizes."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gpchain import continuum  # noqa: E402
-from gpchain.integrators import fixed_steps, integrate_fixed, march, rk4_step  # noqa: E402
+from gpchain.integrators import (  # noqa: E402
+    fixed_steps, integrate_adaptive, integrate_fixed, march, rk4_step,
+)
 
 spans = st.floats(0.0, 20.0, allow_nan=False)
 steps = st.floats(0.01, 5.0, allow_nan=False)
@@ -84,3 +86,16 @@ def test_strang_adapters_carry_plane_waves_exactly(t_end, dt, amp, amp2, mode):
     for got, a, other in zip(states[-1], (amp, amp2), (amp2, amp)):
         omega = -4.0 * t_hop + 2.0 * t_hop * k * k + U * other ** 2
         assert np.abs(got - a * wave * np.exp(-1j * omega * reached)).max() < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(t_end=st.floats(0.01, 4.0), tol=st.sampled_from([1e-4, 1e-6, 1e-8]),
+       amp=st.floats(0.1, 1.5))
+def test_adaptive_times_increase_to_exactly_t_end(t_end, tol, amp):
+    def f(t, y):
+        return 1j * y - 0.5j * np.abs(y) ** 2 * y
+
+    times, _ = integrate_adaptive(f, np.full(4, amp, dtype=complex), 0.0, t_end, tol,
+                                  dt0=1e-3, snapshot_every=1)
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert times[-1] == t_end

@@ -21,7 +21,7 @@ from gpchain.models import (
     xxz_bindings,
     xxz_commutator_reference,
 )
-from gpchain.opalg import Algebra, Statistics, adjoint
+from gpchain.opalg import Algebra, Statistics
 from gpchain.symbolmap import FieldPoly, naive_symbol, ordering_correction
 
 
@@ -43,9 +43,9 @@ def test_hamiltonian_is_self_adjoint():
     for mode in (CouplingMode.SYMBOLIC, CouplingMode.EXPANDED):
         H = build_xxz_bosonized(p, mode)
         # real couplings: adjoint only transposes words
-        assert adjoint(H) == H
+        assert H.adjoint() == H
     hp = HubbardParams(N=4)
-    assert adjoint(build_hubbard(hp)) == build_hubbard(hp)
+    assert build_hubbard(hp).adjoint() == build_hubbard(hp)
 
 
 def test_eom_matches_reference_every_site():

@@ -9,9 +9,6 @@ from gpchain.opalg import (
     LadderOp,
     OperatorExpr,
     Statistics,
-    adjoint,
-    commutator,
-    normal_order,
 )
 
 B = Algebra(Statistics.BOSE)
@@ -29,12 +26,12 @@ def test_product_worked_examples():
 
 
 def test_commutator_ccr():
-    assert commutator(B.a(3), B.ad(3)) == B.identity()
-    assert commutator(B.a(3), B.ad(4)).is_zero()
-    assert commutator(B.a(3), B.a(4)).is_zero()
+    assert B.a(3).commutator(B.ad(3)) == B.identity()
+    assert B.a(3).commutator(B.ad(4)).is_zero()
+    assert B.a(3).commutator(B.a(4)).is_zero()
     n = B.number(2)
-    assert commutator(n, B.a(2)) == -B.a(2)
-    assert commutator(n, B.ad(2)) == B.ad(2)
+    assert n.commutator(B.a(2)) == -B.a(2)
+    assert n.commutator(B.ad(2)) == B.ad(2)
 
 
 def test_fermi_canonical_signs():
@@ -46,19 +43,19 @@ def test_fermi_canonical_signs():
 
 
 def test_normal_order_worked_examples():
-    assert normal_order(B.a(1) * B.ad(1)) == B.ad(1) * B.a(1) + B.identity()
-    assert normal_order(F.a(1) * F.ad(1)) == F.identity() - F.ad(1) * F.a(1)
+    assert (B.a(1) * B.ad(1)).normal_order() == B.ad(1) * B.a(1) + B.identity()
+    assert (F.a(1) * F.ad(1)).normal_order() == F.identity() - F.ad(1) * F.a(1)
     # distinct modes just reorder
-    assert normal_order(B.a(1) * B.ad(2)) == B.ad(2) * B.a(1)
-    assert normal_order(F.a(1) * F.ad(2)) == -(F.ad(2) * F.a(1))
+    assert (B.a(1) * B.ad(2)).normal_order() == B.ad(2) * B.a(1)
+    assert (F.a(1) * F.ad(2)).normal_order() == -(F.ad(2) * F.a(1))
 
 
 def test_normal_order_idempotent():
     rng = random.Random(7)
     for _ in range(40):
         expr = _random_expr(rng, B)
-        once = normal_order(expr)
-        assert normal_order(once) == once
+        once = expr.normal_order()
+        assert once.normal_order() == once
 
 
 def _random_expr(rng, alg, max_terms=4, max_len=4, nsites=3):
@@ -78,8 +75,8 @@ def test_commutator_bilinear_antisymmetric():
         x = _random_expr(rng, alg)
         y = _random_expr(rng, alg)
         z = _random_expr(rng, alg)
-        assert commutator(x + y, z) == commutator(x, z) + commutator(y, z)
-        assert commutator(x, y) == -commutator(y, x)
+        assert (x + y).commutator(z) == x.commutator(z) + y.commutator(z)
+        assert x.commutator(y) == -y.commutator(x)
 
 
 def test_jacobi_identity():
@@ -90,9 +87,9 @@ def test_jacobi_identity():
             y = _random_expr(rng, alg, max_terms=2, max_len=3)
             z = _random_expr(rng, alg, max_terms=2, max_len=3)
             total = (
-                commutator(x, commutator(y, z))
-                + commutator(y, commutator(z, x))
-                + commutator(z, commutator(x, y))
+                x.commutator(y.commutator(z))
+                + y.commutator(z.commutator(x))
+                + z.commutator(x.commutator(y))
             )
             assert total.is_zero()
 
@@ -102,9 +99,9 @@ def test_adjoint_involution_and_products():
     for alg in (B, F):
         x = _random_expr(rng, alg)
         y = _random_expr(rng, alg)
-        assert adjoint(adjoint(x)) == x
-        assert adjoint(x * y) == adjoint(y) * adjoint(x)
-    assert adjoint(B.a(1)) == B.ad(1)
+        assert x.adjoint().adjoint() == x
+        assert (x * y).adjoint() == y.adjoint() * x.adjoint()
+    assert B.a(1).adjoint() == B.ad(1)
 
 
 def test_scalar_multiplication_both_sides():
