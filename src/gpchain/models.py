@@ -112,6 +112,14 @@ def _coupling(base: str, p: int, q: int, mode: CouplingMode) -> ParamCoeff:
     )
 
 
+def _ladder(nsites: int, flavor: int = 0):
+    """The creators and the annihilators of one flavor, indexed by site."""
+    return (
+        [LadderOp(True, j, flavor) for j in range(nsites)],
+        [LadderOp(False, j, flavor) for j in range(nsites)],
+    )
+
+
 def build_xxz_bosonized(
     p: XXZParams,
     mode: CouplingMode = CouplingMode.SYMBOLIC,
@@ -123,53 +131,72 @@ def build_xxz_bosonized(
                                + R_{j+sigma,j} (s - n_{j+sigma})(s - n_j) ]
         - sum_j h_j (s - n_j)
 
-    Hop products are emitted in normal order; for bosons that form is
+    Terms are emitted as raw words, as the formula writes them (n_k n_j
+    is ad_k a_k ad_j a_j; the density product gives four terms), and the
+    OperatorExpr constructor puts them into canonical form.  Hop
+    products are written in normal order; for bosons that form is
     canonically identical to the annihilator-first writing, and for
     fermions it is the reading consistent with the commutators the
     model is meant to produce (the annihilator-first writing would
     cancel identically under anticommutation).
     """
-    alg = Algebra(statistics, p.N)
+    N = p.N
+    ad, a = _ladder(N)
     s = ParamCoeff.symbol("s")
+    s2 = s * s
 
     def terms():
-        for j in range(p.N):
+        for j in range(N):
             for sigma in (1, -1):
-                k = (j + sigma) % p.N
-                Jc = _coupling("J", k, j, mode)
-                Rc = _coupling("R", k, j, mode)
-                hop = alg.ad(j) * alg.a(k) + alg.ad(k) * alg.a(j)
-                yield -hop.scale(_HALF * s * Jc)
-                dens = (alg.identity().scale(s) - alg.number(k)) * (
-                    alg.identity().scale(s) - alg.number(j)
-                )
-                yield -dens.scale(_HALF * Rc)
-        for j in range(p.N):
+                k = (j + sigma) % N
+                hop = -(_HALF * s * _coupling("J", k, j, mode))
+                yield (ad[j], a[k]), hop
+                yield (ad[k], a[j]), hop
+                # -(1/2) R (s - n_k)(s - n_j)
+                half_R = _HALF * _coupling("R", k, j, mode)
+                s_half_R = s * half_R
+                yield (), -(s2 * half_R)
+                yield (ad[j], a[j]), s_half_R
+                yield (ad[k], a[k]), s_half_R
+                yield (ad[k], a[k], ad[j], a[j]), -half_R
+        for j in range(N):
             hj = ParamCoeff.symbol(f"h[{j}]")
-            yield -(alg.identity().scale(s) - alg.number(j)).scale(hj)
+            yield (), -(s * hj)
+            yield (ad[j], a[j]), hj
 
-    return alg.zero().add_all(terms())
+    return OperatorExpr(statistics, terms())
 
 
 def build_hubbard_hop(p: HubbardParams, statistics: Statistics = Statistics.FERMI) -> OperatorExpr:
-    """H1 = -t sum_{sigma,j,kappa} (ad_{j,kappa} a_{j+sigma,kappa} + ad_{j+sigma,kappa} a_{j,kappa})."""
-    alg = Algebra(statistics, p.N)
-    t = ParamCoeff.symbol("t")
-    return alg.zero().add_all(
-        -(alg.ad(j, kappa) * alg.a(k, kappa) + alg.ad(k, kappa) * alg.a(j, kappa)).scale(t)
-        for kappa in (0, 1)
-        for j in range(p.N)
-        for k in ((j + 1) % p.N, (j - 1) % p.N)
-    )
+    """H1 = -t sum_{sigma,j,kappa} (ad_{j,kappa} a_{j+sigma,kappa} + ad_{j+sigma,kappa} a_{j,kappa}).
+
+    Terms are emitted as raw words that the constructor puts into canonical form.
+    """
+    N = p.N
+    minus_t = -ParamCoeff.symbol("t")
+
+    def terms():
+        for kappa in (0, 1):
+            ad, a = _ladder(N, kappa)
+            for j in range(N):
+                for k in ((j + 1) % N, (j - 1) % N):
+                    yield (ad[j], a[k]), minus_t
+                    yield (ad[k], a[j]), minus_t
+
+    return OperatorExpr(statistics, terms())
 
 
 def build_hubbard_interaction(p: HubbardParams, statistics: Statistics = Statistics.FERMI) -> OperatorExpr:
-    """H2 = sum_j U_j n_{j,1} n_{j,0}."""
-    alg = Algebra(statistics, p.N)
-    return alg.zero().add_all(
-        (alg.number(j, 1) * alg.number(j, 0)).scale(ParamCoeff.symbol(f"U[{j}]"))
+    """H2 = sum_j U_j n_{j,1} n_{j,0}.
+
+    Terms are emitted as raw words that the constructor puts into canonical form.
+    """
+    ad0, a0 = _ladder(p.N, 0)
+    ad1, a1 = _ladder(p.N, 1)
+    return OperatorExpr(statistics, (
+        ((ad1[j], a1[j], ad0[j], a0[j]), ParamCoeff.symbol(f"U[{j}]"))
         for j in range(p.N)
-    )
+    ))
 
 
 def build_hubbard(p: HubbardParams, statistics: Statistics = Statistics.FERMI) -> OperatorExpr:
@@ -187,16 +214,28 @@ def derive_eom(H: OperatorExpr, site: int, flavor: int = 0) -> OperatorExpr:
     Fermi statistics; constants always do.  The result equals
     H.commutator(a) exactly.
 
-    The site (and flavor, where applicable) must occur in H.
+    The site (and flavor, where applicable) must occur in H.  A word on
+    the mode shows both, so H is scanned again only when the filter met
+    none, to tell whether one of them is missing.
     """
-    if site not in H.sites():
-        raise ValueError(f"site {site} does not occur in the Hamiltonian")
-    flavors = H.flavors()
-    if flavors and flavor not in flavors:
-        raise ValueError(f"flavor {flavor} does not occur in the Hamiltonian")
     fermi = H.fermi
-    part = H.filter_words(lambda w: (fermi and len(w) % 2 == 1) or any(
-        f.site == site and f.flavor == flavor for f in w))
+    on_mode = False
+
+    def keep(w):
+        nonlocal on_mode
+        for f in w:
+            if f.site == site and f.flavor == flavor:
+                on_mode = True
+                return True
+        return fermi and len(w) % 2 == 1
+
+    part = H.filter_words(keep)
+    if not on_mode:
+        if site not in H.sites():
+            raise ValueError(f"site {site} does not occur in the Hamiltonian")
+        flavors = H.flavors()
+        if flavors and flavor not in flavors:
+            raise ValueError(f"flavor {flavor} does not occur in the Hamiltonian")
     return part.commutator(Algebra(H.statistics).a(site, flavor))
 
 
@@ -215,12 +254,14 @@ def xxz_commutator_reference(
     sigma branch keep an annihilator-first density factor (a a†
     instead of ad a), which is the same expression one commutation
     away; its Wick and naive symbols then differ by the ordering
-    correction (1/2)(R[i,i+1] + R[i,i-1]) phi_i.
+    correction (1/2)(R[i,i+1] + R[i,i-1]) phi_i.  Canonical form
+    applies no commutation relation, so those words stay as written.
     """
     N = p.N
     i = site % N
     ip, im = (i + 1) % N, (i - 1) % N
-    alg = Algebra(statistics, N)
+    a_i, a_p, a_m = LadderOp(False, i), LadderOp(False, ip), LadderOp(False, im)
+    ad_p, ad_m = LadderOp(True, ip), LadderOp(True, im)
     s = ParamCoeff.symbol("s")
 
     def J(a, b):
@@ -229,21 +270,17 @@ def xxz_commutator_reference(
     def R(a, b):
         return _coupling("R", a, b, mode)
 
-    out = alg.zero()
-    out = out + alg.a(ip).scale(_HALF * s * (J(ip, i) + J(i, ip)))
-    out = out + alg.a(im).scale(_HALF * s * (J(im, i) + J(i, im)))
-    out = out - alg.a(i).scale(_HALF * s * (R(i, ip) + R(i, im)))
-    out = out - alg.a(i).scale(_HALF * s * (R(ip, i) + R(im, i)))
-    out = out + (alg.number(ip) * alg.a(i)).scale(_HALF * R(ip, i))
-    out = out + (alg.number(im) * alg.a(i)).scale(_HALF * R(im, i))
-    if reversed_pairs:
-        out = out + (alg.a(ip) * alg.ad(ip) * alg.a(i)).scale(_HALF * R(i, ip))
-        out = out + (alg.a(im) * alg.ad(im) * alg.a(i)).scale(_HALF * R(i, im))
-    else:
-        out = out + (alg.number(ip) * alg.a(i)).scale(_HALF * R(i, ip))
-        out = out + (alg.number(im) * alg.a(i)).scale(_HALF * R(i, im))
-    out = out - alg.a(i).scale(ParamCoeff.symbol(f"h[{i}]"))
-    return out
+    return OperatorExpr(statistics, [
+        ((a_p,), _HALF * s * (J(ip, i) + J(i, ip))),
+        ((a_m,), _HALF * s * (J(im, i) + J(i, im))),
+        ((a_i,), -(_HALF * s * (R(i, ip) + R(i, im)))),
+        ((a_i,), -(_HALF * s * (R(ip, i) + R(im, i)))),
+        ((ad_p, a_p, a_i), _HALF * R(ip, i)),
+        ((ad_m, a_m, a_i), _HALF * R(im, i)),
+        ((a_p, ad_p, a_i) if reversed_pairs else (ad_p, a_p, a_i), _HALF * R(i, ip)),
+        ((a_m, ad_m, a_i) if reversed_pairs else (ad_m, a_m, a_i), _HALF * R(i, im)),
+        ((a_i,), -ParamCoeff.symbol(f"h[{i}]")),
+    ])
 
 
 def hubbard_commutator_reference(
@@ -253,19 +290,19 @@ def hubbard_commutator_reference(
     part: str = "hop",
     statistics: Statistics = Statistics.FERMI,
 ) -> OperatorExpr:
-    """Closed-form [H1, a_{i,kappa}] or [H2, a_{i,kappa}]."""
+    """Closed-form [H1, a_{i,kappa}] or [H2, a_{i,kappa}], as raw words."""
     N = p.N
     i = site % N
-    alg = Algebra(statistics, N)
     if part == "hop":
-        t = ParamCoeff.symbol("t")
-        two_t = ParamCoeff.rational(2) * t
-        return (alg.a(i + 1, flavor) + alg.a(i - 1, flavor)).scale(two_t)
+        two_t = ParamCoeff.rational(2) * ParamCoeff.symbol("t")
+        return OperatorExpr(statistics, [
+            ((LadderOp(False, (i + 1) % N, flavor),), two_t),
+            ((LadderOp(False, (i - 1) % N, flavor),), two_t),
+        ])
     if part == "interaction":
-        Ui = ParamCoeff.symbol(f"U[{i}]")
         other = 1 - flavor
-        word = alg.a(i, flavor) * alg.ad(i, other) * alg.a(i, other)
-        return word.scale(-Ui)
+        word = (LadderOp(False, i, flavor), LadderOp(True, i, other), LadderOp(False, i, other))
+        return OperatorExpr(statistics, [(word, -ParamCoeff.symbol(f"U[{i}]"))])
     raise ValueError(f"part must be 'hop' or 'interaction', got {part!r}")
 
 
@@ -463,16 +500,23 @@ class StatisticsReport:
     cubic_diff: FieldPoly
 
 
-def verify_statistics_independence(p: XXZParams, site: int = None) -> StatisticsReport:
+def verify_statistics_independence(
+    p: XXZParams, site: int = None, bose_eom: OperatorExpr = None
+) -> StatisticsReport:
     """Compare the naive symbols of derive_eom under Bose and Fermi statistics.
 
     The quadratic (hopping and field) sector of H produces identical
     linear terms either way; the density-density quartics pick up
     reordering signs under anticommutation, so the cubic terms may
     differ.  The report carries the full difference and its cubic part.
+    A caller that has already derived the Bose side, derive_eom of the
+    symbolic Bose chain at the report's site, passes it as bose_eom;
+    otherwise that chain is built here.
     """
     i = p.N // 2 if site is None else site % p.N
-    eb = derive_eom(build_xxz_bosonized(p, CouplingMode.SYMBOLIC, Statistics.BOSE), i)
+    eb = bose_eom
+    if eb is None:
+        eb = derive_eom(build_xxz_bosonized(p, CouplingMode.SYMBOLIC, Statistics.BOSE), i)
     ef = derive_eom(build_xxz_bosonized(p, CouplingMode.SYMBOLIC, Statistics.FERMI), i)
     nb = naive_symbol(eb)
     nf = naive_symbol(ef)

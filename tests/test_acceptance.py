@@ -11,13 +11,11 @@ individual assertions fire.
 import time
 
 import numpy as np
-import pytest
 
-from gpchain import continuum, fock, integrators, latticedyn, limitlab, models
+from gpchain import continuum, fock, integrators, latticedyn, limitlab
 from gpchain.coeffs import ParamCoeff
 from gpchain.models import (
     CouplingMode,
-    HubbardParams,
     XXZParams,
     build_xxz_bosonized,
     derive_eom,

@@ -33,6 +33,25 @@ def test_verify_derivation_passes(tmp_path):
     assert "matrix-oracle" in names and "jordan-wigner-identity" in names
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("golden, payload", [
+    ("verify_default", None),
+    ("verify_n10", {"verify": {"N": 10}}),
+])
+def test_verify_derivation_matches_golden_text(tmp_path, golden, payload):
+    # tests/data holds the report and summary an earlier version wrote, so a
+    # change to the printed derivation shows up across commits
+    args = ["verify-derivation", "--out", str(tmp_path / "v")]
+    if payload is not None:
+        args += ["--config", _write_cfg(tmp_path, payload)]
+    assert main(args) == 0
+    for name in ("verify_report.txt", "verify_summary.json"):
+        with open(os.path.join(GOLDEN, golden, name), "rb") as fh:
+            assert (tmp_path / "v" / name).read_bytes() == fh.read(), name
+
+
 def test_verify_detects_tampered_hamiltonian(tmp_path, monkeypatch):
     real = models.build_xxz_bosonized
     monkeypatch.setattr(

@@ -7,7 +7,6 @@ import pytest
 
 from gpchain import continuum, integrators, limitlab
 from gpchain.limitlab import (
-    ConvergenceReport,
     DegenerateTransformError,
     TransformCoefficients,
     compute_transform,

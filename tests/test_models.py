@@ -124,6 +124,114 @@ def test_builders_equal_term_by_term_oracles(N, statistics):
         ph, statistics)
 
 
+def _xxz_reference_oracle(p, site, mode, reversed_pairs, statistics):
+    """xxz_commutator_reference as sums and products of one-operator sums."""
+    N = p.N
+    i = site % N
+    ip, im = (i + 1) % N, (i - 1) % N
+    alg = Algebra(statistics, N)
+    s = ParamCoeff.symbol("s")
+    half = ParamCoeff.rational(1, 2)
+
+    def J(a, b):
+        return models._coupling("J", a, b, mode)
+
+    def R(a, b):
+        return models._coupling("R", a, b, mode)
+
+    out = alg.zero()
+    out = out + alg.a(ip).scale(half * s * (J(ip, i) + J(i, ip)))
+    out = out + alg.a(im).scale(half * s * (J(im, i) + J(i, im)))
+    out = out - alg.a(i).scale(half * s * (R(i, ip) + R(i, im)))
+    out = out - alg.a(i).scale(half * s * (R(ip, i) + R(im, i)))
+    out = out + (alg.number(ip) * alg.a(i)).scale(half * R(ip, i))
+    out = out + (alg.number(im) * alg.a(i)).scale(half * R(im, i))
+    if reversed_pairs:
+        out = out + (alg.a(ip) * alg.ad(ip) * alg.a(i)).scale(half * R(i, ip))
+        out = out + (alg.a(im) * alg.ad(im) * alg.a(i)).scale(half * R(i, im))
+    else:
+        out = out + (alg.number(ip) * alg.a(i)).scale(half * R(i, ip))
+        out = out + (alg.number(im) * alg.a(i)).scale(half * R(i, im))
+    out = out - alg.a(i).scale(ParamCoeff.symbol(f"h[{i}]"))
+    return out
+
+
+def _hubbard_reference_oracle(p, site, flavor, part, statistics):
+    """hubbard_commutator_reference as products of one-operator sums."""
+    i = site % p.N
+    alg = Algebra(statistics, p.N)
+    if part == "hop":
+        two_t = ParamCoeff.rational(2) * ParamCoeff.symbol("t")
+        return (alg.a(i + 1, flavor) + alg.a(i - 1, flavor)).scale(two_t)
+    other = 1 - flavor
+    word = alg.a(i, flavor) * alg.ad(i, other) * alg.a(i, other)
+    return word.scale(-ParamCoeff.symbol(f"U[{i}]"))
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 16])
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_references_equal_product_form_oracles(N, statistics):
+    p = XXZParams(N=N)
+    for mode in CouplingMode:
+        for reversed_pairs in (False, True):
+            for site in range(N):
+                assert xxz_commutator_reference(
+                    p, site, mode, reversed_pairs, statistics
+                ) == _xxz_reference_oracle(p, site, mode, reversed_pairs, statistics)
+    ph = HubbardParams(N=N)
+    for site in range(N):
+        for flavor in (0, 1):
+            for part in ("hop", "interaction"):
+                assert hubbard_commutator_reference(
+                    ph, site, flavor, part, statistics
+                ) == _hubbard_reference_oracle(ph, site, flavor, part, statistics)
+
+
+def test_builders_and_references_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 24), st.sampled_from(list(Statistics)),
+           st.sampled_from(list(CouplingMode)), st.data())
+    def check(N, statistics, mode, data):
+        site = data.draw(st.integers(0, N - 1), label="site")
+        flavor = data.draw(st.integers(0, 1), label="flavor")
+        p = XXZParams(N=N)
+        H = build_xxz_bosonized(p, mode, statistics)
+        assert H == _xxz_oracle(p, mode, statistics)
+        ref = xxz_commutator_reference(p, site, mode, statistics=statistics)
+        assert ref == _xxz_reference_oracle(p, site, mode, False, statistics)
+        assert derive_eom(H, site) == ref
+        ph = HubbardParams(N=N)
+        for part, build, oracle in (
+            ("hop", build_hubbard_hop, _hubbard_hop_oracle),
+            ("interaction", build_hubbard_interaction, _hubbard_interaction_oracle),
+        ):
+            H = build(ph, statistics)
+            assert H == oracle(ph, statistics)
+            ref = hubbard_commutator_reference(ph, site, flavor, part, statistics)
+            assert ref == _hubbard_reference_oracle(ph, site, flavor, part, statistics)
+            assert derive_eom(H, site, flavor) == ref
+
+    check()
+
+
+def test_derive_eom_names_a_missing_site_before_a_missing_flavor():
+    for stats in Statistics:
+        alg = Algebra(stats)
+        # site 0 holds only flavor 1 and site 1 only flavor 0; odd words under Fermi
+        H = alg.number(0, 1) + alg.number(1, 0) + alg.a(1)
+        with pytest.raises(ValueError, match="^site 5 does not occur in the Hamiltonian$"):
+            derive_eom(H, 5, flavor=3)
+        with pytest.raises(ValueError, match="^flavor 3 does not occur in the Hamiltonian$"):
+            derive_eom(H, 0, flavor=3)
+        with pytest.raises(ValueError, match="^site 0 does not occur"):
+            derive_eom(alg.scalar(2), 0)
+        # site 0 and flavor 0 both occur, though no word holds the mode (0, 0)
+        assert derive_eom(H, 0) == H.commutator(alg.a(0))
+
+
 def test_eom_matches_reference_expanded_mode():
     p = XXZParams(N=5)
     H = build_xxz_bosonized(p, CouplingMode.EXPANDED)
@@ -237,6 +345,9 @@ def test_statistics_independence_report():
     assert rep.linear_equal
     # the quartic sector picks up Fermi signs; record whatever it says
     assert rep.cubic_diff is not None
+    # a caller's own Bose equation of motion gives the same report
+    eb = derive_eom(build_xxz_bosonized(p, CouplingMode.SYMBOLIC, Statistics.BOSE), p.N // 2)
+    assert verify_statistics_independence(p, bose_eom=eb) == rep
 
 
 def test_jordan_wigner_identity():

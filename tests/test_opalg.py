@@ -7,7 +7,6 @@ from gpchain.coeffs import ParamCoeff
 from gpchain.opalg import (
     Algebra,
     LadderOp,
-    OperatorExpr,
     Statistics,
 )
 
