@@ -414,9 +414,6 @@ class ParamCoeff(TermSum):
 
     # -- queries ------------------------------------------------------
 
-    def is_constant(self) -> bool:
-        return all(m == () for m in self._terms)
-
     def parameters(self) -> frozenset:
         """Names of the parameters: those in this coefficient's own keys."""
         return frozenset(n for mono in self._terms for n, _ in mono)

@@ -93,16 +93,21 @@ def _cubic_rhs(grid: Grid1D, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     D is the 2/3-rule dealias filter (the identity when dealias is
     False).  u may be one field of shape (M,) or R independent fields of
     shape (R, M); each coefficient is a scalar or holds one value per
-    row.  u is transformed once, the nonlinear terms are summed in
-    physical space and filtered together (the mask is linear), and the
-    linear part is applied in spectral space: five FFTs per evaluation,
-    three when grad = pair = 0.
+    row.  The nonlinear terms are summed in physical space and filtered
+    together (the mask is linear), and the linear part is applied in
+    spectral space.  u_x and u_xx do not depend on each other, so they
+    share one ifft over a stacked (2, ..., M) array, whose rows come out
+    bit-identical to separate calls.  That is one call per dependent
+    stage: four FFTs per evaluation with gradients, three when
+    grad = pair = 0, and one fewer without dealiasing.
     """
     scale, lin, d2, cubic, grad, pair = (
         _per_row(c) for c in (scale, lin, d2, cubic, grad, pair))
     gradients = bool(np.any(grad != 0) or np.any(pair != 0))
-    ik = 1j * grid.k
     minus_k2 = -grid.k ** 2
+    # i k and -k^2 as one complex (2, M) array; the cast to complex is the
+    # one the product with a complex spectrum would make
+    derivs = np.stack([1j * grid.k, minus_k2])
     lin_hat = scale * (lin + d2 * minus_k2)
     c_cubic, c_grad, c_pair = scale * cubic, scale * grad, 2.0 * scale * pair
     sV = None if V is None else scale * np.asarray(V, dtype=float)
@@ -112,11 +117,10 @@ def _cubic_rhs(grid: Grid1D, scale, lin, d2, cubic, grad=0.0, pair=0.0,
         uh = np.fft.fft(u)
         nl = c_cubic * (u.real ** 2 + u.imag ** 2) * u
         if gradients:
-            u_x = np.fft.ifft(ik * uh)
-            u_xx = np.fft.ifft(minus_k2 * uh)
-            nl = nl + c_grad * (u_x.real ** 2 + u_x.imag ** 2) * u
+            u_x, u_xx = np.fft.ifft((derivs if u.ndim == 1 else derivs[:, None]) * uh)
+            nl += c_grad * (u_x.real ** 2 + u_x.imag ** 2) * u
             # u* u_xx + u u*_xx is real: twice Re(u* u_xx)
-            nl = nl + c_pair * (u.real * u_xx.real + u.imag * u_xx.imag)
+            nl += c_pair * (u.real * u_xx.real + u.imag * u_xx.imag)
         if mask is None:
             du = np.fft.ifft(lin_hat * uh) + nl
         else:

@@ -52,6 +52,36 @@ def test_verify_derivation_matches_golden_text(tmp_path, golden, payload):
             assert (tmp_path / "v" / name).read_bytes() == fh.read(), name
 
 
+_PRECURSOR = {
+    "equation": "precursor", "model": {"N": 8, "J0": 1.0, "R0": 2.0, "s": 40.0},
+    "grid": {"L": 25.0, "M": 64}, "integrator": {"dt": 0.001, "t_end": 0.05},
+    "initial": {"profile": "gaussian", "amplitude": 0.8, "width": 2.0},
+}
+_CONTINUUM_LIMIT = {
+    "model": {"N": 8, "J0": 1.0, "R0": 2.0, "s": 1.0},
+    "study": {"kind": "continuum-limit", "sizes": [32, 64], "grid_refine": 4,
+              "t_end": 0.1, "dt": 0.001, "profile": "gaussian", "amplitude": 0.8,
+              "width": 2.0, "slope_min": 1.0, "slope_max": 3.0},
+}
+
+
+@pytest.mark.parametrize("golden, command, payload, names", [
+    ("precursor_eps1", "simulate", dict(_PRECURSOR, dispersive_scale=1.0),
+     ("field.csv", "run_summary.json")),
+    ("precursor_eps0", "simulate", dict(_PRECURSOR, dispersive_scale=0.0),
+     ("field.csv", "run_summary.json")),
+    ("continuum_limit", "study", _CONTINUUM_LIMIT, ("study.csv", "study_summary.json")),
+])
+def test_continuum_outputs_match_golden_bytes(tmp_path, golden, command, payload, names):
+    # the spectral RHS with and without its gradient terms, and the lattice
+    # against the pretransform grid, as an earlier version wrote them
+    out = tmp_path / "o"
+    assert main([command, "--config", _write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+    for name in names:
+        with open(os.path.join(GOLDEN, golden, name), "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name
+
+
 def test_verify_detects_tampered_hamiltonian(tmp_path, monkeypatch):
     real = models.build_xxz_bosonized
     monkeypatch.setattr(

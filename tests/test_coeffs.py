@@ -28,7 +28,6 @@ def test_rational_complex_coerce_and_to_complex():
 
 def test_param_coeff_constructors():
     assert ParamCoeff.zero().is_zero()
-    assert ParamCoeff.one().is_constant()
     assert ParamCoeff.rational(1, 2) + ParamCoeff.rational(1, 2) == ParamCoeff.one()
     assert ParamCoeff.i() * ParamCoeff.i() == ParamCoeff.rational(-1)
     s = ParamCoeff.symbol("s")

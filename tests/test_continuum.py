@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from gpchain import continuum
 from gpchain.continuum import (
     Grid1D,
     continuum_observables,
@@ -409,6 +412,137 @@ def test_fused_rows_are_independent_fields():
         _assert_agrees(got, _oracle_precursor(g, **kw)(0.0, row))
     with pytest.raises(ValueError):
         precursor_rhs_factory(g, A=[0.9, 0.0], B=[1.0, 1.0])
+
+
+# Byte-level oracle: the fused RHS as it was before u_x and u_xx shared one
+# ifft call, five calls per evaluation with gradients and three without.
+
+def _five_call_cubic_rhs(grid, scale, lin, d2, cubic, grad=0.0, pair=0.0,
+                         V=None, dealias=True):
+    scale, lin, d2, cubic, grad, pair = (
+        continuum._per_row(c) for c in (scale, lin, d2, cubic, grad, pair))
+    gradients = bool(np.any(grad != 0) or np.any(pair != 0))
+    ik = 1j * grid.k
+    minus_k2 = -grid.k ** 2
+    lin_hat = scale * (lin + d2 * minus_k2)
+    c_cubic, c_grad, c_pair = scale * cubic, scale * grad, 2.0 * scale * pair
+    sV = None if V is None else scale * np.asarray(V, dtype=float)
+    mask = grid.dealias_mask().astype(float) if dealias else None
+
+    def f(t, u):
+        uh = np.fft.fft(u)
+        nl = c_cubic * (u.real ** 2 + u.imag ** 2) * u
+        if gradients:
+            u_x = np.fft.ifft(ik * uh)
+            u_xx = np.fft.ifft(minus_k2 * uh)
+            nl = nl + c_grad * (u_x.real ** 2 + u_x.imag ** 2) * u
+            nl = nl + c_pair * (u.real * u_xx.real + u.imag * u_xx.imag)
+        if mask is None:
+            du = np.fft.ifft(lin_hat * uh) + nl
+        else:
+            du = np.fft.ifft(lin_hat * uh + mask * np.fft.fft(nl))
+        if sV is not None:
+            du = du - sV * u
+        return du
+
+    return f
+
+
+def _rhs_pair(monkeypatch, factory, *args, **kw):
+    """The factory's RHS, and the same factory's RHS over the five-call body."""
+    got = factory(*args, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(continuum, "_cubic_rhs", _five_call_cubic_rhs)
+        want = factory(*args, **kw)
+    return got, want
+
+
+def _rhs_cases(g, rows, with_V, dealias):
+    """(factory, args, kwargs) for every spectral RHS on one grid."""
+    V = 0.2 * np.sin(2 * np.pi * g.xs / g.L) if with_V else None
+    A, B = (0.9, 1.1) if rows is None else ([0.9, 0.5, 1.7], [1.1, 2.0, 0.8])
+    pre = dict(V=V, r1_over_r0=0.4, x_xi=0.3, dealias=dealias)
+    p = XXZParams(N=32, J0=0.9, J1=0.2, R0=0.7, R1=0.1, s=1.4, x_xi=0.3,
+                  hbar=0.9, h=0.25 if with_V else 0.0)
+    h = None if V is None else 0.25 + V
+    return [
+        (precursor_rhs_factory, (g, A, B), dict(pre, dispersive_scale=0.0)),
+        (precursor_rhs_factory, (g, A, B), dict(pre, dispersive_scale=1.0)),
+        (gp_rhs_factory, (g,), dict(V=V, linear_offset=0.7, dealias=dealias)),
+        (pretransform_rhs_factory, (p, g),
+         dict(spacing=0.5, h_values=h, dealias=dealias)),
+    ]
+
+
+def _field(g, rows, seed):
+    if rows is None:
+        return _test_field(g, seed)
+    return np.stack([_test_field(g, seed + r) for r in range(rows)])
+
+
+@pytest.mark.parametrize("M", [16, 64, 256])
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("with_V", [False, True])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_stacked_rhs_bytes_match_five_call_oracle(monkeypatch, M, rows, with_V, dealias):
+    g = Grid1D(L=25.0, M=M)
+    u = _field(g, rows, 11)
+    for factory, args, kw in _rhs_cases(g, rows, with_V, dealias):
+        got, want = _rhs_pair(monkeypatch, factory, *args, **kw)
+        assert got(0.0, u).tobytes() == want(0.0, u).tobytes(), (factory.__name__, kw)
+
+
+def test_stacked_rhs_bytes_property(monkeypatch):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 8), st.sampled_from([None, 1, 2, 5]),
+           st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def check(log2_M, rows, seed, with_V, dealias):
+        rng = np.random.default_rng(seed)
+        g = Grid1D(L=float(rng.uniform(5.0, 40.0)), M=2 ** log2_M)
+        shape = (g.M,) if rows is None else (rows, g.M)
+        u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        per_row = (lambda lo, hi: float(rng.uniform(lo, hi))) if rows is None else (
+            lambda lo, hi: rng.uniform(lo, hi, size=rows))
+        V = rng.normal(size=g.M) if with_V else None
+        got, want = _rhs_pair(
+            monkeypatch, precursor_rhs_factory, g, per_row(0.2, 3.0), per_row(0.2, 3.0),
+            V=V, r1_over_r0=per_row(-1.0, 1.0), x_xi=float(rng.normal()),
+            dispersive_scale=rng.choice([0.0, float(rng.uniform(0.0, 2.0))]),
+            dealias=dealias)
+        assert got(0.0, u).tobytes() == want(0.0, u).tobytes()
+
+    check()
+
+
+@pytest.mark.parametrize("dealias, eps, calls", [
+    (True, 1.0, 4), (False, 1.0, 3), (True, 0.0, 3), (False, 0.0, 2),
+])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_rhs_makes_one_fft_call_per_dependent_stage(monkeypatch, dealias, eps, calls,
+                                                    rows):
+    counted = []
+
+    def counting(fn):
+        def call(*args, **kwargs):
+            counted.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    fft = SimpleNamespace(**vars(np.fft))
+    fft.fft, fft.ifft = counting(np.fft.fft), counting(np.fft.ifft)
+    monkeypatch.setattr(continuum, "np", SimpleNamespace(**dict(vars(np), fft=fft)))
+    g = Grid1D(L=25.0, M=64)
+    A, B = (0.9, 1.1) if rows is None else ([0.9, 0.5, 1.7], [1.1, 2.0, 0.8])
+    f = precursor_rhs_factory(g, A, B, r1_over_r0=0.4, x_xi=0.3,
+                              dispersive_scale=eps, dealias=dealias)
+    u = _field(g, rows, 12)
+    del counted[:]
+    for _ in range(3):
+        f(0.0, u)
+    assert len(counted) == 3 * calls
 
 
 def test_grid_arrays_cached_read_only():
