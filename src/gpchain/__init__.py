@@ -4,7 +4,8 @@ The pipeline runs from exact ladder-operator algebra (opalg, fock),
 through the classical field equations it induces (symbolmap, models,
 latticedyn), to spectral continuum solvers and convergence studies
 (continuum, limitlab).  `textform` parses the str() text of expressions;
-`cli` exposes the whole thing as the `gpchain` command.
+`cli` exposes the whole thing as the `gpchain` command, and `csvout` makes
+the text of its CSV numbers.
 """
 
 from .coeffs import ParamCoeff, RationalComplex

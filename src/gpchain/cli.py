@@ -18,15 +18,28 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import config as config_mod
-from . import continuum, fock, integrators, latticedyn, limitlab, models, symbolmap
+from . import (continuum, csvout, fock, integrators, latticedyn, limitlab, models,
+               symbolmap)
 from .config import ConfigError
 from .models import CouplingMode, Statistics
 from .opalg import Algebra
 
 
+def _finite_or_null(value):
+    """value with each non-finite float in it made None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
+    """Strict JSON (RFC 8259): NaN and infinities are written as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -35,9 +48,9 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header, blocks) -> None:
-    """Write the header line, then each block of finished CSV lines."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    """Write the header line, then each block of finished CSV lines (bytes)."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         fh.writelines(blocks)
 
 
@@ -197,35 +210,46 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
 
 # -------------------------------------------------------- simulate command
 
-def _row_values(snap, lead=None):
-    """The %-arguments of one snapshot's rows: [lead,] re, im per value."""
-    flat = np.ravel(snap)
-    re, im = flat.real.tolist(), flat.imag.tolist()
-    width = 2 if lead is None else 3
-    args = [lead] * (width * len(re))
-    args[width - 2::width] = re
-    args[width - 1::width] = im
-    return tuple(args)
+# floats (re and im) formatted per block of trajectory rows; a block holds whole
+# snapshots, at least one.  It bounds csvout's temporary arrays, while larger
+# blocks spread numpy's per-call cost over more values.
+_BLOCK_VALUES = 2048
+
+
+def _lines(lead, mid, values):
+    """CSV lines lead mid re,im, one per complex value, as bytes."""
+    cells = csvout.format_g17(np.concatenate([values.real, values.imag]))
+    return csvout.lines(lead, mid, cells[:values.size], b",", cells[values.size:], b"\n")
 
 
 def _trajectory_output(times, states):
     """Every snapshot, one row per time, site and flavor."""
     nflavors, nsites = np.shape(states[0])
-    template = "".join(
-        f"%s,{site},{flavor},%.17g,%.17g\n"
-        for flavor in range(nflavors) for site in range(nsites))
-    blocks = (template % _row_values(snap, _fmt(t)) for t, snap in zip(times, states))
-    return "trajectory.csv", ("time", "site", "flavor", "re", "im"), blocks
+    rows = nflavors * nsites
+    mid = csvout.cells(f",{site},{flavor}," for flavor in range(nflavors)
+                       for site in range(nsites))
+    stamps = csvout.format_g17(times)
+    step = max(1, _BLOCK_VALUES // (2 * rows))
+
+    def blocks():
+        for first in range(0, len(times), step):
+            snaps = np.asarray(states[first:first + step]).ravel()
+            count = snaps.size // rows
+            yield _lines(np.repeat(stamps[first:first + count], rows, axis=0),
+                         np.tile(mid, (count, 1)), snaps)
+
+    return "trajectory.csv", ("time", "site", "flavor", "re", "im"), blocks()
 
 
 def _field_output(grid):
     """Only the final field, one block of rows per flavor."""
     def output(times, states):
         final = np.atleast_2d(states[-1])
-        template = "".join(
-            f"{_fmt(xi)},{flavor},%.17g,%.17g\n"
-            for flavor in range(len(final)) for xi in grid.xs)
-        return "field.csv", ("xi", "flavor", "re", "im"), [template % _row_values(final)]
+        nflavors = len(final)
+        lead = np.tile(csvout.format_g17(grid.xs), (nflavors, 1))
+        mid = np.repeat(csvout.cells(f",{flavor}," for flavor in range(nflavors)),
+                        grid.M, axis=0)
+        return "field.csv", ("xi", "flavor", "re", "im"), [_lines(lead, mid, final.ravel())]
 
     return output
 
@@ -236,7 +260,7 @@ class _Simulation(NamedTuple):
     y0: np.ndarray  # (F, N) on the lattice, (M,) or (2, M) on a grid
     advance: Callable  # RHS f(t, y); with scheme strang, a step(t, y, h)
     observe: Callable  # state -> dict of observables
-    output: Callable  # (times, states) -> (file name, header, text blocks)
+    output: Callable  # (times, states) -> (file name, header, blocks of CSV bytes)
     extra: dict = None  # further run_summary.json entries
 
 
@@ -352,8 +376,9 @@ def _run_simulate(cfg: dict, out_dir: str) -> int:
     except integrators.IntegrationError as exc:
         summary.update(status="failed", failure=str(exc))
         times, states = exc.times, exc.states  # the snapshots so far
-    summary["initial_observables"] = sim.observe(sim.y0)
-    summary["final_observables"] = sim.observe(states[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a blown-up state gives inf or nan
+        summary["initial_observables"] = sim.observe(sim.y0)
+        summary["final_observables"] = sim.observe(states[-1])
     name, header, blocks = sim.output(times, states)
     _write_csv(os.path.join(out_dir, name), header, blocks)
     _write_json(os.path.join(out_dir, "run_summary.json"), summary)
@@ -397,7 +422,7 @@ def _run_study(cfg: dict, out_dir: str) -> int:
                                             band, False)
 
     _write_csv(os.path.join(out_dir, "study.csv"), header,
-               [",".join(row(pt)) + "\n" for pt in report.points])
+               [(",".join(row(pt)) + "\n").encode() for pt in report.points])
     _write_json(
         os.path.join(out_dir, "study_summary.json"),
         {

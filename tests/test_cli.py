@@ -223,6 +223,14 @@ def test_simulate_coupled_gp(tmp_path):
                    - summary["initial_observables"][key]) < 1e-10
 
 
+def _strict_json(path):
+    """The JSON in path, refusing NaN and Infinity as RFC 8259 does."""
+    def reject(name):
+        raise ValueError(f"{path.name}: {name} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_simulate_blowup_reports_failure(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "equation": "xxz-lattice",
@@ -232,11 +240,22 @@ def test_simulate_blowup_reports_failure(tmp_path):
     })
     out = tmp_path / "boom"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
-    summary = json.loads((out / "run_summary.json").read_text())
+    summary = _strict_json(out / "run_summary.json")
     assert summary["status"] == "failed"
     assert "non-finite" in summary["failure"]
     # the trajectory still holds the last finite snapshot
     assert (out / "trajectory.csv").read_text().count("\n") >= 1 + 8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blown_up_observables_are_null(tmp_path):
+    # the last snapshot is finite, near 1e178, but its norm and energy overflow
+    out = tmp_path / "boom"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, _BYTE_RUNS["blowup"][1]),
+                 "--out", str(out)]) == 1
+    summary = _strict_json(out / "run_summary.json")
+    assert summary["final_observables"] == {"energy": None, "norm": None}
+    assert summary["initial_observables"] == {"energy": -50000008.0, "norm": 20000.0}
 
 
 def test_study_truncation_cli(tmp_path):
@@ -254,6 +273,23 @@ def test_study_truncation_cli(tmp_path):
     summary = json.loads((out / "study_summary.json").read_text())
     assert summary["passed"] is True
     assert 0.7 <= summary["slope"] <= 1.3
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_study_without_a_slope_writes_strict_json(tmp_path):
+    # a zero profile has zero error at every size, so the log-log slope is NaN
+    cfg = _write_cfg(tmp_path, {
+        "model": {"N": 8, "J0": 1.0, "R0": 2.0, "s": 1.0},
+        "study": {"kind": "continuum-limit", "sizes": [32, 64], "grid_refine": 2,
+                  "t_end": 0.01, "dt": 0.001, "profile": "zero"},
+    })
+    out = tmp_path / "flat"
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 1
+    summary = _strict_json(out / "study_summary.json")
+    assert summary["slope"] is None and summary["slope_stderr"] is None
+    assert summary["passed"] is False
+    assert [pt["error"] for pt in summary["points"]] == [0.0, 0.0]
 
 
 def test_study_continuum_limit_cli(tmp_path):
@@ -639,6 +675,31 @@ def test_csv_bytes_match_row_oracle(tmp_path, monkeypatch, name):
     else:
         assert len(times) >= 2
         assert (out / "trajectory.csv").read_bytes() == _oracle_trajectory(times, states)
+
+
+_HUBBARD_RK45 = {
+    "equation": "hubbard-lattice",
+    "model": {"family": "hubbard", "N": 16, "t": 1.0, "U": 2.0},
+    "integrator": {"dt": 0.01, "t_end": 0.3, "scheme": "rk45", "tolerance": 1e-8,
+                   "snapshot_every": 1},
+    "initial": {"profile": "gaussian", "amplitude": 0.8, "width": 1.5, "center": 6.0},
+    "initial2": {"profile": "gaussian", "amplitude": 0.6, "width": 1.5, "center": 10.0},
+}
+
+
+@pytest.mark.parametrize("golden, rc, payload", [
+    ("hubbard_lattice_rk45", 0, _HUBBARD_RK45),
+    ("xxz_blowup", *_BYTE_RUNS["blowup"]),
+])
+def test_trajectories_match_golden_bytes(tmp_path, golden, rc, payload):
+    # the row oracle above checks the formatter against "%.17g" within one
+    # version; these files, written by an earlier version, pin the bytes
+    # across versions: dense RK45 snapshots whose gaussian tails print in
+    # e-notation, and a blow-up with three-digit exponents
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, payload), "--out", str(out)]) == rc
+    with open(os.path.join(GOLDEN, golden, "trajectory.csv"), "rb") as fh:
+        assert (out / "trajectory.csv").read_bytes() == fh.read()
 
 
 # ------------------------------------------------- potentials on the grid
