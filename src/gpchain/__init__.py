@@ -12,6 +12,7 @@ from .coeffs import ParamCoeff, RationalComplex
 from .continuum import Grid1D
 from .limitlab import (
     DegenerateTransformError,
+    StudyError,
     TransformCoefficients,
     compute_transform,
     lattice_vs_continuum,
@@ -44,6 +45,7 @@ __all__ = [
     "ParamCoeff",
     "RationalComplex",
     "Statistics",
+    "StudyError",
     "TransformCoefficients",
     "XXZParams",
     "build_hubbard",

@@ -257,7 +257,7 @@ def _field_output(grid):
 class _Simulation(NamedTuple):
     """What one equation brings to a simulate run."""
 
-    y0: np.ndarray  # (F, N) on the lattice, (M,) or (2, M) on a grid
+    y0: np.ndarray  # (F, N) on the lattice, (M,) or (2, M) on a grid, or fft(u0)
     advance: Callable  # RHS f(t, y); with scheme strang, a step(t, y, h)
     observe: Callable  # state -> dict of observables
     output: Callable  # (times, states) -> (file name, header, blocks of CSV bytes)
@@ -296,14 +296,22 @@ def _gp_observer(grid, V):
     return lambda u: continuum.continuum_observables(u, grid, V=V)
 
 
+def _spectral(u0, rhs, observe, grid, extra=None):
+    """A run that steps the spectrum fft(u0) and observes and writes the field."""
+    output = _field_output(grid)
+    return _Simulation(
+        np.fft.fft(u0), rhs, lambda uh: observe(np.fft.ifft(uh)),
+        lambda times, states: output(times, [np.fft.ifft(states[-1])]), extra)
+
+
 def _pretransform(cfg, p):
     grid, u0, V = _grid_setup(cfg)
     rhs = continuum.pretransform_rhs_factory(
         p, grid, spacing=float(cfg["spacing"]), h_values=V)
-    return _Simulation(u0, rhs, lambda u: {
+    return _spectral(u0, rhs, lambda u: {
         "norm": continuum.gp_norm(u, grid),
         "momentum": continuum.gp_momentum(u, grid),
-    }, _field_output(grid))
+    }, grid)
 
 
 def _precursor(cfg, p):
@@ -315,8 +323,7 @@ def _precursor(cfg, p):
         dispersive_scale=float(cfg["dispersive_scale"]),
     )
     transform = {"A": A, "B": B, "time_scale": float(tc.time_scale)}
-    return _Simulation(u0, rhs, _gp_observer(grid, V), _field_output(grid),
-                       {"transform": transform})
+    return _spectral(u0, rhs, _gp_observer(grid, V), grid, {"transform": transform})
 
 
 def _gp(cfg, p):
@@ -415,7 +422,7 @@ def _run_study(cfg: dict, out_dir: str) -> int:
             else (_fmt(pt["s"]), _fmt(pt["rho"]), _fmt(pt["error"]), "0"))
     try:
         report = run()
-    except limitlab.DegenerateTransformError as exc:
+    except limitlab.StudyError as exc:
         # no slope to fit: the summary still records the points
         print(f"error: {exc}", file=sys.stderr)
         report = limitlab.ConvergenceReport(kind, [], [], None, None, exc.points,

@@ -13,8 +13,10 @@ equation, all on a periodic interval of length L:
       with RK4 or by a norm-preserving Strang split step.
 
 All three belong to one cubic-dispersive family and share one fused
-RHS, which also evolves the rows of an (R, M) array as independent
-fields, so a batch of runs on one grid makes one integration.
+RHS.  It acts on the Fourier coefficients fft(u), so an RK4 or RK45
+run steps the spectrum and transforms only at its two ends.  It also
+evolves the rows of an (R, M) array as independent fields, so a batch
+of runs on one grid makes one integration.
 
 The GP equation and the coupled two-flavor equation also have Strang
 split steps on plain arrays, both through one row-batched kernel.
@@ -84,57 +86,66 @@ def _per_row(c):
 
 def _cubic_rhs(grid: Grid1D, scale, lin, d2, cubic, grad=0.0, pair=0.0,
                V=None, dealias: bool = True):
-    """du/dt for the cubic-dispersive family shared by every spectral RHS:
+    """F(t, uh) = d(uh)/dt for the cubic-dispersive family shared by every
+    spectral RHS, acting on the Fourier coefficients uh = fft(u) of
 
         du/dt = scale [ (lin - V) u + d2 u_xx
                         + D( cubic |u|^2 u + grad |u_x|^2 u
                              + pair (u* u_xx + u u*_xx) ) ]
 
     D is the 2/3-rule dealias filter (the identity when dealias is
-    False).  u may be one field of shape (M,) or R independent fields of
-    shape (R, M); each coefficient is a scalar or holds one value per
-    row.  The nonlinear terms are summed in physical space and filtered
-    together (the mask is linear), and the linear part is applied in
-    spectral space.  u_x and u_xx do not depend on each other, so they
-    share one ifft over a stacked (2, ..., M) array, whose rows come out
-    bit-identical to separate calls.  That is one call per dependent
-    stage: four FFTs per evaluation with gradients, three when
-    grad = pair = 0, and one fewer without dealiasing.
+    False); the potential term is not filtered.  uh may be one spectrum
+    of shape (M,) or R independent spectra of shape (R, M); each
+    coefficient is a scalar or holds one value per row.  The linear part
+    acts on uh directly.  One ifft over the stacked [1, i k, -k^2] uh
+    (plain uh when grad = pair = 0) gives u, u_x and u_xx; the nonlinear
+    terms are summed in physical space, and one fft brings them back:
+    of the stacked [nl, V u] when both are set and nl is filtered, of
+    nl - V u or nl alone otherwise.  That is two FFT calls per
+    evaluation in every case, so an integrator stepping uh leaves
+    physical space only to form the nonlinear products.
     """
     scale, lin, d2, cubic, grad, pair = (
         _per_row(c) for c in (scale, lin, d2, cubic, grad, pair))
     gradients = bool(np.any(grad != 0) or np.any(pair != 0))
     minus_k2 = -grid.k ** 2
-    # i k and -k^2 as one complex (2, M) array; the cast to complex is the
-    # one the product with a complex spectrum would make
-    derivs = np.stack([1j * grid.k, minus_k2])
+    # 1, i k and -k^2 as one complex (3, M) array: rows u, u_x and u_xx
+    derivs = np.stack([np.ones(grid.M), 1j * grid.k, minus_k2])
     lin_hat = scale * (lin + d2 * minus_k2)
-    c_cubic, c_grad, c_pair = scale * cubic, scale * grad, 2.0 * scale * pair
-    sV = None if V is None else scale * np.asarray(V, dtype=float)
-    mask = grid.dealias_mask().astype(float) if dealias else None
+    # the nonlinear sum is formed with its real coefficients; scale and
+    # the filter act on its spectrum
+    back = scale * grid.dealias_mask() if dealias else scale
+    two_pair = 2.0 * pair
+    Varr = None if V is None else np.asarray(V, dtype=float)
 
-    def f(t, u):
-        uh = np.fft.fft(u)
-        nl = c_cubic * (u.real ** 2 + u.imag ** 2) * u
+    def f(t, uh):
         if gradients:
-            u_x, u_xx = np.fft.ifft((derivs if u.ndim == 1 else derivs[:, None]) * uh)
-            nl += c_grad * (u_x.real ** 2 + u_x.imag ** 2) * u
-            # u* u_xx + u u*_xx is real: twice Re(u* u_xx)
-            nl += c_pair * (u.real * u_xx.real + u.imag * u_xx.imag)
-        if mask is None:
-            du = np.fft.ifft(lin_hat * uh) + nl
+            u, u_x, u_xx = np.fft.ifft((derivs if uh.ndim == 1 else derivs[:, None]) * uh)
         else:
-            du = np.fft.ifft(lin_hat * uh + mask * np.fft.fft(nl))
-        if sV is not None:
-            du = du - sV * u
-        return du
+            u = np.fft.ifft(uh)
+        weight = cubic * (u.real ** 2 + u.imag ** 2)
+        if gradients:
+            weight += grad * (u_x.real ** 2 + u_x.imag ** 2)
+        nl = weight * u
+        if gradients:
+            # u* u_xx + u u*_xx is real: twice Re(u* u_xx)
+            nl += two_pair * (u.real * u_xx.real + u.imag * u_xx.imag)
+        if Varr is None:
+            return lin_hat * uh + back * np.fft.fft(nl)
+        if not dealias:
+            return lin_hat * uh + back * np.fft.fft(nl - Varr * u)
+        nl_hat, v_hat = np.fft.fft(np.stack([nl, Varr * u]))
+        return lin_hat * uh + back * nl_hat - scale * v_hat
 
     return f
 
 
 def gp_rhs_factory(grid: Grid1D, V=None, linear_offset: float = 1.0,
                    dealias: bool = True):
-    """du/dt for  i u_t = offset*u - u_xx - |u|^2 u - V u."""
+    """F(t, uh) = d(uh)/dt, uh = fft(u), for
+
+        i u_t = offset*u - u_xx - |u|^2 u - V u
+    """
     return _cubic_rhs(grid, -1j, linear_offset, -1.0, -1.0, V=V, dealias=dealias)
 
 
@@ -191,7 +202,8 @@ def gp_momentum(values, grid: Grid1D) -> float:
 
 def pretransform_rhs_factory(p: XXZParams, grid: Grid1D, spacing: float = 1.0,
                              h_values=None, dealias: bool = True):
-    """du/dt for the continuum limit of the lattice equation, term by term:
+    """F(t, uh) = d(uh)/dt, uh = fft(u), for the continuum limit of the
+    lattice equation, term by term:
 
         i hbar u_t = (-2 J0 + 2 R0) s u - s J0 c^2 u_xx
                      + 2 J1 s x_xi u - 2 R1 s x_xi u
@@ -227,7 +239,8 @@ def pretransform_rhs_factory(p: XXZParams, grid: Grid1D, spacing: float = 1.0,
 
 def precursor_rhs_factory(grid: Grid1D, A, B, V=None, r1_over_r0=0.0,
                           x_xi=0.0, dispersive_scale=1.0, dealias: bool = True):
-    """du/dt for the rescaled equation with its dispersive remainder:
+    """F(t, uh) = d(uh)/dt, uh = fft(u), for the rescaled equation with its
+    dispersive remainder:
 
         i u_t = u - u_xx - |u|^2 u
                 + eps [ (R1/R0) B^-1 x_xi |u|^2 u - B^-2 |u_x|^2 u
@@ -236,7 +249,7 @@ def precursor_rhs_factory(grid: Grid1D, A, B, V=None, r1_over_r0=0.0,
 
     eps = dispersive_scale; eps = 0 reduces to the GP right-hand side.
     A, B, r1_over_r0, x_xi and eps may each hold one value per row of
-    an (R, M) field, whose rows then evolve independently.
+    an (R, M) spectrum, whose rows then evolve independently.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)

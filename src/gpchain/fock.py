@@ -7,7 +7,7 @@ fermions and away from the truncation edge for bosons.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -42,24 +42,31 @@ def ladder_matrices(
 
     `cutoff` is the largest bosonic occupation kept, so the local dimension
     is cutoff+1.  Fermions use local dimension 2 with Jordan-Wigner sign
-    strings, which makes the fermionic realization exact.
+    strings, which makes the fermionic realization exact.  The matrices
+    are fresh copies the caller may write into.
     """
+    return [a.copy() for a in _ladders(nsites, cutoff, statistics, nflavors)]
+
+
+@lru_cache(maxsize=8)
+def _ladders(nsites: int, cutoff: int, statistics: Statistics,
+             nflavors: int) -> tuple:
+    """ladder_matrices, built once per argument set; the arrays are read-only."""
     nmodes = nflavors * nsites
     if statistics is Statistics.FERMI:
         sm = np.array([[0.0, 1.0], [0.0, 0.0]])
         z = np.diag([1.0, -1.0])
         eye = np.eye(2)
-        out = []
-        for m in range(nmodes):
-            out.append(_kron_chain([z] * m + [sm] + [eye] * (nmodes - m - 1)))
-        return out
-    if cutoff < 1:
-        raise ValueError("bosonic cutoff must be at least 1")
-    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
-    eye = np.eye(cutoff + 1)
-    out = []
-    for m in range(nmodes):
-        out.append(_kron_chain([eye] * m + [a] + [eye] * (nmodes - m - 1)))
+        factors = [[z] * m + [sm] + [eye] * (nmodes - m - 1) for m in range(nmodes)]
+    else:
+        if cutoff < 1:
+            raise ValueError("bosonic cutoff must be at least 1")
+        a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
+        eye = np.eye(cutoff + 1)
+        factors = [[eye] * m + [a] + [eye] * (nmodes - m - 1) for m in range(nmodes)]
+    out = tuple(_kron_chain(f) for f in factors)
+    for mat in out:
+        mat.flags.writeable = False
     return out
 
 
@@ -89,7 +96,7 @@ def to_matrix(
     for f in expr.flavors():
         if not 0 <= f < nflavors:
             raise ValueError(f"flavor {f} outside [0, {nflavors})")
-    ann = ladder_matrices(nsites, cutoff, expr.statistics, nflavors)
+    ann = _ladders(nsites, cutoff, expr.statistics, nflavors)
     dim = ann[0].shape[0] if ann else 1
     mat = np.zeros((dim, dim), dtype=complex)
     eye = np.eye(dim)

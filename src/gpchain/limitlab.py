@@ -19,12 +19,16 @@ from . import continuum, integrators, latticedyn
 from .models import XXZParams
 
 
-class DegenerateTransformError(ValueError):
-    """The rescaling does not exist; a study stopped by it carries its points."""
+class StudyError(ValueError):
+    """A study has no slope to report; it carries the points it recorded."""
 
     def __init__(self, message, points=()):
         super().__init__(message)
         self.points = list(points)
+
+
+class DegenerateTransformError(StudyError):
+    """The rescaling does not exist."""
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,20 @@ class ConvergenceReport:
 
 
 def fit_loglog(xs, errors):
-    """Least-squares slope of log(error) vs log(x), with its standard error."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(errors, dtype=float))
+    """Least-squares slope of log(error) vs log(x), with its standard error.
+
+    Every error must be positive and finite; a ValueError names the
+    ones that are not.
+    """
+    xs = np.asarray(xs, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    bad = [f"{e!r} at x = {x!r}" for x, e in zip(xs.tolist(), errors.tolist())
+           if not (math.isfinite(e) and e > 0)]
+    if bad:
+        raise ValueError("no log-log slope: errors must be positive and finite, got "
+                         + ", ".join(bad))
+    lx = np.log(xs)
+    ly = np.log(errors)
     if len(lx) < 2:
         raise ValueError("need at least two points for a slope")
     mx = lx.mean()
@@ -130,7 +145,10 @@ def fit_loglog(xs, errors):
 def _finish_report(label, xs, errors, points, band):
     xs = np.asarray(xs, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    slope, stderr = fit_loglog(xs, errors)
+    try:
+        slope, stderr = fit_loglog(xs, errors)
+    except ValueError as exc:
+        raise StudyError(str(exc), points) from exc
     passed = None
     if band is not None:
         passed = bool(band[0] <= slope <= band[1])
@@ -179,7 +197,8 @@ def lattice_vs_continuum(
 
     For each lattice size N the same initial profile is evolved on the
     N-site ring and on a grid_refine-times finer spectral grid carrying
-    the continuum equation with spacing c = L/N; the discrete L2
+    the continuum equation with spacing c = L/N (RK4 on the spectrum
+    fft(u), transformed back at t_end); the discrete L2
     difference at t_end, sampled at the lattice points, is recorded
     against c.  reference="self" instead compares each lattice run
     against itself at half the time step (a pure integrator-error
@@ -207,8 +226,8 @@ def lattice_vs_continuum(
         u0 = np.asarray(profile(grid.xs), dtype=complex)
         h_vals = None if h_profile is None else np.asarray(h_profile(grid.xs), float)
         crhs = continuum.pretransform_rhs_factory(p_N, grid, spacing=c, h_values=h_vals)
-        _, us = integrators.integrate_fixed(crhs, u0, 0.0, t_end, dt)
-        uT = us[-1][::grid_refine]
+        _, uhs = integrators.integrate_fixed(crhs, np.fft.fft(u0), 0.0, t_end, dt)
+        uT = np.fft.ifft(uhs[-1])[::grid_refine]
         err = _l2(c, phiT - uT)
         detail["error"] = err
         detail["relative_error"] = err / max(_l2(c, uT), 1e-300)
@@ -243,10 +262,11 @@ def truncation_study(
     point (u0 = profile(B xi_centered) / A), so growing s shrinks the
     amplitude the way the transform itself does.  Degenerate points are
     recorded and skipped; with fewer than two usable points left,
-    DegenerateTransformError carries the recorded points.  Every usable
-    point contributes two rows to one (2S, M) RK4 integration: its
-    precursor leg, and its GP leg as the same precursor row with
-    dispersive_scale = 0.
+    DegenerateTransformError carries the recorded points.  A StudyError
+    carries them when the errors admit no log-log slope.  Every usable
+    point contributes two rows to one (2S, M) RK4 integration of the
+    spectra: its precursor leg, and its GP leg as the same precursor row
+    with dispersive_scale = 0.
     """
     grid = continuum.Grid1D(L, M)
     xs_c = grid.xs - L / 2.0
@@ -275,8 +295,10 @@ def truncation_study(
         r1_over_r0=(p.R1 / p.R0 if p.R0 else 0.0), x_xi=p.x_xi,
         dispersive_scale=np.repeat([1.0, 0.0], len(used)),
     )
-    _, states = integrators.integrate_fixed(rhs, np.vstack([u0, u0]), 0.0, t_end, dt)
-    up, ug = np.split(states[-1], 2)
+    u0_hat = np.fft.fft(u0)
+    _, states = integrators.integrate_fixed(
+        rhs, np.vstack([u0_hat, u0_hat]), 0.0, t_end, dt)
+    up, ug = np.split(np.fft.ifft(states[-1]), 2)
     for detail, a, b, u in zip(used, up, ug, u0):
         detail["error"] = _l2(grid.dx, a - b) / _l2(grid.dx, u)
     xs = [pt["rho"] for pt in used]

@@ -247,6 +247,26 @@ def test_simulate_blowup_reports_failure(tmp_path):
     assert (out / "trajectory.csv").read_text().count("\n") >= 1 + 8
 
 
+def test_precursor_blowup_writes_the_physical_field(tmp_path):
+    # the run steps the spectrum fft(u), and the field it writes is u again
+    cfg = _write_cfg(tmp_path, {
+        "equation": "precursor", "model": {"N": 8, "J0": 1.0, "R0": 2.0, "s": 40.0},
+        "grid": {"L": 25.0, "M": 64}, "integrator": {"dt": 0.01, "t_end": 1.0},
+        "initial": {"profile": "gaussian", "amplitude": 50.0, "width": 2.0},
+    })
+    out = tmp_path / "boom"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    summary = _strict_json(out / "run_summary.json")
+    assert summary["status"] == "failed"
+    assert "non-finite" in summary["failure"]
+    rows = np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)
+    grid = continuum.Grid1D(25.0, 64)
+    assert np.array_equal(rows[:, 0], grid.xs)
+    # the last snapshot is the initial field
+    u0 = 50.0 * np.exp(-(((grid.xs - 12.5) / 2.0) ** 2))
+    assert np.abs(rows[:, 2] + 1j * rows[:, 3] - u0).max() <= 1e-13 * 50.0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blown_up_observables_are_null(tmp_path):
     # the last snapshot is finite, near 1e178, but its norm and energy overflow
@@ -275,10 +295,8 @@ def test_study_truncation_cli(tmp_path):
     assert 0.7 <= summary["slope"] <= 1.3
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_study_without_a_slope_writes_strict_json(tmp_path):
-    # a zero profile has zero error at every size, so the log-log slope is NaN
+def test_study_without_a_slope_writes_strict_json(tmp_path, capsys):
+    # a zero profile has zero error at every size, so there is no log-log slope
     cfg = _write_cfg(tmp_path, {
         "model": {"N": 8, "J0": 1.0, "R0": 2.0, "s": 1.0},
         "study": {"kind": "continuum-limit", "sizes": [32, 64], "grid_refine": 2,
@@ -290,6 +308,9 @@ def test_study_without_a_slope_writes_strict_json(tmp_path):
     assert summary["slope"] is None and summary["slope_stderr"] is None
     assert summary["passed"] is False
     assert [pt["error"] for pt in summary["points"]] == [0.0, 0.0]
+    err = capsys.readouterr().err
+    assert err.startswith("error: no log-log slope: errors must be positive and finite")
+    assert "0.0 at x = 0.7853981633974483" in err
 
 
 def test_study_continuum_limit_cli(tmp_path):
@@ -728,9 +749,9 @@ def test_pretransform_takes_its_site_field_from_the_potential(tmp_path):
     p = models.XXZParams(N=16, J0=1.0, R0=2.0, s=1.0)
     rhs = continuum.pretransform_rhs_factory(p, grid, spacing=0.5, h_values=_bump(grid))
     u0 = (0.5 * np.exp(-(((grid.xs - 8.0) / 2.0) ** 2))).astype(complex)
-    _, states = integrators.integrate_fixed(rhs, u0, 0.0, 0.05, 1e-3)
+    _, states = integrators.integrate_fixed(rhs, np.fft.fft(u0), 0.0, 0.05, 1e-3)
     field = (outs["bump"] / "field.csv").read_bytes()
-    assert field == _oracle_field(grid.xs, states[-1])
+    assert field == _oracle_field(grid.xs, np.fft.ifft(states[-1]))
     assert field != (outs["flat"] / "field.csv").read_bytes()
 
 

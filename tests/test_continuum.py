@@ -22,6 +22,17 @@ from gpchain.integrators import integrate_fixed
 from gpchain.models import XXZParams
 
 
+def _du(rhs, u):
+    """du/dt at t = 0 from a spectral RHS, which acts on the spectrum fft(u)."""
+    return np.fft.ifft(rhs(0.0, np.fft.fft(u)))
+
+
+def _evolve(rhs, u0, t_end, dt):
+    """The field at t_end of an RK4 run on the spectrum fft(u0)."""
+    _, states = integrate_fixed(rhs, np.fft.fft(u0), 0.0, t_end, dt)
+    return np.fft.ifft(states[-1])
+
+
 def test_grid_validation():
     g = Grid1D(L=10.0, M=64)
     assert g.dx == pytest.approx(10.0 / 64)
@@ -72,14 +83,13 @@ def test_splitstep_is_second_order():
     g = Grid1D(L=16.0, M=64)
     x = g.xs
     u0 = 0.9 * np.exp(-((x - 8.0) / 2.0) ** 2) * np.exp(0.3j * x)
-    rhs = gp_rhs_factory(g, dealias=False)
-    _, ref = integrate_fixed(rhs, u0, 0.0, 0.2, 1e-4)
+    ref = _evolve(gp_rhs_factory(g, dealias=False), u0, 0.2, 1e-4)
     errs = []
     for dt in (2e-3, 1e-3):
         u = u0
         for _ in range(int(round(0.2 / dt))):
             u = gp_step_splitstep(u, dt, g)
-        errs.append(np.abs(u - ref[-1]).max())
+        errs.append(np.abs(u - ref).max())
     ratio = errs[0] / errs[1]
     assert 3.3 < ratio < 4.7
 
@@ -88,24 +98,22 @@ def test_bright_soliton_is_stationary():
     g = Grid1D(L=20 * np.pi, M=512)
     x = g.xs
     u0 = np.sqrt(2.0) / np.cosh(x - g.L / 2)
-    rhs = gp_rhs_factory(g, linear_offset=1.0)
-    _, states = integrate_fixed(rhs, u0, 0.0, 1.0, 1e-3)
-    drift = np.abs(np.abs(states[-1]) - np.abs(u0)).max()
+    uT = _evolve(gp_rhs_factory(g, linear_offset=1.0), u0, 1.0, 1e-3)
+    drift = np.abs(np.abs(uT) - np.abs(u0)).max()
     assert drift < 1e-8
-    assert np.abs(states[-1] - u0).max() < 1e-8
+    assert np.abs(uT - u0).max() < 1e-8
 
 
 def test_gp_energy_momentum_conserved():
     g = Grid1D(L=32.0, M=128)
     x = g.xs
     u0 = 0.8 * np.exp(-((x - 16.0) / 3.0) ** 2) * np.exp(0.5j * x)
-    rhs = gp_rhs_factory(g)
-    _, states = integrate_fixed(rhs, u0, 0.0, 1.0, 1e-3)
+    uT = _evolve(gp_rhs_factory(g), u0, 1.0, 1e-3)
     e0 = gp_energy(u0, g)
-    eT = gp_energy(states[-1], g)
+    eT = gp_energy(uT, g)
     assert abs(eT - e0) < 1e-8 * max(1.0, abs(e0))
     p0 = gp_momentum(u0, g)
-    pT = gp_momentum(states[-1], g)
+    pT = gp_momentum(uT, g)
     assert abs(pT - p0) < 1e-8 * max(1.0, abs(p0))
     assert abs(p0) > 0.1
 
@@ -124,7 +132,8 @@ def test_precursor_eps_zero_matches_gp():
     gp = gp_rhs_factory(g)
     pre = precursor_rhs_factory(g, A=0.7, B=1.3, r1_over_r0=0.4, x_xi=0.2,
                                 dispersive_scale=0.0)
-    assert np.array_equal(gp(0.0, u), pre(0.0, u))
+    uh = np.fft.fft(u)
+    assert np.array_equal(gp(0.0, uh), pre(0.0, uh))
 
 
 def test_precursor_remainder_is_nonzero_and_linear_in_eps():
@@ -135,8 +144,8 @@ def test_precursor_remainder_is_nonzero_and_linear_in_eps():
     kw = dict(A=0.9, B=1.1, r1_over_r0=0.25, x_xi=0.3)
     full = precursor_rhs_factory(g, dispersive_scale=1.0, **kw)
     half = precursor_rhs_factory(g, dispersive_scale=0.5, **kw)
-    d_full = full(0.0, u) - gp(0.0, u)
-    d_half = half(0.0, u) - gp(0.0, u)
+    d_full = _du(full, u) - _du(gp, u)
+    d_half = _du(half, u) - _du(gp, u)
     assert np.abs(d_full).max() > 1e-4
     assert np.abs(d_full - 2.0 * d_half).max() < 1e-12
 
@@ -160,7 +169,7 @@ def test_pretransform_linear_plane_wave():
     km = 2 * np.pi * m / g.L
     u = np.exp(1j * km * g.xs)
     expect = ((-2.0 * p.J0 * p.s + p.s * p.J0 * c * c * km * km) / (1j * p.hbar)) * u
-    assert np.abs(rhs(0.0, u) - expect).max() < 1e-12
+    assert np.abs(_du(rhs, u) - expect).max() < 1e-12
 
 
 def test_pretransform_matches_term_by_term_oracle():
@@ -181,7 +190,7 @@ def test_pretransform_matches_term_by_term_oracle():
     P += -2 * p.R0 * c ** 2 * np.abs(ux) ** 2 * u
     P += -p.R0 * c ** 2 * (np.conj(u) * uxx + u * np.conj(uxx))
     expect = P / (1j * p.hbar)
-    assert np.abs(rhs(0.0, u) - expect).max() < 1e-12
+    assert np.abs(_du(rhs, u) - expect).max() < 1e-12
 
 
 def test_pretransform_field_profile():
@@ -194,7 +203,7 @@ def test_pretransform_field_profile():
     p0 = XXZParams(N=16, J0=1.0, R0=0.5)
     rhs0 = pretransform_rhs_factory(p0, g)
     u = np.exp(2j * np.pi * g.xs / g.L)
-    diff = rhs(0.0, u) - rhs0(0.0, u)
+    diff = _du(rhs, u) - _du(rhs0, u)
     assert np.abs(diff - (-0.3 / 1j) * u).max() < 1e-13
     with pytest.raises(ValueError):
         pretransform_rhs_factory(p, g, h_values=np.ones(5))
@@ -367,7 +376,7 @@ def test_fused_gp_matches_oracle(with_V):
     u = _test_field(g, 1)
     V = 0.3 * np.cos(2 * np.pi * g.xs / g.L) if with_V else None
     for dealias in (True, False):
-        got = gp_rhs_factory(g, V=V, linear_offset=0.7, dealias=dealias)(0.0, u)
+        got = _du(gp_rhs_factory(g, V=V, linear_offset=0.7, dealias=dealias), u)
         want = _oracle_gp(g, V=V, linear_offset=0.7, dealias=dealias)(0.0, u)
         _assert_agrees(got, want)
 
@@ -378,7 +387,7 @@ def test_fused_precursor_matches_oracle(eps):
     u = _test_field(g, 2)
     V = 0.2 * np.sin(2 * np.pi * g.xs / g.L)
     kw = dict(A=0.9, B=1.1, V=V, r1_over_r0=0.4, x_xi=0.3, dispersive_scale=eps)
-    _assert_agrees(precursor_rhs_factory(g, **kw)(0.0, u),
+    _assert_agrees(_du(precursor_rhs_factory(g, **kw), u),
                    _oracle_precursor(g, **kw)(0.0, u))
 
 
@@ -390,7 +399,7 @@ def test_fused_pretransform_matches_oracle(dealias):
     u = _test_field(g, 3)
     h = 0.25 + 0.1 * np.cos(2 * np.pi * g.xs / g.L)
     kw = dict(spacing=0.5, h_values=h, dealias=dealias)
-    _assert_agrees(pretransform_rhs_factory(p, g, **kw)(0.0, u),
+    _assert_agrees(_du(pretransform_rhs_factory(p, g, **kw), u),
                    _oracle_pretransform(p, g, **kw)(0.0, u))
 
 
@@ -403,10 +412,10 @@ def test_fused_rows_are_independent_fields():
     def col(key):
         return np.array([r[key] for r in rows])
 
-    batch = precursor_rhs_factory(
+    batch = _du(precursor_rhs_factory(
         g, col("A"), col("B"), r1_over_r0=col("r1_over_r0"), x_xi=0.3,
         dispersive_scale=col("dispersive_scale"),
-    )(0.0, u)
+    ), u)
     assert batch.shape == (3, g.M)
     for row, kw, got in zip(u, rows, batch):
         _assert_agrees(got, _oracle_precursor(g, **kw)(0.0, row))
@@ -414,8 +423,9 @@ def test_fused_rows_are_independent_fields():
         precursor_rhs_factory(g, A=[0.9, 0.0], B=[1.0, 1.0])
 
 
-# Byte-level oracle: the fused RHS as it was before u_x and u_xx shared one
-# ifft call, five calls per evaluation with gradients and three without.
+# Physical-space oracle: the fused RHS as it was when it acted on u itself
+# and u_x and u_xx had an ifft call each, five calls per evaluation with
+# gradients and three without.
 
 def _five_call_cubic_rhs(grid, scale, lin, d2, cubic, grad=0.0, pair=0.0,
                          V=None, dealias=True):
@@ -449,7 +459,8 @@ def _five_call_cubic_rhs(grid, scale, lin, d2, cubic, grad=0.0, pair=0.0,
 
 
 def _rhs_pair(monkeypatch, factory, *args, **kw):
-    """The factory's RHS, and the same factory's RHS over the five-call body."""
+    """The factory's RHS on fft(u), and the same factory's RHS over the five-call
+    body on u."""
     got = factory(*args, **kw)
     with monkeypatch.context() as m:
         m.setattr(continuum, "_cubic_rhs", _five_call_cubic_rhs)
@@ -489,7 +500,7 @@ def test_stacked_rhs_bytes_match_five_call_oracle(monkeypatch, M, rows, with_V, 
     u = _field(g, rows, 11)
     for factory, args, kw in _rhs_cases(g, rows, with_V, dealias):
         got, want = _rhs_pair(monkeypatch, factory, *args, **kw)
-        assert got(0.0, u).tobytes() == want(0.0, u).tobytes(), (factory.__name__, kw)
+        _assert_agrees(_du(got, u), want(0.0, u))
 
 
 def test_stacked_rhs_bytes_property(monkeypatch):
@@ -512,17 +523,47 @@ def test_stacked_rhs_bytes_property(monkeypatch):
             V=V, r1_over_r0=per_row(-1.0, 1.0), x_xi=float(rng.normal()),
             dispersive_scale=rng.choice([0.0, float(rng.uniform(0.0, 2.0))]),
             dealias=dealias)
-        assert got(0.0, u).tobytes() == want(0.0, u).tobytes()
+        _assert_agrees(_du(got, u), want(0.0, u))
 
     check()
 
 
-@pytest.mark.parametrize("dealias, eps, calls", [
-    (True, 1.0, 4), (False, 1.0, 3), (True, 0.0, 3), (False, 0.0, 2),
-])
-@pytest.mark.parametrize("rows", [None, 3])
-def test_rhs_makes_one_fft_call_per_dependent_stage(monkeypatch, dealias, eps, calls,
-                                                    rows):
+def _rk4_cases(g):
+    """(rows, factory, args, kwargs) for the spectral RK4 agreement test."""
+    x = g.xs
+    V = 0.2 * np.sin(2 * np.pi * x / g.L) + 0.1 * np.cos(6 * np.pi * x / g.L)
+    p = XXZParams(N=32, J0=0.9, J1=0.2, R0=0.7, R1=0.1, s=1.4, x_xi=0.3,
+                  hbar=0.9, h=0.25)
+    return {
+        "precursor-rows": (3, precursor_rhs_factory,
+                           (g, [0.9, 0.5, 1.7], [1.1, 2.0, 0.8]),
+                           dict(r1_over_r0=[0.4, -0.2, 0.0], x_xi=0.3,
+                                dispersive_scale=[1.0, 0.5, 0.0])),
+        "pretransform-h": (None, pretransform_rhs_factory, (p, g),
+                           dict(spacing=0.5, h_values=0.25 + V)),
+        "gp-V": (None, gp_rhs_factory, (g,), dict(V=V, linear_offset=0.7)),
+        "no-dealias": (None, pretransform_rhs_factory, (p, g),
+                       dict(spacing=0.5, h_values=0.25 + V, dealias=False)),
+    }
+
+
+@pytest.mark.parametrize("case", ["precursor-rows", "pretransform-h", "gp-V",
+                                  "no-dealias"])
+def test_spectral_rk4_matches_physical_space_oracle(monkeypatch, case):
+    # 200 RK4 steps on the spectrum against 200 on the field over the
+    # five-call body.  The test field has modes beyond the 2/3 cutoff, so
+    # a V u sent through the dealias filter would show here.
+    g = Grid1D(L=25.0, M=64)
+    rows, factory, args, kw = _rk4_cases(g)[case]
+    u0 = _field(g, rows, 21)
+    got, want = _rhs_pair(monkeypatch, factory, *args, **kw)
+    _, oracle = integrate_fixed(want, u0, 0.0, 0.2, 1e-3)
+    assert len(oracle) == 2
+    _assert_agrees(_evolve(got, u0, 0.2, 1e-3), oracle[-1], tol=1e-12)
+
+
+def _fft_calls(monkeypatch, u, factory, *args, **kw):
+    """The fft and ifft calls, by name, of three evaluations of factory's RHS."""
     counted = []
 
     def counting(fn):
@@ -533,16 +574,44 @@ def test_rhs_makes_one_fft_call_per_dependent_stage(monkeypatch, dealias, eps, c
 
     fft = SimpleNamespace(**vars(np.fft))
     fft.fft, fft.ifft = counting(np.fft.fft), counting(np.fft.ifft)
-    monkeypatch.setattr(continuum, "np", SimpleNamespace(**dict(vars(np), fft=fft)))
+    with monkeypatch.context() as m:
+        m.setattr(continuum, "np", SimpleNamespace(**dict(vars(np), fft=fft)))
+        f = factory(*args, **kw)
+        uh = np.fft.fft(u)
+        del counted[:]
+        for _ in range(3):
+            f(0.0, uh)
+    return counted
+
+
+@pytest.mark.parametrize("dealias, eps, physical_calls", [
+    (True, 1.0, 4), (False, 1.0, 3), (True, 0.0, 3), (False, 0.0, 2),
+])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_rhs_makes_one_fft_call_per_dependent_stage(monkeypatch, dealias, eps,
+                                                    physical_calls, rows):
+    # On the spectrum every case has two dependent stages: one ifft to u,
+    # u_x and u_xx, and one fft of the nonlinear sum back.  physical_calls
+    # is what one evaluation made when the RHS acted on u instead, with an
+    # fft of u in front and an ifft of the result behind.
     g = Grid1D(L=25.0, M=64)
     A, B = (0.9, 1.1) if rows is None else ([0.9, 0.5, 1.7], [1.1, 2.0, 0.8])
-    f = precursor_rhs_factory(g, A, B, r1_over_r0=0.4, x_xi=0.3,
-                              dispersive_scale=eps, dealias=dealias)
-    u = _field(g, rows, 12)
-    del counted[:]
-    for _ in range(3):
-        f(0.0, u)
-    assert len(counted) == 3 * calls
+    calls = _fft_calls(monkeypatch, _field(g, rows, 12), precursor_rhs_factory,
+                       g, A, B, r1_over_r0=0.4, x_xi=0.3, dispersive_scale=eps,
+                       dealias=dealias)
+    assert calls == ["ifft", "fft"] * 3
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_rhs_with_a_potential_makes_two_fft_calls(monkeypatch, dealias, rows):
+    # V u goes back through the nonlinear sum's fft: a stacked row of its
+    # own when the sum is filtered, folded into the sum when it is not
+    g = Grid1D(L=25.0, M=64)
+    u = _field(g, rows, 13)
+    for factory, args, kw in _rhs_cases(g, rows, True, dealias):
+        calls = _fft_calls(monkeypatch, u, factory, *args, **kw)
+        assert calls == ["ifft", "fft"] * 3, (factory.__name__, kw)
 
 
 def test_grid_arrays_cached_read_only():

@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from gpchain import fock
 from gpchain.coeffs import ParamCoeff
@@ -98,3 +99,45 @@ def test_coherent_state_expectation_matches_symbol():
     mat = fock.to_matrix(expr, nsites=2, cutoff=cutoff)
     expect = np.vdot(vec, mat @ vec)
     assert abs(expect - np.conj(phis[0]) * phis[1]) < 1e-10
+
+
+def _kron_oracle_matrix(expr, nsites, cutoff):
+    """expr as a matrix from explicit Kronecker products of the local ladders."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
+    eye = np.eye(cutoff + 1)
+    dim = (cutoff + 1) ** nsites
+    mat = np.zeros((dim, dim), dtype=complex)
+    for word, coeff in expr.terms():
+        acc = np.eye(dim)
+        for f in word:
+            local = [eye] * nsites
+            local[f.site] = a.T if f.dagger else a
+            op = local[0]
+            for m in local[1:]:
+                op = np.kron(op, m)
+            acc = acc @ op
+        mat += coeff.evaluate({}) * acc
+    return mat
+
+
+def test_to_matrix_reuses_one_read_only_ladder_set():
+    # verify-derivation's matrix oracle realizes several expressions on
+    # the same 3-site, cutoff-4 Bose space
+    exprs = [B.ad(0) * B.a(1) + B.ad(1) * B.a(0), B.number(2) * B.number(2),
+             B.ad(2) * B.ad(0) * B.a(1) * B.a(1)]
+    fock._ladders.cache_clear()
+    mats = [fock.to_matrix(e, 3, 4) for e in exprs]
+    info = fock._ladders.cache_info()
+    assert (info.misses, info.hits) == (1, len(exprs) - 1)
+    for e, m in zip(exprs, mats):
+        assert np.abs(m - _kron_oracle_matrix(e, 3, 4)).max() < 1e-12
+    cached = fock._ladders(3, 4, Statistics.BOSE, 1)
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[0, 1] = 7.0
+    # ladder_matrices hands out copies, so writing one leaves the cache alone
+    copies = fock.ladder_matrices(3, 4, Statistics.BOSE)
+    copies[0][0, 1] = 7.0
+    assert cached[0][0, 1] == 0.0
+    assert fock.ladder_matrices(3, 4, Statistics.BOSE)[0][0, 1] == 0.0
+    assert np.array_equal(fock.to_matrix(exprs[0], 3, 4), mats[0])
