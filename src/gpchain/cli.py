@@ -257,7 +257,7 @@ def _field_output(grid):
 class _Simulation(NamedTuple):
     """What one equation brings to a simulate run."""
 
-    y0: np.ndarray  # (F, N) on the lattice, (M,) or (2, M) on a grid, or fft(u0)
+    y0: np.ndarray  # (F, N) on the lattice, (M,) or (2, M) on a grid, or fft(u0) for RK4
     advance: Callable  # RHS f(t, y); with scheme strang, a step(t, y, h)
     observe: Callable  # state -> dict of observables
     output: Callable  # (times, states) -> (file name, header, blocks of CSV bytes)
@@ -296,19 +296,29 @@ def _gp_observer(grid, V):
     return lambda u: continuum.continuum_observables(u, grid, V=V)
 
 
-def _spectral(u0, rhs, observe, grid, extra=None):
-    """A run that steps the spectrum fft(u0) and observes and writes the field."""
+def _spectral(cfg, u0, rhs, observe, grid, extra=None):
+    """A run whose RHS acts on the spectrum fft(u).
+
+    RK4 steps the spectrum fft(u0) and transforms back only to observe
+    and write the field.  RK45 steps u itself, through ifft(rhs(fft(u))),
+    so that integrator.tolerance bounds the error of the field.
+    """
     output = _field_output(grid)
-    return _Simulation(
-        np.fft.fft(u0), rhs, lambda uh: observe(np.fft.ifft(uh)),
-        lambda times, states: output(times, [np.fft.ifft(states[-1])]), extra)
+    if cfg["integrator"]["scheme"] == "rk45":
+        return _Simulation(u0, lambda t, u: np.fft.ifft(rhs(t, np.fft.fft(u))),
+                           observe, output, extra)
+    uh0 = np.fft.fft(u0)
+    # the initial observables come from u0 itself, not from ifft(fft(u0))
+    field = lambda uh: u0 if uh is uh0 else np.fft.ifft(uh)
+    return _Simulation(uh0, rhs, lambda uh: observe(field(uh)),
+                       lambda times, states: output(times, [field(states[-1])]), extra)
 
 
 def _pretransform(cfg, p):
     grid, u0, V = _grid_setup(cfg)
     rhs = continuum.pretransform_rhs_factory(
         p, grid, spacing=float(cfg["spacing"]), h_values=V)
-    return _spectral(u0, rhs, lambda u: {
+    return _spectral(cfg, u0, rhs, lambda u: {
         "norm": continuum.gp_norm(u, grid),
         "momentum": continuum.gp_momentum(u, grid),
     }, grid)
@@ -323,7 +333,8 @@ def _precursor(cfg, p):
         dispersive_scale=float(cfg["dispersive_scale"]),
     )
     transform = {"A": A, "B": B, "time_scale": float(tc.time_scale)}
-    return _spectral(u0, rhs, _gp_observer(grid, V), grid, {"transform": transform})
+    return _spectral(cfg, u0, rhs, _gp_observer(grid, V), grid,
+                     {"transform": transform})
 
 
 def _gp(cfg, p):

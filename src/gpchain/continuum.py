@@ -99,11 +99,10 @@ def _cubic_rhs(grid: Grid1D, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     coefficient is a scalar or holds one value per row.  The linear part
     acts on uh directly.  One ifft over the stacked [1, i k, -k^2] uh
     (plain uh when grad = pair = 0) gives u, u_x and u_xx; the nonlinear
-    terms are summed in physical space, and one fft brings them back:
-    of the stacked [nl, V u] when both are set and nl is filtered, of
-    nl - V u or nl alone otherwise.  That is two FFT calls per
-    evaluation in every case, so an integrator stepping uh leaves
-    physical space only to form the nonlinear products.
+    terms are summed in physical space, and one fft brings them back,
+    stacked with V u as a row of its own when V is set.  That is two FFT
+    calls per evaluation in every case, so an integrator stepping uh
+    leaves physical space only to form the nonlinear products.
     """
     scale, lin, d2, cubic, grad, pair = (
         _per_row(c) for c in (scale, lin, d2, cubic, grad, pair))
@@ -132,8 +131,6 @@ def _cubic_rhs(grid: Grid1D, scale, lin, d2, cubic, grad=0.0, pair=0.0,
             nl += two_pair * (u.real * u_xx.real + u.imag * u_xx.imag)
         if Varr is None:
             return lin_hat * uh + back * np.fft.fft(nl)
-        if not dealias:
-            return lin_hat * uh + back * np.fft.fft(nl - Varr * u)
         nl_hat, v_hat = np.fft.fft(np.stack([nl, Varr * u]))
         return lin_hat * uh + back * nl_hat - scale * v_hat
 

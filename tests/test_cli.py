@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -80,6 +81,54 @@ def test_continuum_outputs_match_golden_bytes(tmp_path, golden, command, payload
     for name in names:
         with open(os.path.join(GOLDEN, golden, name), "rb") as fh:
             assert (out / name).read_bytes() == fh.read(), name
+
+
+def _close(got, want, tol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol * np.abs(want).max(), (got, want)
+
+
+@pytest.mark.parametrize("golden, command, payload", [
+    ("precursor_eps1", "simulate", dict(_PRECURSOR, dispersive_scale=1.0)),
+    ("precursor_eps0", "simulate", dict(_PRECURSOR, dispersive_scale=0.0)),
+    ("continuum_limit", "study", _CONTINUUM_LIMIT),
+])
+def test_continuum_outputs_agree_with_physical_space_rk4(tmp_path, golden, command,
+                                                         payload):
+    # tests/data/*/physical_rk4 holds what these runs wrote when RK4 stepped
+    # the field u itself; stepping fft(u) moves only roundoff: fields, study
+    # errors and slope agree to 1e-12 relative, and the inputs exactly
+    out = tmp_path / "o"
+    assert main([command, "--config", _write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+    ref = pathlib.Path(GOLDEN, golden, "physical_rk4")
+    name, summary_name = (("field.csv", "run_summary.json") if command == "simulate"
+                          else ("study.csv", "study_summary.json"))
+    got = np.loadtxt(out / name, delimiter=",", skiprows=1)
+    want = np.loadtxt(ref / name, delimiter=",", skiprows=1)
+    assert np.array_equal(got[:, :2], want[:, :2])  # xi, flavor or spacing, N
+    for col in range(2, got.shape[1]):  # re and im, or each study error
+        if command == "simulate":
+            _close(got[:, col], want[:, col])
+        else:
+            for g, w in zip(got[:, col], want[:, col]):
+                _close(g, w)
+    summary = _strict_json(out / summary_name)
+    expect = _strict_json(ref / summary_name)
+    if command == "simulate":
+        got_obs, want_obs = summary.pop("final_observables"), expect.pop("final_observables")
+        for key in ("norm", "energy"):
+            _close(got_obs[key], want_obs[key])
+        # a real field's momentum is roundoff: compare it on the scale of the norm
+        assert abs(got_obs["momentum"] - want_obs["momentum"]) <= 1e-12 * want_obs["norm"]
+    else:
+        _close(summary.pop("slope"), expect.pop("slope"))
+        # two points leave no residual: the slope's stderr is roundoff
+        assert abs(summary.pop("slope_stderr") - expect.pop("slope_stderr")) <= 1e-12
+        for pt, ref_pt in zip(summary["points"], expect["points"]):
+            for key in ("error", "relative_error"):
+                _close(pt.pop(key), ref_pt.pop(key))
+    assert summary == expect  # the initial observables too, to the last bit
 
 
 def test_verify_detects_tampered_hamiltonian(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gpchain import continuum
+from gpchain import continuum, integrators
+from gpchain.cli import main
 from gpchain.continuum import (
     Grid1D,
     continuum_observables,
@@ -562,6 +564,40 @@ def test_spectral_rk4_matches_physical_space_oracle(monkeypatch, case):
     _assert_agrees(_evolve(got, u0, 0.2, 1e-3), oracle[-1], tol=1e-12)
 
 
+@pytest.mark.parametrize("M", [64, 128])
+def test_rk45_precursor_run_steps_the_field(tmp_path, monkeypatch, M):
+    # An rk45 run hands the adaptive driver u and du/dt, not fft(u), so
+    # integrator.tolerance bounds the error of the field at every grid size,
+    # as it does on the lattice.  An error test on fft(u) would scale with M.
+    seen = []
+    adaptive = integrators.integrate_adaptive
+
+    def spy(f, y0, *args, **kw):
+        seen.append((f, y0))
+        return adaptive(f, y0, *args, **kw)
+
+    monkeypatch.setattr(integrators, "integrate_adaptive", spy)
+    payload = {
+        "equation": "precursor", "dispersive_scale": 1.0,
+        "model": {"N": 8, "J0": 1.0, "R0": 2.0, "R1": 0.3, "x_xi": 0.2, "s": 40.0},
+        "grid": {"L": 25.0, "M": M},
+        "integrator": {"scheme": "rk45", "tolerance": 1e-8, "dt": 1e-3, "t_end": 0.05},
+        "initial": {"profile": "gaussian", "amplitude": 0.8, "width": 2.0},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    transform = json.loads((tmp_path / "o" / "run_summary.json").read_text())["transform"]
+    (f, y0), = seen
+    g = Grid1D(L=25.0, M=M)
+    u0 = (0.8 * np.exp(-(((g.xs - 12.5) / 2.0) ** 2))).astype(complex)
+    assert np.array_equal(y0, u0)
+    _, want = _rhs_pair(monkeypatch, precursor_rhs_factory, g, transform["A"],
+                        transform["B"], r1_over_r0=0.15, x_xi=0.2, dispersive_scale=1.0)
+    u = _test_field(g, 31)
+    _assert_agrees(f(0.0, u), want(0.0, u))
+
+
 def _fft_calls(monkeypatch, u, factory, *args, **kw):
     """The fft and ifft calls, by name, of three evaluations of factory's RHS."""
     counted = []
@@ -584,16 +620,16 @@ def _fft_calls(monkeypatch, u, factory, *args, **kw):
     return counted
 
 
-@pytest.mark.parametrize("dealias, eps, physical_calls", [
-    (True, 1.0, 4), (False, 1.0, 3), (True, 0.0, 3), (False, 0.0, 2),
+# Each id ends with the FFT calls one evaluation made when the RHS acted
+# on u itself, with an fft of u in front and an ifft of the result behind.
+@pytest.mark.parametrize("dealias, eps", [
+    pytest.param(True, 1.0, id="True-1.0-4"), pytest.param(False, 1.0, id="False-1.0-3"),
+    pytest.param(True, 0.0, id="True-0.0-3"), pytest.param(False, 0.0, id="False-0.0-2"),
 ])
 @pytest.mark.parametrize("rows", [None, 3])
-def test_rhs_makes_one_fft_call_per_dependent_stage(monkeypatch, dealias, eps,
-                                                    physical_calls, rows):
+def test_rhs_makes_one_fft_call_per_dependent_stage(monkeypatch, dealias, eps, rows):
     # On the spectrum every case has two dependent stages: one ifft to u,
-    # u_x and u_xx, and one fft of the nonlinear sum back.  physical_calls
-    # is what one evaluation made when the RHS acted on u instead, with an
-    # fft of u in front and an ifft of the result behind.
+    # u_x and u_xx, and one fft of the nonlinear sum back.
     g = Grid1D(L=25.0, M=64)
     A, B = (0.9, 1.1) if rows is None else ([0.9, 0.5, 1.7], [1.1, 2.0, 0.8])
     calls = _fft_calls(monkeypatch, _field(g, rows, 12), precursor_rhs_factory,
@@ -605,8 +641,7 @@ def test_rhs_makes_one_fft_call_per_dependent_stage(monkeypatch, dealias, eps,
 @pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("rows", [None, 3])
 def test_rhs_with_a_potential_makes_two_fft_calls(monkeypatch, dealias, rows):
-    # V u goes back through the nonlinear sum's fft: a stacked row of its
-    # own when the sum is filtered, folded into the sum when it is not
+    # V u goes back through the nonlinear sum's fft as a stacked row of its own
     g = Grid1D(L=25.0, M=64)
     u = _field(g, rows, 13)
     for factory, args, kw in _rhs_cases(g, rows, True, dealias):
