@@ -392,8 +392,10 @@ def _run_simulate(cfg: dict, out_dir: str) -> int:
     try:
         times, states = _integrate(sim, integ)
     except integrators.IntegrationError as exc:
-        summary.update(status="failed", failure=str(exc))
+        summary.update(status="failed", failure=str(exc), last_finite_t=exc.t)
         times, states = exc.times, exc.states  # the snapshots so far
+        if exc.t > times[-1]:  # and the last finite state after them
+            times, states = times + [exc.t], states + [exc.y]
     with np.errstate(over="ignore", invalid="ignore"):  # a blown-up state gives inf or nan
         summary["initial_observables"] = sim.observe(sim.y0)
         summary["final_observables"] = sim.observe(states[-1])

@@ -19,7 +19,9 @@ evolves the rows of an (R, M) array as independent fields, so a batch
 of runs on one grid makes one integration.
 
 The GP equation and the coupled two-flavor equation also have Strang
-split steps on plain arrays, both through one row-batched kernel.
+split steps on plain arrays, both through one row-batched kernel; as
+integrators.SplitStep values, march fuses the half phases of
+consecutive steps.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .integrators import SplitStep
 from .models import XXZParams
 
 
@@ -152,27 +155,45 @@ def _propagator(grid: Grid1D, a: float, b: float, dt: float) -> np.ndarray:
     return _readonly(np.exp(-1j * dt * (a + b * grid.k ** 2)))
 
 
-def _strang(u, dt: float, grid: Grid1D, potential, a: float, b: float):
-    """One Strang step of  i u_t = P(u) u + (a - b d_xx) u  over the rows of u.
+def _strang(u, dt: float, grid: Grid1D, potential, a: float, b: float,
+            before: float, after: float):
+    """Strang substeps of  i u_t = P(u) u + (a - b d_xx) u  over the rows of u.
 
-    potential maps u to the real P(u) of each row; P depends only on
-    |u|, which the phase substeps exp(-i dt P / 2) leave unchanged, so
-    they are exact.  The linear substep is a spectral rotation, and the
-    norm of every row is conserved to roundoff.  All rows share one FFT
-    pair along the last axis.
+    Returns K(after) D(dt) K(before) u.  K(tau) u = exp(-i tau P(u)) u
+    is a phase substep: P depends only on |u|, which a phase rotation
+    leaves unchanged, so K is exact and K(x) K(y) = K(x + y).  D(dt) is
+    the linear substep, a spectral rotation.  One Strang step is
+    before = after = dt/2; integrators.march fuses the closing K(dt/2)
+    of one step with the opening K(dt/2) of the next into one K(dt).  A
+    length of 0 skips its substep.  The norm of every row is conserved
+    to roundoff, and all rows share one FFT pair along the last axis.
     """
-    half = -0.5j * dt
-    u = np.exp(half * potential(u)) * u
-    u = np.fft.ifft(_propagator(grid, a, b, dt) * np.fft.fft(u))
-    return np.exp(half * potential(u)) * u
+    if before:
+        u = np.exp(-1j * before * potential(u)) * u
+    if dt:
+        u = np.fft.ifft(_propagator(grid, a, b, dt) * np.fft.fft(u))
+    if after:
+        u = np.exp(-1j * after * potential(u)) * u
+    return u
+
+
+def _halves(dt, before, after):
+    """The two phase lengths of a step, dt/2 where not given."""
+    return (0.5 * dt if before is None else before,
+            0.5 * dt if after is None else after)
 
 
 def gp_step_splitstep(u, dt: float, grid: Grid1D, V=None,
-                      linear_offset: float = 1.0) -> np.ndarray:
-    """One Strang step of the GP equation i u_t = (offset - |u|^2 - V) u - u_xx."""
+                      linear_offset: float = 1.0, before: float | None = None,
+                      after: float | None = None) -> np.ndarray:
+    """One Strang step of the GP equation i u_t = (offset - |u|^2 - V) u - u_xx.
+
+    before and after are the lengths of the two phase substeps (dt/2
+    when not given); see _strang.
+    """
     Varr = 0.0 if V is None else np.asarray(V, dtype=float)
     return _strang(u, dt, grid, lambda w: linear_offset - np.abs(w) ** 2 - Varr,
-                   0.0, 1.0)
+                   0.0, 1.0, *_halves(dt, before, after))
 
 
 def gp_norm(values, grid: Grid1D) -> float:
@@ -263,28 +284,34 @@ def precursor_rhs_factory(grid: Grid1D, A, B, V=None, r1_over_r0=0.0,
 
 
 def coupled_gp_step(u, dt: float, grid: Grid1D, t_hop: float, U_values,
-                    hbar: float = 1.0) -> np.ndarray:
+                    hbar: float = 1.0, before: float | None = None,
+                    after: float | None = None) -> np.ndarray:
     """One Strang step for the coupled pair, the rows of a (2, M) array,
 
         i hbar u_t^(k) = -4 t u^(k) - 2 t u_xx^(k) + U |u^(1-k)|^2 u^(k)
 
     The cross-phase substep is exact because each flavor's modulus is
     untouched by the other's phase rotation; per-flavor norms are
-    conserved to roundoff.
+    conserved to roundoff.  before and after are the lengths of the two
+    phase substeps (dt/2 when not given); see _strang.
     """
     U = np.asarray(U_values, dtype=float) / hbar
     return _strang(u, dt, grid, lambda w: U * np.abs(w[::-1]) ** 2,
-                   -4.0 * t_hop / hbar, 2.0 * t_hop / hbar)
+                   -4.0 * t_hop / hbar, 2.0 * t_hop / hbar,
+                   *_halves(dt, before, after))
 
 
 def gp_strang(grid: Grid1D, V=None, linear_offset: float = 1.0):
-    """gp_step_splitstep as a step(t, u, h) -> u for integrators.march."""
-    return lambda t, u, h: gp_step_splitstep(u, h, grid, V, linear_offset)
+    """gp_step_splitstep as a SplitStep for integrators.march, which fuses
+    the half phases of consecutive steps."""
+    return SplitStep(lambda u, h, before, after: gp_step_splitstep(
+        u, h, grid, V, linear_offset, before=before, after=after))
 
 
 def coupled_gp_strang(grid: Grid1D, t_hop: float, U_values, hbar: float = 1.0):
-    """coupled_gp_step as a step(t, u, h) -> u over (2, M) arrays, for march."""
-    return lambda t, u, h: coupled_gp_step(u, h, grid, t_hop, U_values, hbar)
+    """coupled_gp_step as a SplitStep over (2, M) arrays, for march."""
+    return SplitStep(lambda u, h, before, after: coupled_gp_step(
+        u, h, grid, t_hop, U_values, hbar, before=before, after=after))
 
 
 def coupled_gp_observables(u, grid: Grid1D, t_hop: float, U_values,

@@ -2,12 +2,16 @@
 
 Both integrate dy/dt = f(t, y) for complex numpy arrays of any shape.
 Step functions are pure.  march, the one fixed-step driver, runs RK4 or
-any step(t, y, h) such as a Strang split step; integrate_adaptive has
-its own controller.  Both collect snapshots and convert blow-ups into
-typed errors carrying the last good state.
+any step(t, y, h); it fuses the adjacent half phases of consecutive
+Strang split steps (SplitStep).  integrate_adaptive has its own
+controller.  Both collect snapshots and convert blow-ups into typed
+errors carrying the last good state.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +59,22 @@ def fixed_steps(t0, t_end, dt):
     return nfull, (rem if rem > 1e-12 * max(1.0, abs(t_end)) else 0.0)
 
 
+@dataclass(frozen=True)
+class SplitStep:
+    """A Strang split step S(h) = K(h/2) D(h) K(h/2) that march can fuse.
+
+    kernel(y, h, before, after) returns K(after) D(h) K(before) y, where
+    K(tau) is a phase substep with K(a) K(b) = K(a + b) on any state and
+    D(h) is the linear substep; a length of 0 skips that substep.  Called
+    as step(t, y, h), it takes one whole step S(h).
+    """
+
+    kernel: Callable
+
+    def __call__(self, t, y, h):
+        return self.kernel(y, h, 0.5 * h, 0.5 * h)
+
+
 def march(step, y0, t0, t_end, dt, snapshot_every=0):
     """Apply y <- step(t, y, h) from t0 to exactly t_end; returns (times, states).
 
@@ -65,6 +85,15 @@ def march(step, y0, t0, t_end, dt, snapshot_every=0):
     snapshot_every = n > 0, every n-th full step is kept as well.  A
     non-finite state raises NonFiniteError carrying the last finite
     (t, y) and the snapshots so far.
+
+    A SplitStep's closing half phase and the next step's opening one
+    are fused, since S(h)^n = K(h/2) [D(h) K(h)]^(n-1) D(h) K(h/2):
+    n full steps make n + 1 phase substeps and n linear ones.  A step
+    closes with K(h/2) at a snapshot, on the last full step and on the
+    short final step, and the step after a close opens with K(h/2).
+    The states handed back, snapshots and errors alike, are closed: a
+    blow-up after an open state undoes its pending half phase with
+    K(-dt/2).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -75,18 +104,30 @@ def march(step, y0, t0, t_end, dt, snapshot_every=0):
     times = [t]
     states = [y.copy()]
     nfull, rem = fixed_steps(t0, t_end, dt)
+    kernel = step.kernel if isinstance(step, SplitStep) else None
+    pending = False  # y carries the next split step's opening K(dt/2)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nfull + 1 + bool(rem)):
             full = n <= nfull
-            y_new = step(t, y, dt if full else rem)
+            h = dt if full else rem
+            snap = snapshot_every and n % snapshot_every == 0 and n < nfull
+            fuse = kernel is not None and n < nfull and not snap
+            if kernel is None:
+                y_new = step(t, y, h)
+            else:
+                y_new = kernel(y, h, 0.0 if pending else 0.5 * h,
+                               h if fuse else 0.5 * h)
             t_new = t0 + n * dt if full else t_end
             if not np.all(np.isfinite(y_new.view(float))):
+                if pending:
+                    y = kernel(y, 0.0, -0.5 * dt, 0.0)
                 raise NonFiniteError(
                     f"state became non-finite at t={t_new:.6g}",
                     t=t, y=y, times=times, states=states,
                 )
             t, y = t_new, y_new
-            if snapshot_every and n % snapshot_every == 0 and n < nfull:
+            pending = fuse
+            if snap:
                 times.append(t)
                 states.append(y.copy())
     times.append(float(t_end))  # the plan lands on t_end to 1e-9 relative

@@ -292,12 +292,26 @@ def test_simulate_blowup_reports_failure(tmp_path):
     summary = _strict_json(out / "run_summary.json")
     assert summary["status"] == "failed"
     assert "non-finite" in summary["failure"]
-    # the trajectory still holds the last finite snapshot
-    assert (out / "trajectory.csv").read_text().count("\n") >= 1 + 8
+    # the trajectory holds the initial state, then the last finite one
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert sorted(set(rows[:, 0])) == [0.0, summary["last_finite_t"]]
+    assert summary["last_finite_t"] > 0.0
 
 
-def test_precursor_blowup_writes_the_physical_field(tmp_path):
-    # the run steps the spectrum fft(u), and the field it writes is u again
+def test_precursor_blowup_writes_the_physical_field(tmp_path, monkeypatch):
+    # the run steps the spectrum fft(u), and the field it writes is the
+    # last finite u, not only the snapshots so far (here just t = 0)
+    seen = {}
+    integrate = cli._integrate
+
+    def recording(sim, integ):
+        try:
+            return integrate(sim, integ)
+        except integrators.NonFiniteError as exc:
+            seen["exc"] = exc
+            raise
+
+    monkeypatch.setattr(cli, "_integrate", recording)
     cfg = _write_cfg(tmp_path, {
         "equation": "precursor", "model": {"N": 8, "J0": 1.0, "R0": 2.0, "s": 40.0},
         "grid": {"L": 25.0, "M": 64}, "integrator": {"dt": 0.01, "t_end": 1.0},
@@ -308,12 +322,17 @@ def test_precursor_blowup_writes_the_physical_field(tmp_path):
     summary = _strict_json(out / "run_summary.json")
     assert summary["status"] == "failed"
     assert "non-finite" in summary["failure"]
+    exc = seen["exc"]
+    assert exc.times == [0.0]
+    assert summary["last_finite_t"] == exc.t == 0.01
     rows = np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)
     grid = continuum.Grid1D(25.0, 64)
     assert np.array_equal(rows[:, 0], grid.xs)
-    # the last snapshot is the initial field
+    u = np.fft.ifft(exc.y)
+    assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], u)
     u0 = 50.0 * np.exp(-(((grid.xs - 12.5) / 2.0) ** 2))
-    assert np.abs(rows[:, 2] + 1j * rows[:, 3] - u0).max() <= 1e-13 * 50.0
+    assert np.abs(u - u0).max() > 50.0
+    assert summary["final_observables"]["norm"] > summary["initial_observables"]["norm"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

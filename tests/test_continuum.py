@@ -20,7 +20,7 @@ from gpchain.continuum import (
     pretransform_rhs_factory,
     spectral_derivative,
 )
-from gpchain.integrators import integrate_fixed
+from gpchain.integrators import fixed_steps, integrate_fixed, march
 from gpchain.models import XXZParams
 
 
@@ -256,6 +256,126 @@ def test_coupled_decouples_at_zero_U():
     phase = np.exp(-1j * dt * n * (-4 * t_hop + 2 * t_hop * k1 ** 2))
     assert np.abs(f[0] - phase * u0).max() < 1e-12
     assert np.abs(f[1]).max() == 0.0
+
+
+# ------------------------------------------- fused Strang steps in march
+
+def _gp_case(g):
+    u0 = 1.2 / np.cosh(1.2 * (g.xs - 0.45 * g.L)) * np.exp(0.4j * g.xs)
+    V = 0.5 * np.exp(-((g.xs - 0.55 * g.L) / 2.0) ** 2)
+    return u0, V
+
+
+def _two_gaussians(g):
+    x = g.xs
+    return np.array([0.8 * np.exp(-((x - 12.0) / 3.0) ** 2),
+                     0.6 * np.exp(-((x - 18.0) / 3.0) ** 2) * np.exp(0.3j * x)])
+
+
+def _stepwise(step, u, t_end, dt, every):
+    """A loop of whole split steps on march's plan: the unfused run."""
+    nfull, rem = fixed_steps(0.0, t_end, dt)
+    times, states = [0.0], [u]
+    for n in range(1, nfull + 1):
+        u = step(u, dt)
+        if every and n % every == 0 and n < nfull:
+            times.append(n * dt)
+            states.append(u)
+    if rem:
+        u = step(u, rem)
+    return times + [t_end], states + [u]
+
+
+@pytest.mark.parametrize("every", [0, 3])
+def test_fused_strang_march_matches_whole_steps(every):
+    t_end, dt = 0.1, 0.003  # 33 full steps and a short one
+    g = Grid1D(L=30.0, M=128)
+    u0, V = _gp_case(g)
+    times, states = march(continuum.gp_strang(g, V=V), u0, 0.0, t_end, dt,
+                          snapshot_every=every)
+    want_t, want = _stepwise(lambda u, h: gp_step_splitstep(u, h, g, V), u0,
+                             t_end, dt, every)
+    assert times == want_t and len(states) == len(want) == (12 if every else 2)
+    for got, w in zip(states, want):
+        _assert_agrees(got, w)
+
+    t_hop, U = 0.5, 1.0 + 0.3 * np.cos(2 * np.pi * g.xs / g.L)
+    pair = _two_gaussians(g)
+    times, states = march(continuum.coupled_gp_strang(g, t_hop, U), pair, 0.0, t_end,
+                          dt, snapshot_every=every)
+    want_t, want = _stepwise(lambda u, h: coupled_gp_step(u, h, g, t_hop, U), pair,
+                             t_end, dt, every)
+    assert times == want_t
+    for got, w in zip(states, want):
+        _assert_agrees(got[0], w[0])
+        _assert_agrees(got[1], w[1])
+
+
+def _unfused_strang(u, dt, grid, potential, a, b):
+    """The split step before its phase substeps could be fused, frozen."""
+    half = -0.5j * dt
+    u = np.exp(half * potential(u)) * u
+    u = np.fft.ifft(np.exp(-1j * dt * (a + b * grid.k ** 2)) * np.fft.fft(u))
+    return np.exp(half * potential(u)) * u
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.003, 0.35])
+def test_default_split_steps_keep_their_bytes(dt):
+    assert -1j * (0.5 * dt) == -0.5j * dt
+    g = Grid1D(L=30.0, M=128)
+    u0, V = _gp_case(g)
+    gp_potential = lambda w: 1.0 - np.abs(w) ** 2 - V
+    for u in (u0, _two_gaussians(g)):
+        want = _unfused_strang(u, dt, g, gp_potential, 0.0, 1.0)
+        assert np.array_equal(gp_step_splitstep(u, dt, g, V), want)
+    pair = _two_gaussians(g)
+    U, t_hop, hbar = 1.0 + 0.3 * np.cos(2 * np.pi * g.xs / g.L), 0.5, 0.7
+    want = _unfused_strang(pair, dt, g, lambda w: U / hbar * np.abs(w[::-1]) ** 2,
+                           -4.0 * t_hop / hbar, 2.0 * t_hop / hbar)
+    assert np.array_equal(coupled_gp_step(pair, dt, g, t_hop, U, hbar=hbar), want)
+
+
+class _CountingNumpy:
+    """numpy as continuum sees it, counting phase exponentials and FFTs."""
+
+    def __init__(self):
+        self.exp_calls = 0
+        self.fft = SimpleNamespace(fft=self._counted(np.fft.fft),
+                                   ifft=self._counted(np.fft.ifft))
+        self.fft_calls = 0
+
+    def _counted(self, fn):
+        def counted(*args, **kwargs):
+            self.fft_calls += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def exp(self, *args, **kwargs):
+        self.exp_calls += 1
+        return np.exp(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("t_end, every, phases, pairs", [
+    (0.1, 0, 11, 10),  # n full steps: n + 1 phase substeps
+    (0.1, 3, 14, 10),  # and one more at each snapshot, after steps 3, 6 and 9
+    (0.1, 5, 12, 10),  # the snapshot after step 10 is the final state
+    (0.105, 0, 13, 11),  # a short final step opens and closes on its own
+])
+def test_fused_march_counts_phase_substeps(monkeypatch, t_end, every, phases, pairs):
+    g = Grid1D(L=20.0, M=64)
+    u0, V = _gp_case(g)
+    steps = (continuum.gp_strang(g, V=V),
+             continuum.coupled_gp_strang(g, 0.5, np.full(g.M, 1.0)))
+    for step, y0 in zip(steps, (u0, _two_gaussians(g))):
+        march(step, y0, 0.0, t_end, 0.01, snapshot_every=every)  # builds the propagators
+        counting = _CountingNumpy()
+        monkeypatch.setattr(continuum, "np", counting)
+        march(step, y0, 0.0, t_end, 0.01, snapshot_every=every)
+        monkeypatch.undo()
+        assert (counting.exp_calls, counting.fft_calls) == (phases, 2 * pairs)
 
 
 def test_observable_dicts():

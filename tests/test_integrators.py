@@ -6,11 +6,13 @@ import pytest
 from gpchain.integrators import (
     IntegrationError,
     NonFiniteError,
+    SplitStep,
     StepUnderflowError,
     dp45_step,
     fixed_steps,
     integrate_adaptive,
     integrate_fixed,
+    march,
     rk4_step,
 )
 
@@ -142,3 +144,57 @@ def test_fixed_steps_plan():
     n, rem = fixed_steps(0.0, 1.0, 0.35)
     assert n == 2 and rem == pytest.approx(0.3)
     assert fixed_steps(2.0, 2.0, 0.1) == (0, 0.0)
+
+
+def _shift_kernel(calls, nan_at=None):
+    """A synthetic split kernel, exact in binary floating point at dyadic
+    steps: K(tau) y = y + tau, so K(a) K(b) = K(a + b), and D(h) y = (1 + h) y.
+    Its nan_at-th call returns NaN."""
+    def kernel(y, h, before, after):
+        calls.append((h, before, after))
+        if len(calls) == nan_at:
+            return np.full_like(y, np.nan)
+        return (1.0 + h) * (y + before) + after
+
+    return kernel
+
+
+def test_march_fuses_the_half_phases_of_split_steps():
+    calls = []
+    dt, every = 0.25, 3
+    times, states = march(SplitStep(_shift_kernel(calls)), np.array([1.0 + 0j]),
+                          0.0, 2.125, dt, snapshot_every=every)
+    # eight full steps and a short one; a step closes at the snapshots
+    # after steps 3 and 6, on the last full step and on the short step
+    assert calls == [(dt, dt / 2, dt), (dt, 0.0, dt), (dt, 0.0, dt / 2),
+                     (dt, dt / 2, dt), (dt, 0.0, dt), (dt, 0.0, dt / 2),
+                     (dt, dt / 2, dt), (dt, 0.0, dt / 2),
+                     (0.125, 0.0625, 0.0625)]
+    assert times == [0.0, 0.75, 1.5, 2.125]
+    # the same states as whole steps S(h), with nothing fused
+    step = SplitStep(_shift_kernel([]))
+    y, want = np.array([1.0 + 0j]), [np.array([1.0 + 0j])]
+    for n in range(1, 9):
+        y = step(None, y, dt)
+        if n in (3, 6):
+            want.append(y)
+    want.append(step(None, y, 0.125))
+    assert all(np.array_equal(a, b) for a, b in zip(states, want))
+
+
+@pytest.mark.parametrize("every", [0, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_split_step_blowup_carries_the_closed_state(k, every):
+    dt = 0.25
+    with pytest.raises(NonFiniteError) as err:
+        march(SplitStep(_shift_kernel([], nan_at=k)), np.array([1.0 + 0j]), 0.0, 2.0,
+              dt, snapshot_every=every)
+    exc = err.value
+    # the end of step k - 1, and the state of k - 1 whole steps S(dt)
+    assert exc.t == (k - 1) * dt
+    step = SplitStep(_shift_kernel([]))
+    y = np.array([1.0 + 0j])
+    for _ in range(k - 1):
+        y = step(None, y, dt)
+    assert np.array_equal(exc.y, y)
+    assert exc.times == [0.0] + [n * dt for n in range(1, k) if every and n % every == 0]
