@@ -422,7 +422,7 @@ def _run_study(cfg: dict, out_dir: str) -> int:
             grid_refine=int(study["grid_refine"]), band=band,
         )
         header = ("spacing", "N", "error")
-        row = lambda pt: (_fmt(pt["spacing"]), str(pt["N"]), _fmt(pt["error"]))
+        row = lambda pt: (_fmt(pt["spacing"]), str(pt["N"]), _fmt(pt.get("error", math.nan)))
     else:
         profile = _make_profile(cfg, "study", L, 0.0)
         run = lambda: limitlab.truncation_study(
@@ -432,11 +432,12 @@ def _run_study(cfg: dict, out_dir: str) -> int:
         header = ("s", "rho", "error", "skipped")
         row = lambda pt: (
             (_fmt(pt["s"]), "nan", "nan", "1") if pt.get("skipped")
-            else (_fmt(pt["s"]), _fmt(pt["rho"]), _fmt(pt["error"]), "0"))
+            else (_fmt(pt["s"]), _fmt(pt["rho"]), _fmt(pt.get("error", math.nan)), "0"))
     try:
         report = run()
     except limitlab.StudyError as exc:
-        # no slope to fit: the summary still records the points
+        # a blow-up or no slope to fit: the summary still records the points,
+        # and a point the study did not reach has no error
         print(f"error: {exc}", file=sys.stderr)
         report = limitlab.ConvergenceReport(kind, [], [], None, None, exc.points,
                                             band, False)

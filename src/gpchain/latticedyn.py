@@ -10,6 +10,8 @@ The chain is periodic.  Every neighbour term gathers through the index
 arrays of `_neighbours` (x[ip] is x_{j+1}, x[im] is x_{j-1}); the RHS
 factories build those indices and the per-bond coefficient arrays once,
 so a call adds only one |phi|^2 and its neighbour gathers to the arithmetic.
+The indices may also split the sites into consecutive rings, each periodic
+on its own, so that one call advances several independent chains.
 """
 
 from __future__ import annotations
@@ -19,10 +21,22 @@ import numpy as np
 from .models import HubbardParams, XXZParams
 
 
-def _neighbours(n: int):
-    """Periodic neighbour indices: x[ip] is x_{j+1} and x[im] is x_{j-1}."""
-    j = np.arange(n)
-    return (j + 1) % n, (j - 1) % n
+def _neighbours(n: int, rings=None):
+    """Periodic neighbour indices: x[ip] is x_{j+1} and x[im] is x_{j-1}.
+
+    rings, a sequence of sizes summing to n, splits the n sites into
+    consecutive rings, each periodic on its own; the default is one ring.
+    """
+    rings = (n,) if rings is None else tuple(int(r) for r in rings)
+    if sum(rings) != n or min(rings) < 1:
+        raise ValueError(f"rings {rings} must be positive sizes summing to {n}")
+    ips, ims, start = [], [], 0
+    for size in rings:
+        j = np.arange(size)
+        ips.append(start + (j + 1) % size)
+        ims.append(start + (j - 1) % size)
+        start += size
+    return np.concatenate(ips), np.concatenate(ims)
 
 
 def _bond_arrays(p: XXZParams, J_bond, R_bond):
@@ -34,11 +48,17 @@ def _bond_arrays(p: XXZParams, J_bond, R_bond):
     return J_bond, R_bond
 
 
-def xxz_rhs(p: XXZParams, symbol_mode: str = "naive", J_bond=None, R_bond=None):
+def xxz_rhs(p: XXZParams, symbol_mode: str = "naive", J_bond=None, R_bond=None,
+            rings=None):
     """RHS function f(t, phi) for the chain; phi has shape (1, N).
 
     Bond b couples sites b and b+1 (periodic); J_bond[b] defaults to the
-    uniform value J0 - J1 x_xi.  With n_j = |phi_j|^2,
+    uniform value J0 - J1 x_xi.  rings, a tuple of sizes summing to N,
+    splits the N sites into consecutive rings, each periodic on its own:
+    the last bond of a ring joins its last site to its first.  Every site
+    is updated from its own neighbours and coefficients, so each ring's
+    result equals, bit for bit, a call on that ring alone.  The default
+    is one ring of N.  With n_j = |phi_j|^2,
 
         P_j = s J_j phi_{j+1} + s J_{j-1} phi_{j-1}
               - s (R_j + R_{j-1}) phi_j
@@ -53,7 +73,7 @@ def xxz_rhs(p: XXZParams, symbol_mode: str = "naive", J_bond=None, R_bond=None):
     wick = symbol_mode == "wick"
     if not wick and symbol_mode != "naive":
         raise ValueError(f"symbol_mode must be naive or wick, got {symbol_mode!r}")
-    ip, im = _neighbours(p.N)
+    ip, im = _neighbours(p.N, rings)
     Rbm = Rb[im]
     s = p.s
     # Coefficients of phi terms are stored complex: numpy casts a real

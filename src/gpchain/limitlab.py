@@ -189,7 +189,6 @@ def lattice_vs_continuum(
     t_end: float,
     dt: float,
     grid_refine: int = 4,
-    reference: str = "continuum",
     h_profile=None,
     band: tuple = (1.7, 2.3),
 ) -> ConvergenceReport:
@@ -198,52 +197,51 @@ def lattice_vs_continuum(
     For each lattice size N the same initial profile is evolved on the
     N-site ring and on a grid_refine-times finer spectral grid carrying
     the continuum equation with spacing c = L/N (RK4 on the spectrum
-    fft(u), transformed back at t_end); the discrete L2
-    difference at t_end, sampled at the lattice points, is recorded
-    against c.  reference="self" instead compares each lattice run
-    against itself at half the time step (a pure integrator-error
-    measurement, useful as a floor).
+    fft(u), transformed back at t_end); the discrete L2 difference at
+    t_end, sampled at the lattice points, is recorded against c.  The
+    lattice legs of all sizes run as one RK4 march over the union of
+    their rings (xxz_rhs with rings=sizes), whose final state is split
+    per ring; each ring evolves exactly as it would alone.  Each spectral
+    leg is one integration on its own grid.  A blow-up in either leg
+    raises StudyError carrying the points, with the errors measured so far.
     """
-    if reference not in ("continuum", "self"):
-        raise ValueError(f"reference must be continuum or self, got {reference!r}")
-
-    def worker(N):
+    sizes = [int(N) for N in sizes]
+    points, phi0, h_lat = [], [], []
+    for N in sizes:
         c = L / N
         xs_lat = np.arange(N) * c
-        phi0 = np.asarray(profile(xs_lat), dtype=complex)
-        h_lat = np.zeros(N) if h_profile is None else np.asarray(h_profile(xs_lat), float)
-        p_N = replace(p, N=int(N), h=tuple(h_lat))
-        rhs = latticedyn.xxz_rhs(p_N)
-        _, states = integrators.integrate_fixed(rhs, phi0[None, :], 0.0, t_end, dt)
-        phiT = states[-1][0]
-        detail = {"N": int(N), "spacing": c, "skipped": False}
-        if reference == "self":
-            _, fine = integrators.integrate_fixed(rhs, phi0[None, :], 0.0, t_end, dt / 2)
-            detail["error"] = _l2(c, phiT - fine[-1][0])
-            return detail
-        M = grid_refine * N
-        grid = continuum.Grid1D(L, M)
+        phi0.append(np.asarray(profile(xs_lat), dtype=complex))
+        h_lat.append(np.zeros(N) if h_profile is None
+                     else np.asarray(h_profile(xs_lat), float))
+        points.append({"N": N, "spacing": c, "skipped": False})
+    p_all = replace(p, N=sum(sizes), h=tuple(np.concatenate(h_lat)))
+    rhs = latticedyn.xxz_rhs(p_all, rings=tuple(sizes))
+    try:
+        _, states = integrators.integrate_fixed(
+            rhs, np.concatenate(phi0)[None, :], 0.0, t_end, dt)
+    except integrators.NonFiniteError as exc:
+        raise StudyError(f"lattice leg: {exc}", points) from exc
+    phiT = np.split(states[-1][0], np.cumsum(sizes)[:-1])
+
+    for detail, h_N, phiT_N in zip(points, h_lat, phiT):
+        N, c = detail["N"], detail["spacing"]
+        grid = continuum.Grid1D(L, grid_refine * N)
         u0 = np.asarray(profile(grid.xs), dtype=complex)
         h_vals = None if h_profile is None else np.asarray(h_profile(grid.xs), float)
-        crhs = continuum.pretransform_rhs_factory(p_N, grid, spacing=c, h_values=h_vals)
-        _, uhs = integrators.integrate_fixed(crhs, np.fft.fft(u0), 0.0, t_end, dt)
+        crhs = continuum.pretransform_rhs_factory(
+            replace(p, N=N, h=tuple(h_N)), grid, spacing=c, h_values=h_vals)
+        try:
+            _, uhs = integrators.integrate_fixed(crhs, np.fft.fft(u0), 0.0, t_end, dt)
+        except integrators.NonFiniteError as exc:
+            raise StudyError(f"continuum leg at N = {N}: {exc}", points) from exc
         uT = np.fft.ifft(uhs[-1])[::grid_refine]
-        err = _l2(c, phiT - uT)
+        err = _l2(c, phiT_N - uT)
         detail["error"] = err
         detail["relative_error"] = err / max(_l2(c, uT), 1e-300)
-        return detail
 
-    points = [worker(N) for N in sizes]
     xs = [pt["spacing"] for pt in points]
     errors = [pt["error"] for pt in points]
-    label = "continuum-limit" if reference == "continuum" else "lattice-self"
-    if reference == "self":
-        return ConvergenceReport(
-            label, np.asarray(xs), np.asarray(errors),
-            slope=float("nan"), slope_stderr=float("nan"),
-            points=points, band=None, passed=None,
-        )
-    return _finish_report(label, xs, errors, points, band)
+    return _finish_report("continuum-limit", xs, errors, points, band)
 
 
 def truncation_study(
@@ -266,7 +264,8 @@ def truncation_study(
     carries them when the errors admit no log-log slope.  Every usable
     point contributes two rows to one (2S, M) RK4 integration of the
     spectra: its precursor leg, and its GP leg as the same precursor row
-    with dispersive_scale = 0.
+    with dispersive_scale = 0.  A blow-up of that integration raises
+    StudyError carrying the points, none of them with an error.
     """
     grid = continuum.Grid1D(L, M)
     xs_c = grid.xs - L / 2.0
@@ -296,8 +295,11 @@ def truncation_study(
         dispersive_scale=np.repeat([1.0, 0.0], len(used)),
     )
     u0_hat = np.fft.fft(u0)
-    _, states = integrators.integrate_fixed(
-        rhs, np.vstack([u0_hat, u0_hat]), 0.0, t_end, dt)
+    try:
+        _, states = integrators.integrate_fixed(
+            rhs, np.vstack([u0_hat, u0_hat]), 0.0, t_end, dt)
+    except integrators.NonFiniteError as exc:
+        raise StudyError(str(exc), points) from exc
     up, ug = np.split(np.fft.ifft(states[-1]), 2)
     for detail, a, b, u in zip(used, up, ug, u0):
         detail["error"] = _l2(grid.dx, a - b) / _l2(grid.dx, u)

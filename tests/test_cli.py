@@ -381,6 +381,31 @@ def test_study_without_a_slope_writes_strict_json(tmp_path, capsys):
     assert "0.0 at x = 0.7853981633974483" in err
 
 
+@pytest.mark.parametrize("study, header, blowup_t", [
+    ({"kind": "continuum-limit", "sizes": [64, 32], "t_end": 0.05, "dt": 1e-3,
+      "amplitude": 40.0}, "spacing,N,error", "0.002"),
+    ({"kind": "truncation", "s_values": [40.0, 400.0], "M": 64, "t_end": 0.1,
+      "dt": 0.01, "amplitude": 400.0}, "s,rho,error,skipped", "0.02"),
+], ids=["continuum-limit", "truncation"])
+def test_study_blowup_exits_1_with_its_points(tmp_path, capsys, study, header, blowup_t):
+    cfg = _write_cfg(tmp_path, {
+        "model": {"N": 8, "J0": 1.0, "R0": 2.0, "s": 1.0},
+        "study": {**study, "profile": "gaussian", "width": 2.0},
+    })
+    out = tmp_path / "boom"
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"state became non-finite at t={blowup_t}" in err
+    summary = _strict_json(out / "study_summary.json")
+    assert summary["slope"] is None and summary["passed"] is False
+    assert len(summary["points"]) == 2
+    assert not any("error" in pt for pt in summary["points"])
+    lines = (out / "study.csv").read_text().splitlines()
+    assert lines[0] == header and len(lines) == 3
+    assert all(line.split(",")[2] == "nan" for line in lines[1:])
+
+
 def test_study_continuum_limit_cli(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "model": {"N": 8, "J0": 1.0, "R0": 2.0, "s": 1.0},

@@ -263,3 +263,49 @@ def test_rhs_bitwise_property():
                                 _random_state(rng, 2, n))
 
     check()
+
+
+# ------------------------------------------------------ rings of the sites
+
+def _parent_neighbours(n):
+    j = np.arange(n)
+    return (j + 1) % n, (j - 1) % n
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 256])
+def test_default_rings_are_one_periodic_chain(n):
+    for got, want in zip(latticedyn._neighbours(n), _parent_neighbours(n)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for got, want in zip(latticedyn._neighbours(n, (n,)), _parent_neighbours(n)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rings", [(8, 8, 16), (2, 32)])
+@pytest.mark.parametrize("symbol_mode", ["naive", "wick"])
+@pytest.mark.parametrize("per_bond", [False, True])
+def test_ring_union_rhs_is_the_concatenation_of_each_ring(rings, symbol_mode, per_bond):
+    rng = np.random.default_rng(sum(rings) + 7 * per_bond)
+    n = sum(rings)
+    p = XXZParams(N=n, J0=0.8, J1=0.15, R0=0.6, R1=0.07, s=1.3, x_xi=0.3,
+                  h=tuple(rng.uniform(-0.5, 0.5, n)), hbar=0.7)
+    Jb, Rb = (rng.uniform(0.2, 1.5, n), rng.uniform(-0.4, 1.2, n)) if per_bond \
+        else (None, None)
+    phi = _random_state(rng, 1, n)
+    got = xxz_rhs(p, symbol_mode, Jb, Rb, rings=rings)(0.0, phi)
+    parts, start = [], 0
+    for size in rings:
+        ring = slice(start, start + size)
+        p_ring = XXZParams(N=size, J0=p.J0, J1=p.J1, R0=p.R0, R1=p.R1, s=p.s,
+                           x_xi=p.x_xi, h=p.h[ring], hbar=p.hbar)
+        f = xxz_rhs(p_ring, symbol_mode, None if Jb is None else Jb[ring],
+                    None if Rb is None else Rb[ring])
+        parts.append(f(0.0, phi[:, ring]))
+        start += size
+    want = np.concatenate(parts, axis=1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_rings_must_cover_the_sites():
+    for rings in [(8, 7), (8, 9), (16, 0)]:
+        with pytest.raises(ValueError, match="rings"):
+            xxz_rhs(XXZParams(N=16), rings=rings)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gpchain import continuum, integrators, limitlab
+from gpchain import continuum, integrators, latticedyn, limitlab
 from gpchain.limitlab import (
     DegenerateTransformError,
     TransformCoefficients,
@@ -125,19 +125,92 @@ def test_lattice_vs_continuum_second_order():
     assert rep.points[-1]["relative_error"] < rep.points[0]["relative_error"]
 
 
+def _lattice_self_errors(p, profile, sizes, L, t_end, dt):
+    """Each lattice run against itself at dt / 2: the integrator's error floor."""
+    errors = []
+    for N in sizes:
+        c = L / N
+        phi0 = np.asarray(profile(np.arange(N) * c), dtype=complex)[None, :]
+        rhs = latticedyn.xxz_rhs(replace(p, N=N, h=None))
+        _, coarse = integrators.integrate_fixed(rhs, phi0, 0.0, t_end, dt)
+        _, fine = integrators.integrate_fixed(rhs, phi0, 0.0, t_end, dt / 2)
+        errors.append(math.sqrt(c * float(np.sum(np.abs(coarse[-1] - fine[-1]) ** 2))))
+    return errors
+
+
 def test_lattice_self_reference_floor():
     L = 8 * np.pi
     p = XXZParams(N=8, J0=1.0, R0=2.0, s=1.0)
-    rep = lattice_vs_continuum(
-        p, lambda x: _gaussian(x, L), sizes=[32, 64],
-        L=L, t_end=0.3, dt=1e-3, reference="self",
-    )
-    assert math.isnan(rep.slope)
-    assert rep.passed is None
-    assert max(rep.errors) < 1e-9
-    with pytest.raises(ValueError):
-        lattice_vs_continuum(p, lambda x: _gaussian(x, L), sizes=[16],
-                             L=L, t_end=0.1, dt=1e-3, reference="midpoint")
+    errors = _lattice_self_errors(p, lambda x: _gaussian(x, L), sizes=[32, 64],
+                                  L=L, t_end=0.3, dt=1e-3)
+    assert max(errors) < 1e-9
+
+
+def _frozen_study_point(p, profile, N, L, t_end, dt, grid_refine, h_profile):
+    """One point of lattice_vs_continuum as it was computed size by size,
+    a lattice march and a spectral march per size."""
+    c = L / N
+    xs_lat = np.arange(N) * c
+    phi0 = np.asarray(profile(xs_lat), dtype=complex)
+    h_lat = np.zeros(N) if h_profile is None else np.asarray(h_profile(xs_lat), float)
+    p_N = replace(p, N=int(N), h=tuple(h_lat))
+    rhs = latticedyn.xxz_rhs(p_N)
+    _, states = integrators.integrate_fixed(rhs, phi0[None, :], 0.0, t_end, dt)
+    phiT = states[-1][0]
+    detail = {"N": int(N), "spacing": c, "skipped": False}
+    M = grid_refine * N
+    grid = continuum.Grid1D(L, M)
+    u0 = np.asarray(profile(grid.xs), dtype=complex)
+    h_vals = None if h_profile is None else np.asarray(h_profile(grid.xs), float)
+    crhs = continuum.pretransform_rhs_factory(p_N, grid, spacing=c, h_values=h_vals)
+    _, uhs = integrators.integrate_fixed(crhs, np.fft.fft(u0), 0.0, t_end, dt)
+    uT = np.fft.ifft(uhs[-1])[::grid_refine]
+    err = limitlab._l2(c, phiT - uT)
+    detail["error"] = err
+    detail["relative_error"] = err / max(limitlab._l2(c, uT), 1e-300)
+    return detail
+
+
+@pytest.mark.parametrize("h_profile", [None, "cos"])
+def test_batched_lattice_legs_match_the_per_size_study(h_profile):
+    # one march over the union of the rings, with sizes unsorted and repeated,
+    # gives every point of the size-by-size study bit for bit
+    L, t_end, dt = 8 * np.pi, 0.05, 1e-3
+    p = XXZParams(N=8, J0=1.0, J1=0.2, R0=2.0, R1=0.1, s=1.0, x_xi=0.3)
+    h = None if h_profile is None else (lambda x: 0.3 * np.cos(2 * np.pi * x / L))
+    sizes = [64, 32, 64]
+
+    def profile(x):  # a plane wave keeps the field large where the rings wrap
+        return _gaussian(x, L) + 0.2 * np.exp(2j * np.pi * x / L)
+
+    rep = lattice_vs_continuum(p, profile, sizes, L=L,
+                               t_end=t_end, dt=dt, grid_refine=2, h_profile=h)
+    assert [pt["N"] for pt in rep.points] == sizes
+    for pt, N in zip(rep.points, sizes):
+        want = _frozen_study_point(p, profile, N, L, t_end, dt, 2, h)
+        assert list(pt) == list(want)
+        for key, value in want.items():
+            assert type(pt[key]) is type(value), key
+            assert np.float64(pt[key]).tobytes() == np.float64(value).tobytes(), key
+    assert rep.errors.tobytes() == np.array([pt["error"] for pt in rep.points]).tobytes()
+
+
+def test_continuum_leg_blowup_keeps_the_errors_measured_so_far(monkeypatch):
+    real = continuum.pretransform_rhs_factory
+
+    def factory(p, grid, **kw):
+        f = real(p, grid, **kw)
+        return f if grid.M < 256 else (lambda t, uh: np.full_like(uh, np.nan))
+
+    monkeypatch.setattr(limitlab.continuum, "pretransform_rhs_factory", factory)
+    L = 8 * np.pi
+    with pytest.raises(limitlab.StudyError, match="continuum leg at N = 64") as info:
+        lattice_vs_continuum(XXZParams(N=8, J0=1.0, R0=2.0, s=1.0),
+                             lambda x: _gaussian(x, L), [32, 64, 128],
+                             L=L, t_end=0.01, dt=1e-3)
+    first, *rest = info.value.points
+    assert first["N"] == 32 and first["error"] > 0
+    assert [(pt["N"], "error" in pt) for pt in rest] == [(64, False), (128, False)]
 
 
 def test_truncation_study_first_order():
