@@ -3,9 +3,8 @@
 The pipeline runs from exact ladder-operator algebra (opalg, fock),
 through the classical field equations it induces (symbolmap, models,
 latticedyn), to spectral continuum solvers and convergence studies
-(continuum, limitlab).  `textform` parses the str() text of expressions;
-`cli` exposes the whole thing as the `gpchain` command, and `csvout` makes
-the text of its CSV numbers.
+(continuum, limitlab).  `cli` exposes the whole thing as the `gpchain`
+command, and `csvout` makes the text of its CSV numbers.
 """
 
 from .coeffs import ParamCoeff, RationalComplex
@@ -29,7 +28,6 @@ from .models import (
 )
 from .opalg import Algebra, LadderOp, OperatorExpr, Statistics
 from .symbolmap import FieldPoly, naive_symbol, ordering_correction, wick_symbol
-from .textform import expr_from_text, poly_from_text
 
 __version__ = "0.1.0"
 
@@ -53,11 +51,9 @@ __all__ = [
     "compute_transform",
     "derive_eom",
     "eqmotannih_reference",
-    "expr_from_text",
     "lattice_vs_continuum",
     "naive_symbol",
     "ordering_correction",
-    "poly_from_text",
     "truncation_study",
     "wick_symbol",
     "__version__",

@@ -433,12 +433,14 @@ def _run_study(cfg: dict, out_dir: str) -> int:
         row = lambda pt: (
             (_fmt(pt["s"]), "nan", "nan", "1") if pt.get("skipped")
             else (_fmt(pt["s"]), _fmt(pt["rho"]), _fmt(pt.get("error", math.nan)), "0"))
+    failure = {}
     try:
         report = run()
     except limitlab.StudyError as exc:
-        # a blow-up or no slope to fit: the summary still records the points,
-        # and a point the study did not reach has no error
+        # a blow-up or no slope to fit: the summary still records the points
+        # and why it failed, and a point the study did not reach has no error
         print(f"error: {exc}", file=sys.stderr)
+        failure = {"failure": str(exc)}
         report = limitlab.ConvergenceReport(kind, [], [], None, None, exc.points,
                                             band, False)
 
@@ -449,7 +451,7 @@ def _run_study(cfg: dict, out_dir: str) -> int:
         {
             "command": "study", "kind": kind, "slope": report.slope,
             "slope_stderr": report.slope_stderr, "band": list(band),
-            "passed": report.passed, "points": report.points,
+            "passed": report.passed, "points": report.points, **failure,
         },
     )
     if report.slope is None:

@@ -140,13 +140,12 @@ def _cubic_rhs(grid: Grid1D, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     return f
 
 
-def gp_rhs_factory(grid: Grid1D, V=None, linear_offset: float = 1.0,
-                   dealias: bool = True):
+def gp_rhs_factory(grid: Grid1D, V=None, dealias: bool = True):
     """F(t, uh) = d(uh)/dt, uh = fft(u), for
 
-        i u_t = offset*u - u_xx - |u|^2 u - V u
+        i u_t = u - u_xx - |u|^2 u - V u
     """
-    return _cubic_rhs(grid, -1j, linear_offset, -1.0, -1.0, V=V, dealias=dealias)
+    return _cubic_rhs(grid, -1j, 1.0, -1.0, -1.0, V=V, dealias=dealias)
 
 
 @lru_cache(maxsize=32)
@@ -184,15 +183,15 @@ def _halves(dt, before, after):
 
 
 def gp_step_splitstep(u, dt: float, grid: Grid1D, V=None,
-                      linear_offset: float = 1.0, before: float | None = None,
+                      before: float | None = None,
                       after: float | None = None) -> np.ndarray:
-    """One Strang step of the GP equation i u_t = (offset - |u|^2 - V) u - u_xx.
+    """One Strang step of the GP equation i u_t = u - u_xx - |u|^2 u - V u.
 
     before and after are the lengths of the two phase substeps (dt/2
     when not given); see _strang.
     """
     Varr = 0.0 if V is None else np.asarray(V, dtype=float)
-    return _strang(u, dt, grid, lambda w: linear_offset - np.abs(w) ** 2 - Varr,
+    return _strang(u, dt, grid, lambda w: 1.0 - np.abs(w) ** 2 - Varr,
                    0.0, 1.0, *_halves(dt, before, after))
 
 
@@ -200,14 +199,14 @@ def gp_norm(values, grid: Grid1D) -> float:
     return float(grid.dx * np.sum(np.abs(values) ** 2))
 
 
-def gp_energy(values, grid: Grid1D, V=None, linear_offset: float = 1.0) -> float:
+def gp_energy(values, grid: Grid1D, V=None) -> float:
     """Conserved energy of the GP flow:
 
-        E = integral |u_x|^2 + offset |u|^2 - |u|^4/2 - V |u|^2
+        E = integral |u_x|^2 + |u|^2 - |u|^4/2 - V |u|^2
     """
     ux = spectral_derivative(values, grid)
     dens = np.abs(values) ** 2
-    e = np.abs(ux) ** 2 + linear_offset * dens - 0.5 * dens ** 2
+    e = np.abs(ux) ** 2 + dens - 0.5 * dens ** 2
     if V is not None:
         e = e - np.asarray(V, dtype=float) * dens
     return float(grid.dx * np.sum(e))
@@ -301,11 +300,11 @@ def coupled_gp_step(u, dt: float, grid: Grid1D, t_hop: float, U_values,
                    *_halves(dt, before, after))
 
 
-def gp_strang(grid: Grid1D, V=None, linear_offset: float = 1.0):
+def gp_strang(grid: Grid1D, V=None):
     """gp_step_splitstep as a SplitStep for integrators.march, which fuses
     the half phases of consecutive steps."""
     return SplitStep(lambda u, h, before, after: gp_step_splitstep(
-        u, h, grid, V, linear_offset, before=before, after=after))
+        u, h, grid, V, before=before, after=after))
 
 
 def coupled_gp_strang(grid: Grid1D, t_hop: float, U_values, hbar: float = 1.0):
@@ -331,10 +330,9 @@ def coupled_gp_observables(u, grid: Grid1D, t_hop: float, U_values,
     }
 
 
-def continuum_observables(u, grid: Grid1D, V=None,
-                          linear_offset: float = 1.0) -> dict:
+def continuum_observables(u, grid: Grid1D, V=None) -> dict:
     return {
         "norm": gp_norm(u, grid),
-        "energy": gp_energy(u, grid, V, linear_offset),
+        "energy": gp_energy(u, grid, V),
         "momentum": gp_momentum(u, grid),
     }

@@ -8,7 +8,7 @@ cross-checking.
 
 The chain is periodic.  Every neighbour term gathers through the index
 arrays of `_neighbours` (x[ip] is x_{j+1}, x[im] is x_{j-1}); the RHS
-factories build those indices and the per-bond coefficient arrays once,
+factories build those indices and the per-site coefficient arrays once,
 so a call adds only one |phi|^2 and its neighbour gathers to the arithmetic.
 The indices may also split the sites into consecutive rings, each periodic
 on its own, so that one call advances several independent chains.
@@ -39,57 +39,53 @@ def _neighbours(n: int, rings=None):
     return np.concatenate(ips), np.concatenate(ims)
 
 
-def _bond_arrays(p: XXZParams, J_bond, R_bond):
-    J_bond = np.full(p.N, p.J0 - p.J1 * p.x_xi) if J_bond is None else J_bond
-    R_bond = np.full(p.N, p.R0 - p.R1 * p.x_xi) if R_bond is None else R_bond
-    J_bond, R_bond = np.asarray(J_bond, dtype=float), np.asarray(R_bond, dtype=float)
-    if J_bond.shape != (p.N,) or R_bond.shape != (p.N,):
-        raise ValueError(f"bond arrays must have shape ({p.N},)")
-    return J_bond, R_bond
+def _bond_arrays(p: XXZParams):
+    """The couplings J = J0 - J1 x_xi and R = R0 - R1 x_xi of every bond,
+    as per-site arrays: array factors keep the bits of the RHS and energy
+    that the golden outputs pin."""
+    return (np.full(p.N, p.J0 - p.J1 * p.x_xi, dtype=float),
+            np.full(p.N, p.R0 - p.R1 * p.x_xi, dtype=float))
 
 
-def xxz_rhs(p: XXZParams, symbol_mode: str = "naive", J_bond=None, R_bond=None,
-            rings=None):
+def xxz_rhs(p: XXZParams, symbol_mode: str = "naive", rings=None):
     """RHS function f(t, phi) for the chain; phi has shape (1, N).
 
-    Bond b couples sites b and b+1 (periodic); J_bond[b] defaults to the
-    uniform value J0 - J1 x_xi.  rings, a tuple of sizes summing to N,
-    splits the N sites into consecutive rings, each periodic on its own:
-    the last bond of a ring joins its last site to its first.  Every site
-    is updated from its own neighbours and coefficients, so each ring's
-    result equals, bit for bit, a call on that ring alone.  The default
-    is one ring of N.  With n_j = |phi_j|^2,
+    Every bond carries the couplings J = J0 - J1 x_xi and R = R0 - R1 x_xi.
+    rings, a tuple of sizes summing to N, splits the N sites into
+    consecutive rings, each periodic on its own: the last bond of a ring
+    joins its last site to its first.  Every site is updated from its own
+    neighbours and coefficients, so each ring's result equals, bit for
+    bit, a call on that ring alone.  The default is one ring of N.  With
+    n_j = |phi_j|^2,
 
-        P_j = s J_j phi_{j+1} + s J_{j-1} phi_{j-1}
-              - s (R_j + R_{j-1}) phi_j
-              + (R_j n_{j+1} + R_{j-1} n_{j-1}) phi_j - h_j phi_j.
+        P_j = s J (phi_{j+1} + phi_{j-1}) - 2 s R phi_j
+              + R (n_{j+1} + n_{j-1}) phi_j - h_j phi_j.
 
-    In wick mode the linear shift +(1/2)(R_j + R_{j-1}) phi_j is added,
-    the symbol-ordering difference of the quartic terms.  The neighbour
-    indices and the per-bond coefficients are built here, once; each call
-    gathers the neighbours of phi and |phi|^2 and does no other setup.
+    In wick mode the linear shift +R phi_j is added, the symbol-ordering
+    difference of the quartic terms.  The neighbour indices and the
+    per-site coefficients are built here, once; each call gathers the
+    neighbours of phi and |phi|^2 and does no other setup.
     """
-    Jb, Rb = _bond_arrays(p, J_bond, R_bond)
+    Jb, Rb = _bond_arrays(p)
     wick = symbol_mode == "wick"
     if not wick and symbol_mode != "naive":
         raise ValueError(f"symbol_mode must be naive or wick, got {symbol_mode!r}")
     ip, im = _neighbours(p.N, rings)
-    Rbm = Rb[im]
     s = p.s
     # Coefficients of phi terms are stored complex: numpy casts a real
     # factor to complex before multiplying a complex array anyway, so the
     # products keep their bits and the call skips the cast.
-    sJ, sJm, sR, h, shift = (
+    sJ, sR, h, shift = (
         np.asarray(c, dtype=complex)
-        for c in (s * Jb, s * Jb[im], s * (Rb + Rbm), p.h, 0.5 * (Rb + Rbm)))
+        for c in (s * Jb, s * (2.0 * Rb), p.h, Rb))
     scale = 1j / p.hbar
 
     def f(t, phi):
         u = phi[0]
         n = np.abs(u) ** 2
-        P = sJ * u[ip] + sJm * u[im]
+        P = sJ * u[ip] + sJ * u[im]
         P -= sR * u
-        P += (Rb * n[ip] + Rbm * n[im]) * u
+        P += (Rb * n[ip] + Rb * n[im]) * u
         P -= h * u
         if wick:
             P += shift * u
@@ -136,18 +132,18 @@ def rhs_from_polys(polys, bindings, hbar: float = 1.0):
     return f
 
 
-def xxz_observables(phi, p: XXZParams, J_bond=None, R_bond=None) -> dict:
+def xxz_observables(phi, p: XXZParams) -> dict:
     """Norm and energy of a chain configuration.
 
     The energy is the classical Hamiltonian whose canonical flow is the
     naive-mode equation of motion:
 
-        E = -2 s sum_b J_b Re(phi_b* phi_{b+1})
-            - sum_b R_b (s - n_b)(s - n_{b+1})
+        E = -2 s J sum_b Re(phi_b* phi_{b+1})
+            - R sum_b (s - n_b)(s - n_{b+1})
             - sum_j h_j (s - n_j)
     """
     u = np.atleast_2d(phi)[0]
-    Jb, Rb = _bond_arrays(p, J_bond, R_bond)
+    Jb, Rb = _bond_arrays(p)
     n = np.abs(u) ** 2
     ip, _ = _neighbours(u.size)
     h = np.asarray(p.h, dtype=float)

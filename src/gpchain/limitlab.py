@@ -88,22 +88,6 @@ def compute_transform(p: XXZParams) -> TransformCoefficients:
     return TransformCoefficients(A2, B2, ts, bool(degenerate))
 
 
-def expand_couplings(p: XXZParams, displacements, circumference=None):
-    """Per-bond couplings from site positions: J_b = J0 - J1 |x_{b+1} - x_b|.
-
-    Bond b joins sites b and b+1; the wrap bond length is measured
-    through the given ring circumference (default N * x_xi, matching a
-    uniform ring).  Returns (J_bond, R_bond).
-    """
-    x = np.asarray(displacements, dtype=float)
-    if x.shape != (p.N,):
-        raise ValueError(f"displacements must have shape ({p.N},)")
-    if circumference is None:
-        circumference = p.N * p.x_xi
-    d = np.abs(np.diff(x, append=x[0] + circumference))
-    return p.J0 - p.J1 * d, p.R0 - p.R1 * d
-
-
 @dataclass
 class ConvergenceReport:
     label: str
@@ -157,28 +141,6 @@ def _finish_report(label, xs, errors, points, band):
 
 def _l2(weight, values) -> float:
     return math.sqrt(weight * float(np.sum(np.abs(values) ** 2)))
-
-
-def taylor_check(fn, d1, d2, deltas, xs, band=(2.7, 3.3)) -> ConvergenceReport:
-    """Error of the two-term site shift f(x +- delta) ~ f +- delta f' + delta^2/2 f''.
-
-    Third-order convergence in delta is what licenses keeping exactly
-    the terms of second order in the spacing.
-    """
-    xs = np.asarray(xs, dtype=float)
-    base = fn(xs)
-    errors = []
-    points = []
-    for d in deltas:
-        approx_p = base + d * d1(xs) + 0.5 * d * d * d2(xs)
-        approx_m = base - d * d1(xs) + 0.5 * d * d * d2(xs)
-        err = max(
-            float(np.abs(fn(xs + d) - approx_p).max()),
-            float(np.abs(fn(xs - d) - approx_m).max()),
-        )
-        errors.append(err)
-        points.append({"delta": float(d), "error": err})
-    return _finish_report("taylor", list(deltas), errors, points, band)
 
 
 def lattice_vs_continuum(

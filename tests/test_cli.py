@@ -379,6 +379,7 @@ def test_study_without_a_slope_writes_strict_json(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: no log-log slope: errors must be positive and finite")
     assert "0.0 at x = 0.7853981633974483" in err
+    assert summary["failure"].startswith("no log-log slope: errors must be positive")
 
 
 @pytest.mark.parametrize("study, header, blowup_t", [
@@ -399,6 +400,8 @@ def test_study_blowup_exits_1_with_its_points(tmp_path, capsys, study, header, b
     assert f"state became non-finite at t={blowup_t}" in err
     summary = _strict_json(out / "study_summary.json")
     assert summary["slope"] is None and summary["passed"] is False
+    assert f"state became non-finite at t={blowup_t}" in summary["failure"]
+    assert err == f"error: {summary['failure']}\n"
     assert len(summary["points"]) == 2
     assert not any("error" in pt for pt in summary["points"])
     lines = (out / "study.csv").read_text().splitlines()
@@ -421,6 +424,7 @@ def test_study_continuum_limit_cli(tmp_path):
     assert len(lines) == 3
     summary = json.loads((out / "study_summary.json").read_text())
     assert summary["passed"] is True
+    assert "failure" not in summary
 
 
 def _read_field(path):
@@ -663,6 +667,7 @@ def test_study_truncation_all_degenerate_writes_summary(tmp_path, capsys):
     assert "error: fewer than two usable truncation points" in capsys.readouterr().err
     summary = json.loads((out / "study_summary.json").read_text())
     assert summary["passed"] is False and summary["slope"] is None
+    assert summary["failure"].startswith("fewer than two usable truncation points")
     assert len(summary["points"]) == 5
     assert all(pt["skipped"] for pt in summary["points"])
     lines = (out / "study.csv").read_text().splitlines()

@@ -100,7 +100,7 @@ def test_bright_soliton_is_stationary():
     g = Grid1D(L=20 * np.pi, M=512)
     x = g.xs
     u0 = np.sqrt(2.0) / np.cosh(x - g.L / 2)
-    uT = _evolve(gp_rhs_factory(g, linear_offset=1.0), u0, 1.0, 1e-3)
+    uT = _evolve(gp_rhs_factory(g), u0, 1.0, 1e-3)
     drift = np.abs(np.abs(uT) - np.abs(u0)).max()
     assert drift < 1e-8
     assert np.abs(uT - u0).max() < 1e-8
@@ -383,7 +383,7 @@ def test_observable_dicts():
     u = np.full(g.M, 0.5 + 0.0j)
     obs = continuum_observables(u, g)
     assert obs["norm"] == pytest.approx(0.25 * g.L)
-    # constant field: E = offset*|u|^2 - |u|^4/2 integrated
+    # constant field: E = |u|^2 - |u|^4/2 integrated
     assert obs["energy"] == pytest.approx(g.L * (0.25 - 0.5 * 0.0625))
     assert obs["momentum"] == pytest.approx(0.0, abs=1e-14)
     pair = np.array([u, np.full(g.M, 1.0 + 0.0j)])
@@ -402,7 +402,7 @@ def _filtered(values, mask):
     return np.fft.ifft(np.fft.fft(values) * mask)
 
 
-def _oracle_gp(grid, V=None, linear_offset=1.0, dealias=True):
+def _oracle_gp(grid, V=None, dealias=True):
     k2 = grid.k ** 2
     mask = grid.dealias_mask() if dealias else None
     Varr = None if V is None else np.asarray(V, dtype=float)
@@ -412,7 +412,7 @@ def _oracle_gp(grid, V=None, linear_offset=1.0, dealias=True):
         nl = (np.abs(u) ** 2) * u
         if mask is not None:
             nl = _filtered(nl, mask)
-        P = linear_offset * u - u_xx - nl
+        P = u - u_xx - nl
         if Varr is not None:
             P = P - Varr * u
         return -1j * P
@@ -498,8 +498,8 @@ def test_fused_gp_matches_oracle(with_V):
     u = _test_field(g, 1)
     V = 0.3 * np.cos(2 * np.pi * g.xs / g.L) if with_V else None
     for dealias in (True, False):
-        got = _du(gp_rhs_factory(g, V=V, linear_offset=0.7, dealias=dealias), u)
-        want = _oracle_gp(g, V=V, linear_offset=0.7, dealias=dealias)(0.0, u)
+        got = _du(gp_rhs_factory(g, V=V, dealias=dealias), u)
+        want = _oracle_gp(g, V=V, dealias=dealias)(0.0, u)
         _assert_agrees(got, want)
 
 
@@ -601,7 +601,7 @@ def _rhs_cases(g, rows, with_V, dealias):
     return [
         (precursor_rhs_factory, (g, A, B), dict(pre, dispersive_scale=0.0)),
         (precursor_rhs_factory, (g, A, B), dict(pre, dispersive_scale=1.0)),
-        (gp_rhs_factory, (g,), dict(V=V, linear_offset=0.7, dealias=dealias)),
+        (gp_rhs_factory, (g,), dict(V=V, dealias=dealias)),
         (pretransform_rhs_factory, (p, g),
          dict(spacing=0.5, h_values=h, dealias=dealias)),
     ]
@@ -663,7 +663,7 @@ def _rk4_cases(g):
                                 dispersive_scale=[1.0, 0.5, 0.0])),
         "pretransform-h": (None, pretransform_rhs_factory, (p, g),
                            dict(spacing=0.5, h_values=0.25 + V)),
-        "gp-V": (None, gp_rhs_factory, (g,), dict(V=V, linear_offset=0.7)),
+        "gp-V": (None, gp_rhs_factory, (g,), dict(V=V)),
         "no-dealias": (None, pretransform_rhs_factory, (p, g),
                        dict(spacing=0.5, h_values=0.25 + V, dealias=False)),
     }

@@ -117,6 +117,18 @@ def test_adaptive_underflow_raises():
     assert err.value.times
 
 
+def test_adaptive_step_bound_raises_with_the_last_good_state():
+    y0 = np.array([1.0 + 0j])
+    with pytest.raises(IntegrationError, match="exceeded 3 steps") as err:
+        integrate_adaptive(lambda t, y: 1j * y, y0, 0.0, 5.0, 1e-10, dt0=1e-3,
+                           max_steps=3)
+    exc = err.value
+    assert type(exc) is IntegrationError
+    assert 0.0 < exc.t < 5.0
+    assert np.all(np.isfinite(exc.y.view(float)))
+    assert exc.times[0] == 0.0 and np.array_equal(exc.states[0], y0)
+
+
 def test_shape_preserved_for_2d_states():
     f = lambda t, y: 1j * y
     y0 = np.ones((2, 5), dtype=complex)

@@ -135,25 +135,13 @@ def test_trajectory_snapshots():
     assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
 
 
-def test_bond_override_matches_uniform_default():
-    p = XXZParams(N=8, J0=1.2, J1=0.3, R0=0.9, R1=0.1, x_xi=0.25)
-    rng = np.random.default_rng(8)
-    phi = _random_state(rng, 1, p.N)
-    Jb = np.full(p.N, p.J0 - p.J1 * p.x_xi)
-    Rb = np.full(p.N, p.R0 - p.R1 * p.x_xi)
-    default = xxz_rhs(p)
-    explicit = xxz_rhs(p, J_bond=Jb, R_bond=Rb)
-    assert np.abs(default(0.0, phi) - explicit(0.0, phi)).max() == 0.0
-
-
-
 # ------------------------------------------------ bitwise np.roll oracle
 #
 # The closed forms as first written, with np.roll for every neighbour.
 # The gather-indexed RHSes and observables must reproduce them bit for bit.
 
-def _roll_xxz_rhs(p, symbol_mode="naive", J_bond=None, R_bond=None):
-    Jb, Rb = latticedyn._bond_arrays(p, J_bond, R_bond)
+def _roll_xxz_rhs(p, symbol_mode="naive"):
+    Jb, Rb = latticedyn._bond_arrays(p)
     Jbm = np.roll(Jb, 1)
     Rbm = np.roll(Rb, 1)
     h = np.asarray(p.h, dtype=float)
@@ -191,9 +179,9 @@ def _roll_hubbard_rhs(p):
     return f
 
 
-def _roll_xxz_energy(phi, p, J_bond=None, R_bond=None):
+def _roll_xxz_energy(phi, p):
     u = np.atleast_2d(phi)[0]
-    Jb, Rb = latticedyn._bond_arrays(p, J_bond, R_bond)
+    Jb, Rb = latticedyn._bond_arrays(p)
     n = np.abs(u) ** 2
     npp = np.roll(n, -1)
     h = np.asarray(p.h, dtype=float)
@@ -210,13 +198,12 @@ def _roll_hubbard_energy(phi, p):
     return float(hop + np.sum(U * n[1] * n[0]))
 
 
-def _assert_xxz_bitwise(p, phi, J_bond=None, R_bond=None):
+def _assert_xxz_bitwise(p, phi):
     for mode in ("naive", "wick"):
-        got = xxz_rhs(p, mode, J_bond, R_bond)(0.0, phi)
-        want = _roll_xxz_rhs(p, mode, J_bond, R_bond)(0.0, phi)
+        got = xxz_rhs(p, mode)(0.0, phi)
+        want = _roll_xxz_rhs(p, mode)(0.0, phi)
         assert np.array_equal(got, want), mode
-    assert xxz_observables(phi, p, J_bond, R_bond)["energy"] \
-        == _roll_xxz_energy(phi, p, J_bond, R_bond)
+    assert xxz_observables(phi, p)["energy"] == _roll_xxz_energy(phi, p)
 
 
 def _assert_hubbard_bitwise(p, phi):
@@ -229,12 +216,10 @@ def test_rhs_bitwise_equal_to_roll_oracle(n):
     rng = np.random.default_rng(100 + n)
     # uniform bonds, no field, hbar = 1
     _assert_xxz_bitwise(XXZParams(N=n, J0=1.0, R0=1.0, s=1.0), _random_state(rng, 1, n))
-    # non-uniform bonds, a site field and hbar != 1
+    # gradient couplings, a site field and hbar != 1
     p = XXZParams(N=n, J0=0.8, J1=0.1, R0=0.6, R1=0.07, s=1.3, x_xi=0.3,
                   h=tuple(rng.uniform(-0.5, 0.5, n)), hbar=0.7)
-    Jb, Rb = rng.uniform(0.2, 1.5, n), rng.uniform(-0.4, 1.2, n)
     _assert_xxz_bitwise(p, _random_state(rng, 1, n))
-    _assert_xxz_bitwise(p, _random_state(rng, 1, n), J_bond=Jb, R_bond=Rb)
     # uniform and non-uniform U
     phi2 = _random_state(rng, 2, n)
     _assert_hubbard_bitwise(HubbardParams(N=n, t=1.0, U=2.0), phi2)
@@ -251,12 +236,13 @@ def test_rhs_bitwise_property():
     def check(n, seed, uniform):
         rng = np.random.default_rng(seed)
         if uniform:
-            p, Jb, Rb = XXZParams(N=n, h=float(rng.normal())), None, None
+            p = XXZParams(N=n, h=float(rng.normal()))
         else:
-            p = XXZParams(N=n, s=float(rng.uniform(0.5, 3.0)),
+            J0, J1, R0, R1, x_xi = rng.normal(size=5)
+            p = XXZParams(N=n, J0=float(J0), J1=float(J1), R0=float(R0), R1=float(R1),
+                          s=float(rng.uniform(0.5, 3.0)), x_xi=float(x_xi),
                           h=tuple(rng.normal(size=n)), hbar=float(rng.uniform(0.3, 2.0)))
-            Jb, Rb = rng.normal(size=n), rng.normal(size=n)
-        _assert_xxz_bitwise(p, _random_state(rng, 1, n), J_bond=Jb, R_bond=Rb)
+        _assert_xxz_bitwise(p, _random_state(rng, 1, n))
         U = float(rng.normal()) if uniform else tuple(rng.normal(size=n))
         _assert_hubbard_bitwise(HubbardParams(N=n, t=float(rng.normal()), U=U,
                                               hbar=float(rng.uniform(0.3, 2.0))),
@@ -282,24 +268,19 @@ def test_default_rings_are_one_periodic_chain(n):
 
 @pytest.mark.parametrize("rings", [(8, 8, 16), (2, 32)])
 @pytest.mark.parametrize("symbol_mode", ["naive", "wick"])
-@pytest.mark.parametrize("per_bond", [False, True])
-def test_ring_union_rhs_is_the_concatenation_of_each_ring(rings, symbol_mode, per_bond):
-    rng = np.random.default_rng(sum(rings) + 7 * per_bond)
+def test_ring_union_rhs_is_the_concatenation_of_each_ring(rings, symbol_mode):
+    rng = np.random.default_rng(sum(rings))
     n = sum(rings)
     p = XXZParams(N=n, J0=0.8, J1=0.15, R0=0.6, R1=0.07, s=1.3, x_xi=0.3,
                   h=tuple(rng.uniform(-0.5, 0.5, n)), hbar=0.7)
-    Jb, Rb = (rng.uniform(0.2, 1.5, n), rng.uniform(-0.4, 1.2, n)) if per_bond \
-        else (None, None)
     phi = _random_state(rng, 1, n)
-    got = xxz_rhs(p, symbol_mode, Jb, Rb, rings=rings)(0.0, phi)
+    got = xxz_rhs(p, symbol_mode, rings=rings)(0.0, phi)
     parts, start = [], 0
     for size in rings:
         ring = slice(start, start + size)
         p_ring = XXZParams(N=size, J0=p.J0, J1=p.J1, R0=p.R0, R1=p.R1, s=p.s,
                            x_xi=p.x_xi, h=p.h[ring], hbar=p.hbar)
-        f = xxz_rhs(p_ring, symbol_mode, None if Jb is None else Jb[ring],
-                    None if Rb is None else Rb[ring])
-        parts.append(f(0.0, phi[:, ring]))
+        parts.append(xxz_rhs(p_ring, symbol_mode)(0.0, phi[:, ring]))
         start += size
     want = np.concatenate(parts, axis=1)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -10,10 +10,8 @@ from gpchain.limitlab import (
     DegenerateTransformError,
     TransformCoefficients,
     compute_transform,
-    expand_couplings,
     fit_loglog,
     lattice_vs_continuum,
-    taylor_check,
     truncation_study,
 )
 from gpchain.models import XXZParams
@@ -63,20 +61,6 @@ def test_transform_degenerate_and_undefined():
         compute_transform(XXZParams(N=8, J0=1.0, R0=0.0))
 
 
-def test_expand_couplings_uniform_ring():
-    p = XXZParams(N=4, J0=2.0, J1=0.5, R0=1.0, R1=0.25, x_xi=0.5)
-    x = np.arange(4) * 0.5
-    Jb, Rb = expand_couplings(p, x)
-    assert np.allclose(Jb, 2.0 - 0.5 * 0.5)
-    assert np.allclose(Rb, 1.0 - 0.25 * 0.5)
-    # a stretched wrap bond shows up only in the last entry
-    Jb2, _ = expand_couplings(p, x, circumference=2.5)
-    assert np.allclose(Jb2[:-1], Jb[:-1])
-    assert Jb2[-1] == pytest.approx(2.0 - 0.5 * 1.0)
-    with pytest.raises(ValueError):
-        expand_couplings(p, np.zeros(3))
-
-
 def test_fit_loglog_recovers_power():
     xs = np.array([0.8, 0.4, 0.2, 0.1])
     slope, stderr = fit_loglog(xs, 3.0 * xs ** 2)
@@ -94,8 +78,30 @@ def test_fit_loglog_rejects_errors_without_a_logarithm(bad):
         fit_loglog([0.8, 0.4, 0.2], [1e-2, bad, 1e-3])
 
 
+def _taylor_check(fn, d1, d2, deltas, xs, band=(2.7, 3.3)):
+    """Error of the two-term site shift f(x +- delta) ~ f +- delta f' + delta^2/2 f''.
+
+    Third-order convergence in delta is what licenses keeping exactly
+    the terms of second order in the spacing.
+    """
+    xs = np.asarray(xs, dtype=float)
+    base = fn(xs)
+    errors = []
+    points = []
+    for d in deltas:
+        approx_p = base + d * d1(xs) + 0.5 * d * d * d2(xs)
+        approx_m = base - d * d1(xs) + 0.5 * d * d * d2(xs)
+        err = max(
+            float(np.abs(fn(xs + d) - approx_p).max()),
+            float(np.abs(fn(xs - d) - approx_m).max()),
+        )
+        errors.append(err)
+        points.append({"delta": float(d), "error": err})
+    return limitlab._finish_report("taylor", list(deltas), errors, points, band)
+
+
 def test_taylor_check_third_order():
-    rep = taylor_check(
+    rep = _taylor_check(
         np.sin, np.cos, lambda x: -np.sin(x),
         deltas=[0.1, 0.05, 0.025, 0.0125],
         xs=np.linspace(0.0, 2.0, 41),
