@@ -1,11 +1,16 @@
 """Time steppers: classic RK4 and adaptive Dormand-Prince 5(4).
 
 Both integrate dy/dt = f(t, y) for complex numpy arrays of any shape.
-Step functions are pure.  march, the one fixed-step driver, runs RK4 or
-any step(t, y, h); it fuses the adjacent half phases of consecutive
-Strang split steps (SplitStep).  integrate_adaptive has its own
-controller.  Both collect snapshots and convert blow-ups into typed
-errors carrying the last good state.
+Step functions are pure: they write only into arrays they allocated,
+never into y or into an array f returned.  Their sums run in place and
+keep the bits of the sums as written, since only single additions swap
+operands.  march, the one fixed-step driver, runs RK4 (4 RHS calls per
+step) or any step(t, y, h); it fuses the adjacent half phases of
+consecutive Strang split steps (SplitStep).  integrate_adaptive has its
+own controller and hands each accepted Dormand-Prince step's last stage
+on as the next step's first (6 RHS calls per attempt, plus one).  Both
+collect snapshots and convert blow-ups into typed errors carrying the
+last good state.
 """
 
 from __future__ import annotations
@@ -35,12 +40,29 @@ class StepUnderflowError(IntegrationError):
     """The adaptive controller drove the step below the resolvable size."""
 
 
+def _add(acc, x):
+    """acc + x, summed into acc when acc already has the sum's dtype and shape.
+
+    acc must be an array the step allocated itself: the steps never write
+    into y or into an array f returned.  IEEE addition commutes, so the
+    bits are those of x + acc either way.
+    """
+    if isinstance(acc, np.ndarray) and isinstance(x, np.ndarray) \
+            and x.dtype == acc.dtype and x.shape == acc.shape:
+        acc += x
+        return acc
+    return acc + x
+
+
 def rk4_step(f, t, y, dt):
+    """One classic RK4 step: y + (dt/6) (k1 + 2 k2 + 2 k3 + k4)."""
+    half = 0.5 * dt
     k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + half, _add(half * k1, y))
+    k3 = f(t + half, _add(half * k2, y))
+    k4 = f(t + dt, _add(dt * k3, y))
+    acc = _add(_add(_add(2.0 * k2, k1), 2.0 * k3), k4)
+    return _add((dt / 6.0) * acc, y)
 
 
 def fixed_steps(t0, t_end, dt):
@@ -118,7 +140,7 @@ def march(step, y0, t0, t_end, dt, snapshot_every=0):
                 y_new = kernel(y, h, 0.0 if pending else 0.5 * h,
                                h if fuse else 0.5 * h)
             t_new = t0 + n * dt if full else t_end
-            if not np.all(np.isfinite(y_new.view(float))):
+            if not np.isfinite(y_new).all():
                 if pending:
                     y = kernel(y, 0.0, -0.5 * dt, 0.0)
                 raise NonFiniteError(
@@ -141,8 +163,9 @@ def integrate_fixed(f, y0, t0, t_end, dt, snapshot_every=0):
                  snapshot_every=snapshot_every)
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau.  It is first same as last: the seventh
+# stage's row of A equals the weights of y5, so its stage is f(t + dt, y5).
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -150,29 +173,48 @@ _DP_A = (
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (
     5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
     -92097 / 339200, 187 / 2100, 1 / 40,
 )
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+
+
+def _stage_sum(y, dt, coeffs, ks):
+    """y + (dt c_1) k_1 + (dt c_2) k_2 + ..., summed left to right and
+    skipping the zero coefficients."""
+    acc = None
+    for c, k in zip(coeffs, ks):
+        if c:
+            term = (dt * c) * k
+            acc = _add(term, y) if acc is None else _add(acc, term)
+    return acc
+
+
+def _dp45(f, t, y, dt, k1):
+    """One Dormand-Prince step from k1 = f(t, y); returns (y5, err, k7).
+
+    k7 = f(t + dt, y5) is the seventh stage and the next step's k1.  Its
+    input is y5 itself: the tableau's row adds a (dt * 0) k2 term, which
+    can change only the sign of an exact zero, and k7 enters only err.
+    Six RHS calls per step.
+    """
+    ks = [k1]
+    for i in range(1, 6):
+        ks.append(f(t + _DP_C[i] * dt, _stage_sum(y, dt, _DP_A[i], ks)))
+    y5 = _stage_sum(y, dt, _DP_B5, ks)
+    ks.append(f(t + dt, y5))
+    err = np.zeros_like(y)
+    for e, k in zip(_DP_E, ks):
+        err = _add(err, (dt * e) * k)
+    return y5, err, ks[6]
 
 
 def dp45_step(f, t, y, dt):
-    """One Dormand-Prince step; returns (y5, error_estimate_array)."""
-    ks = []
-    for i in range(7):
-        yi = y
-        for a, k in zip(_DP_A[i], ks):
-            yi = yi + (dt * a) * k
-        ks.append(f(t + _DP_C[i] * dt, yi))
-    y5 = y
-    err = np.zeros_like(y)
-    for b5, b4, k in zip(_DP_B5, _DP_B4, ks):
-        if b5:
-            y5 = y5 + (dt * b5) * k
-        err = err + (dt * (b5 - b4)) * k
+    """One Dormand-Prince step, seven RHS calls; returns (y5, error_estimate_array)."""
+    y5, err, _ = _dp45(f, t, y, dt, f(t, y))
     return y5, err
 
 
@@ -182,7 +224,9 @@ def integrate_adaptive(f, y0, t0, t_end, tol, dt0=None, snapshot_every=0,
 
     tol acts as both absolute and relative tolerance.  snapshot_every
     counts accepted steps.  The step that reaches t_end ends at exactly
-    t_end.
+    t_end.  An accepted step hands its last stage, f(t + dt, y5), on as
+    the next step's first, and a rejected or non-finite step keeps its
+    first stage, so a run makes 1 + 6 * attempts RHS calls.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -198,6 +242,8 @@ def integrate_adaptive(f, y0, t0, t_end, tol, dt0=None, snapshot_every=0,
     dt = dt0 if dt0 else span / 100.0
     accepted = 0
     total = 0
+    k1 = None  # f(t, y), made at the first attempt and then kept
+    scale = tol * (1.0 + np.abs(y).max())
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end:
             total += 1
@@ -212,15 +258,17 @@ def integrate_adaptive(f, y0, t0, t_end, tol, dt0=None, snapshot_every=0,
                     f"step size underflow at t={t:.6g}",
                     t=t, y=y, times=times, states=states,
                 )
-            y_new, err = dp45_step(f, t, y, dt)
-            if not np.all(np.isfinite(y_new.view(float))):
+            if k1 is None:
+                k1 = f(t, y)
+            y_new, err, k7 = _dp45(f, t, y, dt, k1)
+            if not np.isfinite(y_new).all():
                 dt *= 0.2
                 continue
-            scale = tol * (1.0 + np.abs(y).max())
             ratio = np.abs(err).max() / scale
             if ratio <= 1.0:
                 t = t_end if last else t + dt  # t + dt may round past t_end
-                y = y_new
+                y, k1 = y_new, k7
+                scale = tol * (1.0 + np.abs(y).max())
                 accepted += 1
                 if snapshot_every and accepted % snapshot_every == 0 and t < t_end:
                     times.append(t)

@@ -7,9 +7,13 @@ with a generic (slow) evaluator driven by FieldPoly objects for
 cross-checking.
 
 The chain is periodic.  Every neighbour term gathers through the index
-arrays of `_neighbours` (x[ip] is x_{j+1}, x[im] is x_{j-1}); the RHS
-factories build those indices and the per-site coefficient arrays once,
-so a call adds only one |phi|^2 and its neighbour gathers to the arithmetic.
+arrays of `_neighbours` (x[ip] is x_{j+1}, x[im] is x_{j-1}).  The RHS
+factories build those indices, concatenated, and the per-site coefficient
+arrays once.  A call makes one gather, x.take(concatenate([ip, im])),
+which holds both neighbours of every site; it forms each neighbour
+product in one call over both halves and then adds the halves, so every
+element sees the same operations, in the same order, as in the np.roll
+form the tests keep.
 The indices may also split the sites into consecutive rings, each periodic
 on its own, so that one call advances several independent chains.
 """
@@ -63,29 +67,35 @@ def xxz_rhs(p: XXZParams, symbol_mode: str = "naive", rings=None):
 
     In wick mode the linear shift +R phi_j is added, the symbol-ordering
     difference of the quartic terms.  The neighbour indices and the
-    per-site coefficients are built here, once; each call gathers the
-    neighbours of phi and |phi|^2 and does no other setup.
+    per-site coefficients are built here, once; each call gathers both
+    neighbours of phi in one take, squares the moduli of what it
+    gathered, and does no other setup.
     """
     Jb, Rb = _bond_arrays(p)
     wick = symbol_mode == "wick"
     if not wick and symbol_mode != "naive":
         raise ValueError(f"symbol_mode must be naive or wick, got {symbol_mode!r}")
-    ip, im = _neighbours(p.N, rings)
+    nb = np.concatenate(_neighbours(p.N, rings))
+    N = p.N
     s = p.s
     # Coefficients of phi terms are stored complex: numpy casts a real
     # factor to complex before multiplying a complex array anyway, so the
-    # products keep their bits and the call skips the cast.
-    sJ, sR, h, shift = (
+    # products keep their bits and the call skips the cast.  The
+    # neighbour coefficients are doubled to match the one gather.
+    sJ2, sR, h, shift = (
         np.asarray(c, dtype=complex)
-        for c in (s * Jb, s * (2.0 * Rb), p.h, Rb))
+        for c in (np.tile(s * Jb, 2), s * (2.0 * Rb), p.h, Rb))
+    R2 = np.tile(Rb, 2)
     scale = 1j / p.hbar
 
     def f(t, phi):
         u = phi[0]
-        n = np.abs(u) ** 2
-        P = sJ * u[ip] + sJ * u[im]
+        g = u.take(nb)  # phi_{j+1}, then phi_{j-1}
+        hop = sJ2 * g
+        P = hop[:N] + hop[N:]
         P -= sR * u
-        P += (Rb * n[ip] + Rb * n[im]) * u
+        pair = R2 * (np.abs(g) ** 2)
+        P += (pair[:N] + pair[N:]) * u
         P -= h * u
         if wick:
             P += shift * u
@@ -99,15 +109,20 @@ def hubbard_rhs(p: HubbardParams):
 
         P_{j,kappa} = 2t (phi_{j+1,kappa} + phi_{j-1,kappa})
                       - U_j n_{j,1-kappa} phi_{j,kappa}
+
+    Each call gathers both neighbours of both flavors in one take.
     """
     U = np.asarray(p.U, dtype=float)
-    ip, im = _neighbours(p.N)
+    nb = np.concatenate(_neighbours(p.N))
+    N = p.N
     scale = 1j / p.hbar
     two_t = 2.0 * p.t
 
     def f(t, phi):
         other = (np.abs(phi) ** 2)[::-1]
-        P = two_t * (phi[:, ip] + phi[:, im]) - U * other * phi
+        g = phi.take(nb, axis=1)  # phi_{j+1}, then phi_{j-1}
+        P = two_t * (g[:, :N] + g[:, N:])
+        P -= U * other * phi
         return scale * P
 
     return f

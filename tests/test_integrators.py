@@ -145,6 +145,28 @@ def test_step_functions_do_not_mutate_input():
     rk4_step(f, 0.0, y0, 0.1)
     dp45_step(f, 0.0, y0, 0.1)
     assert np.array_equal(y0, keep)
+    # an f that returns its argument, one that returns a cached array and
+    # one that returns a real array for a complex y: no step writes into
+    # y or into anything f returned, and each gives the parent's bits
+    cached = np.array([0.5 - 0.25j, -1.0 + 2.0j])
+    for rhs in (lambda t, y: y, lambda t, y: cached, lambda t, y: np.abs(y) - 1.0):
+        for step, parent in ((rk4_step, _parent_rk4_step), (dp45_step, _parent_dp45_step)):
+            returned = []
+
+            def f(t, y):
+                out = rhs(t, y)
+                returned.append((out, out.copy()))
+                return out
+
+            y = np.array([1.0 + 0.5j, -2.0 + 0j])
+            keep = y.copy()
+            got = step(f, 0.1, y, 0.3)
+            assert y.tobytes() == keep.tobytes()
+            assert all(out.tobytes() == was.tobytes() for out, was in returned)
+            want = parent(rhs, 0.1, keep, 0.3)
+            for g, w in zip(got if step is dp45_step else (got,),
+                            want if step is dp45_step else (want,)):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_fixed_steps_plan():
@@ -210,3 +232,206 @@ def test_split_step_blowup_carries_the_closed_state(k, every):
         y = step(None, y, dt)
     assert np.array_equal(exc.y, y)
     assert exc.times == [0.0] + [n * dt for n in range(1, k) if every and n % every == 0]
+
+
+# ------------------------------------------ the parent's bodies, frozen
+#
+# rk4_step, dp45_step and integrate_adaptive as they were before the steps
+# summed in place and Dormand-Prince reused its last stage.  The current
+# ones must give the same bits.
+
+def _parent_rk4_step(f, t, y, dt):
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, y + (0.5 * dt) * k1)
+    k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_PARENT_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_PARENT_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_PARENT_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_PARENT_DP_B4 = (
+    5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+    -92097 / 339200, 187 / 2100, 1 / 40,
+)
+
+
+def _parent_dp45_step(f, t, y, dt):
+    ks = []
+    for i in range(7):
+        yi = y
+        for a, k in zip(_PARENT_DP_A[i], ks):
+            yi = yi + (dt * a) * k
+        ks.append(f(t + _PARENT_DP_C[i] * dt, yi))
+    y5 = y
+    err = np.zeros_like(y)
+    for b5, b4, k in zip(_PARENT_DP_B5, _PARENT_DP_B4, ks):
+        if b5:
+            y5 = y5 + (dt * b5) * k
+        err = err + (dt * (b5 - b4)) * k
+    return y5, err
+
+
+def _parent_integrate_adaptive(f, y0, t0, t_end, tol, dt0=None, snapshot_every=0):
+    span = t_end - t0
+    y = np.array(y0, dtype=complex, copy=True)
+    t = float(t0)
+    times = [t]
+    states = [y.copy()]
+    dt = dt0 if dt0 else span / 100.0
+    accepted = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_end:
+            last = dt >= t_end - t
+            dt = min(dt, t_end - t)
+            y_new, err = _parent_dp45_step(f, t, y, dt)
+            if not np.all(np.isfinite(y_new.view(float))):
+                dt *= 0.2
+                continue
+            scale = tol * (1.0 + np.abs(y).max())
+            ratio = np.abs(err).max() / scale
+            if ratio <= 1.0:
+                t = t_end if last else t + dt
+                y = y_new
+                accepted += 1
+                if snapshot_every and accepted % snapshot_every == 0 and t < t_end:
+                    times.append(t)
+                    states.append(y.copy())
+                grow = 0.9 * (max(ratio, 1e-16)) ** (-0.2)
+                dt *= min(5.0, max(0.2, grow))
+            else:
+                dt *= max(0.2, 0.9 * ratio ** (-0.2))
+    times.append(t)
+    states.append(y.copy())
+    return times, states
+
+
+def _counted(f):
+    calls = []
+
+    def g(t, y):
+        calls.append(t)
+        return f(t, y)
+
+    return g, calls
+
+
+def _same_run(got, want):
+    (t1, s1), (t2, s2) = got, want
+    assert np.array(t1).tobytes() == np.array(t2).tobytes()
+    assert len(s1) == len(s2)
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(s1, s2))
+
+
+def _hubbard_golden():
+    """The Hubbard golden run's chain and initial state (N = 16)."""
+    from gpchain.latticedyn import hubbard_rhs
+    from gpchain.models import HubbardParams
+
+    x = np.arange(16.0)
+    y0 = np.stack([(0.8 * np.exp(-(((x - 6.0) / 1.5) ** 2))).astype(complex),
+                   (0.6 * np.exp(-(((x - 10.0) / 1.5) ** 2))).astype(complex)])
+    return hubbard_rhs(HubbardParams(N=16, t=1.0, U=2.0)), y0
+
+
+def _blows_up_past_10(t, y):
+    # finite only while every |y| stays below 10: a large step gives a
+    # non-finite y5 and is retried at a fifth of its size
+    return np.where(np.abs(y) < 10.0, -y, np.inf)
+
+
+def _time_dependent(t, y):
+    return 1j * np.cos(3.0 * t) * y - 0.2 * t * (np.abs(y) ** 2) * y
+
+
+@pytest.mark.parametrize("every", [0, 1])
+def test_adaptive_rejections_match_the_parent_bit_for_bit(every):
+    rhs, y0 = _hubbard_golden()
+    new, new_calls = _counted(rhs)
+    old, old_calls = _counted(rhs)
+    got = integrate_adaptive(new, y0, 0.0, 0.3, 1e-11, dt0=0.3, snapshot_every=every)
+    want = _parent_integrate_adaptive(old, y0, 0.0, 0.3, 1e-11, dt0=0.3,
+                                      snapshot_every=every)
+    _same_run(got, want)
+    # 40 attempts, of which 3 rejected: 7 RHS calls each before, and
+    # 1 + 6 per attempt now that the last stage is the next first
+    assert len(old_calls) == 280
+    assert len(new_calls) == 1 + 6 * 40 == 241
+    if every:
+        assert len(got[0]) == 38  # 37 accepted steps and the start
+
+
+@pytest.mark.parametrize("every", [0, 1])
+@pytest.mark.parametrize("f, y0, t_end, tol, dt0", [
+    (_blows_up_past_10, np.array([1.0 + 0j, 0.5 - 0.5j]), 20.0, 1e-8, 20.0),
+    (_time_dependent, np.array([1.0 + 0.2j, -0.3 + 0.7j, 0.1 + 0j]), 3.0, 1e-7, 0.5),
+    (lambda t, y: y * y, np.array([1.0 + 0j]), 0.9, 1e-9, 0.4),
+])
+def test_adaptive_matches_the_parent_bit_for_bit(f, y0, t_end, tol, dt0, every):
+    new, new_calls = _counted(f)
+    old, old_calls = _counted(f)
+    got = integrate_adaptive(new, y0, 0.0, t_end, tol, dt0=dt0, snapshot_every=every)
+    want = _parent_integrate_adaptive(old, y0, 0.0, t_end, tol, dt0=dt0,
+                                      snapshot_every=every)
+    _same_run(got, want)
+    attempts = len(old_calls) // 7
+    assert len(old_calls) == 7 * attempts
+    assert len(new_calls) == 1 + 6 * attempts
+
+
+def test_adaptive_retries_a_non_finite_step_with_its_first_stage():
+    seen = []
+
+    def f(t, y):
+        out = _blows_up_past_10(t, y)
+        seen.append((t, bool(np.isfinite(out).all())))
+        return out
+
+    times, states = integrate_adaptive(f, np.array([1.0 + 0j, 0.5 - 0.5j]), 0.0, 20.0,
+                                       1e-8, dt0=20.0)
+    # the first attempt's third stage blew up; the retry, at a fifth of
+    # the step, started from the first stage made before it
+    assert [ok for _, ok in seen[:3]] == [True, True, False]
+    assert [t for t, _ in seen].count(0.0) == 1
+    assert seen[7][0] == 0.2 * (0.2 * 20.0)
+    assert times[-1] == 20.0 and np.isfinite(states[-1]).all()
+
+
+def test_fixed_makes_four_rhs_calls_per_step():
+    f, calls = _counted(lambda t, y: 1j * y)
+    integrate_fixed(f, np.array([1.0 + 0j]), 0.0, 0.35, 0.1)
+    assert len(calls) == 4 * 4  # three full steps and the short one
+
+
+@pytest.mark.parametrize("every", [0, 1])
+def test_fixed_matches_the_parent_bit_for_bit(every):
+    from gpchain.latticedyn import xxz_rhs
+    from gpchain.models import XXZParams
+
+    rng = np.random.default_rng(19)
+    n = 24
+    p = XXZParams(N=n, J0=0.8, J1=0.1, R0=0.6, R1=0.07, s=1.3, x_xi=0.3,
+                  h=tuple(rng.uniform(-0.5, 0.5, n)), hbar=0.7)
+    y0 = 0.4 * (rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n)))
+    for f in (xxz_rhs(p, "wick"), _time_dependent):
+        got = integrate_fixed(f, y0, 0.0, 0.37, 0.01, snapshot_every=every)
+        want = march(lambda t, y, h: _parent_rk4_step(f, t, y, h), y0, 0.0, 0.37, 0.01,
+                     snapshot_every=every)
+        _same_run(got, want)
+    for _ in range(20):
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        t, dt = rng.uniform(-2.0, 2.0, 2)
+        got = rk4_step(_time_dependent, t, y, dt)
+        assert got.tobytes() == _parent_rk4_step(_time_dependent, t, y, dt).tobytes()
+        for g, w in zip(dp45_step(_time_dependent, t, y, dt),
+                        _parent_dp45_step(_time_dependent, t, y, dt)):
+            assert g.tobytes() == w.tobytes()
