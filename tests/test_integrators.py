@@ -15,6 +15,8 @@ from gpchain.integrators import (
     march,
     rk4_step,
 )
+from gpchain.latticedyn import hubbard_rhs, xxz_rhs
+from gpchain.models import HubbardParams, XXZParams
 
 
 def test_rk4_exact_on_linear_oscillator():
@@ -147,7 +149,8 @@ def test_step_functions_do_not_mutate_input():
     assert np.array_equal(y0, keep)
     # an f that returns its argument, one that returns a cached array and
     # one that returns a real array for a complex y: no step writes into
-    # y or into anything f returned, and each gives the parent's bits
+    # y or into anything f returned, and each matches the frozen bodies
+    # below bit for bit
     cached = np.array([0.5 - 0.25j, -1.0 + 2.0j])
     for rhs in (lambda t, y: y, lambda t, y: cached, lambda t, y: np.abs(y) - 1.0):
         for step, parent in ((rk4_step, _parent_rk4_step), (dp45_step, _parent_dp45_step)):
@@ -334,9 +337,6 @@ def _same_run(got, want):
 
 def _hubbard_golden():
     """The Hubbard golden run's chain and initial state (N = 16)."""
-    from gpchain.latticedyn import hubbard_rhs
-    from gpchain.models import HubbardParams
-
     x = np.arange(16.0)
     y0 = np.stack([(0.8 * np.exp(-(((x - 6.0) / 1.5) ** 2))).astype(complex),
                    (0.6 * np.exp(-(((x - 10.0) / 1.5) ** 2))).astype(complex)])
@@ -400,9 +400,6 @@ def test_fixed_makes_four_rhs_calls_per_step():
 
 @pytest.mark.parametrize("every", [0, 1])
 def test_fixed_matches_the_parent_bit_for_bit(every):
-    from gpchain.latticedyn import xxz_rhs
-    from gpchain.models import XXZParams
-
     rng = np.random.default_rng(19)
     n = 24
     p = XXZParams(N=n, J0=0.8, J1=0.1, R0=0.6, R1=0.07, s=1.3, x_xi=0.3,
