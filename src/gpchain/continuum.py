@@ -188,11 +188,16 @@ def gp_step_splitstep(u, dt: float, grid: Grid1D, V=None,
     """One Strang step of the GP equation i u_t = u - u_xx - |u|^2 u - V u.
 
     before and after are the lengths of the two phase substeps (dt/2
-    when not given); see _strang.
+    when not given); see _strang.  Without V the phase subtracts
+    nothing, which keeps its bits: x - 0.0 is x, -0.0 and NaN included.
     """
-    Varr = 0.0 if V is None else np.asarray(V, dtype=float)
-    return _strang(u, dt, grid, lambda w: 1.0 - np.abs(w) ** 2 - Varr,
-                   0.0, 1.0, *_halves(dt, before, after))
+    Varr = None if V is None else np.asarray(V, dtype=float)
+
+    def potential(w):
+        P = 1.0 - np.abs(w) ** 2
+        return P if Varr is None else P - Varr
+
+    return _strang(u, dt, grid, potential, 0.0, 1.0, *_halves(dt, before, after))
 
 
 def gp_norm(values, grid: Grid1D) -> float:

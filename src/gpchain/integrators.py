@@ -4,18 +4,20 @@ Both integrate dy/dt = f(t, y) for complex numpy arrays of any shape.
 Step functions are pure: they write only into arrays they allocated,
 never into y or into an array f returned.  Their sums run in place and
 keep the bits of the sums as written, since only single additions swap
-operands.  march, the one fixed-step driver, runs RK4 (4 RHS calls per
-step) or any step(t, y, h); it fuses the adjacent half phases of
-consecutive Strang split steps (SplitStep).  integrate_adaptive has its
-own controller and hands each accepted Dormand-Prince step's last stage
-on as the next step's first (6 RHS calls per attempt, plus one).  Both
-collect snapshots and convert blow-ups into typed errors carrying the
-last good state.
+operands.  rk4_step decides once per step whether its seven sums can run
+in place; the Dormand-Prince sums decide one by one.  march, the one
+fixed-step driver, runs RK4 (4 RHS calls per step) or any step(t, y, h);
+it fuses the adjacent half phases of consecutive Strang split steps
+(SplitStep).  integrate_adaptive has its own controller and hands each
+accepted Dormand-Prince step's last stage on as the next step's first
+(6 RHS calls per attempt, plus one).  Both collect snapshots and convert
+blow-ups into typed errors carrying the last good state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, iadd
 from typing import Callable
 
 import numpy as np
@@ -55,14 +57,24 @@ def _add(acc, x):
 
 
 def rk4_step(f, t, y, dt):
-    """One classic RK4 step: y + (dt/6) (k1 + 2 k2 + 2 k3 + k4)."""
+    """One classic RK4 step: y + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
+
+    The seven sums keep their order.  When k1 has the dtype and shape of
+    y, each sum adds in place into the product just made, a fresh array
+    that already has the sum's dtype and shape, since f returns one dtype
+    and shape at every stage of a step, as every RHS here does.
+    Otherwise each sum allocates.  The check runs once per step, not once
+    per sum.
+    """
     half = 0.5 * dt
     k1 = f(t, y)
-    k2 = f(t + half, _add(half * k1, y))
-    k3 = f(t + half, _add(half * k2, y))
-    k4 = f(t + dt, _add(dt * k3, y))
-    acc = _add(_add(_add(2.0 * k2, k1), 2.0 * k3), k4)
-    return _add((dt / 6.0) * acc, y)
+    plus = iadd if (isinstance(k1, np.ndarray) and isinstance(y, np.ndarray)
+                    and k1.dtype == y.dtype and k1.shape == y.shape) else add
+    k2 = f(t + half, plus(half * k1, y))
+    k3 = f(t + half, plus(half * k2, y))
+    k4 = f(t + dt, plus(dt * k3, y))
+    acc = plus(plus(plus(2.0 * k2, k1), 2.0 * k3), k4)
+    return plus((dt / 6.0) * acc, y)
 
 
 def fixed_steps(t0, t_end, dt):

@@ -67,9 +67,12 @@ def xxz_rhs(p: XXZParams, symbol_mode: str = "naive", rings=None):
 
     In wick mode the linear shift +R phi_j is added, the symbol-ordering
     difference of the quartic terms.  The neighbour indices and the
-    per-site coefficients are built here, once; each call gathers both
-    neighbours of phi in one take, squares the moduli of what it
-    gathered, and does no other setup.
+    per-site coefficients are built here, once, and so is the choice of
+    terms: when every h_j is zero the call skips the site term, since
+    P - 0 phi differs from P only in the sign of an exact zero, or where
+    phi is already non-finite.  Each call gathers both neighbours of phi
+    in one take, squares the moduli of what it gathered, scales P by
+    i/hbar in place, and does no other setup.
     """
     Jb, Rb = _bond_arrays(p)
     wick = symbol_mode == "wick"
@@ -86,6 +89,7 @@ def xxz_rhs(p: XXZParams, symbol_mode: str = "naive", rings=None):
         np.asarray(c, dtype=complex)
         for c in (np.tile(s * Jb, 2), s * (2.0 * Rb), p.h, Rb))
     R2 = np.tile(Rb, 2)
+    field = any(v != 0.0 for v in p.h)
     scale = 1j / p.hbar
 
     def f(t, phi):
@@ -96,10 +100,13 @@ def xxz_rhs(p: XXZParams, symbol_mode: str = "naive", rings=None):
         P -= sR * u
         pair = R2 * (np.abs(g) ** 2)
         P += (pair[:N] + pair[N:]) * u
-        P -= h * u
+        if field:
+            P -= h * u
         if wick:
             P += shift * u
-        return scale * P[None, :]
+        # scale * P into P; P *= scale would swap the operands
+        np.multiply(scale, P, out=P)
+        return P[None, :]
 
     return f
 
@@ -110,20 +117,25 @@ def hubbard_rhs(p: HubbardParams):
         P_{j,kappa} = 2t (phi_{j+1,kappa} + phi_{j-1,kappa})
                       - U_j n_{j,1-kappa} phi_{j,kappa}
 
-    Each call gathers both neighbours of both flavors in one take.
+    Each call gathers both neighbours of both flavors in one take and
+    scales P by i/hbar in place.
     """
     U = np.asarray(p.U, dtype=float)
     nb = np.concatenate(_neighbours(p.N))
     N = p.N
     scale = 1j / p.hbar
-    two_t = 2.0 * p.t
+    # The hopping factor is stored complex, as xxz_rhs stores its
+    # coefficients: the products keep their bits, and P is complex for
+    # any phi, so it can be scaled in place.
+    two_t = complex(2.0 * p.t)
 
     def f(t, phi):
         other = (np.abs(phi) ** 2)[::-1]
         g = phi.take(nb, axis=1)  # phi_{j+1}, then phi_{j-1}
         P = two_t * (g[:, :N] + g[:, N:])
         P -= U * other * phi
-        return scale * P
+        np.multiply(scale, P, out=P)
+        return P
 
     return f
 

@@ -328,6 +328,9 @@ def test_default_split_steps_keep_their_bytes(dt):
     for u in (u0, _two_gaussians(g)):
         want = _unfused_strang(u, dt, g, gp_potential, 0.0, 1.0)
         assert np.array_equal(gp_step_splitstep(u, dt, g, V), want)
+        # without a potential the phase once subtracted a zero potential
+        want = _unfused_strang(u, dt, g, lambda w: 1.0 - np.abs(w) ** 2 - 0.0, 0.0, 1.0)
+        assert gp_step_splitstep(u, dt, g).tobytes() == want.tobytes()
     pair = _two_gaussians(g)
     U, t_hop, hbar = 1.0 + 0.3 * np.cos(2 * np.pi * g.xs / g.L), 0.5, 0.7
     want = _unfused_strang(pair, dt, g, lambda w: U / hbar * np.abs(w[::-1]) ** 2,

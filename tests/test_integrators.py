@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gpchain import latticedyn
 from gpchain.integrators import (
     IntegrationError,
     NonFiniteError,
@@ -240,8 +241,9 @@ def test_split_step_blowup_carries_the_closed_state(k, every):
 # ------------------------------------------ the parent's bodies, frozen
 #
 # rk4_step, dp45_step and integrate_adaptive as they were before the steps
-# summed in place and Dormand-Prince reused its last stage.  The current
-# ones must give the same bits.
+# summed in place and Dormand-Prince reused its last stage, and xxz_rhs as
+# it was before it skipped a zero site field and scaled in place.  The
+# current ones must give the same bits.
 
 def _parent_rk4_step(f, t, y, dt):
     k1 = f(t, y)
@@ -249,6 +251,32 @@ def _parent_rk4_step(f, t, y, dt):
     k3 = f(t + 0.5 * dt, y + (0.5 * dt) * k2)
     k4 = f(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _parent_xxz_rhs(p, symbol_mode):
+    Jb, Rb = latticedyn._bond_arrays(p)
+    nb = np.concatenate(latticedyn._neighbours(p.N))
+    N = p.N
+    sJ2, sR, h, shift = (
+        np.asarray(c, dtype=complex)
+        for c in (np.tile(p.s * Jb, 2), p.s * (2.0 * Rb), p.h, Rb))
+    R2 = np.tile(Rb, 2)
+    scale = 1j / p.hbar
+
+    def f(t, phi):
+        u = phi[0]
+        g = u.take(nb)
+        hop = sJ2 * g
+        P = hop[:N] + hop[N:]
+        P -= sR * u
+        pair = R2 * (np.abs(g) ** 2)
+        P += (pair[:N] + pair[N:]) * u
+        P -= h * u
+        if symbol_mode == "wick":
+            P += shift * u
+        return scale * P[None, :]
+
+    return f
 
 
 _PARENT_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -405,10 +433,15 @@ def test_fixed_matches_the_parent_bit_for_bit(every):
     p = XXZParams(N=n, J0=0.8, J1=0.1, R0=0.6, R1=0.07, s=1.3, x_xi=0.3,
                   h=tuple(rng.uniform(-0.5, 0.5, n)), hbar=0.7)
     y0 = 0.4 * (rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n)))
-    for f in (xxz_rhs(p, "wick"), _time_dependent):
+    # the wick chain with a site field, and the naive chain without one,
+    # whose RHS skips the field term that the parent's subtracts
+    free = XXZParams(N=n, J0=0.8, J1=0.1, R0=0.6, R1=0.07, s=1.3, x_xi=0.3, hbar=0.7)
+    for f, parent_f in ((xxz_rhs(p, "wick"), _parent_xxz_rhs(p, "wick")),
+                        (xxz_rhs(free), _parent_xxz_rhs(free, "naive")),
+                        (_time_dependent, _time_dependent)):
         got = integrate_fixed(f, y0, 0.0, 0.37, 0.01, snapshot_every=every)
-        want = march(lambda t, y, h: _parent_rk4_step(f, t, y, h), y0, 0.0, 0.37, 0.01,
-                     snapshot_every=every)
+        want = march(lambda t, y, h: _parent_rk4_step(parent_f, t, y, h), y0, 0.0, 0.37,
+                     0.01, snapshot_every=every)
         _same_run(got, want)
     for _ in range(20):
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from gpchain import continuum  # noqa: E402
 from gpchain.integrators import (  # noqa: E402
@@ -61,31 +61,46 @@ def test_integrate_fixed_is_march_over_rk4(span, dt, every):
     assert np.array_equal(states[-1], y)
 
 
+# Roundoff one split step adds to a plane wave, relative to its amplitude.
+# Over about 30 000 runs drawn from the corners and the inside of the
+# strategy below, the error never exceeded 3.5e-15 of
+# (steps + 2) * amplitude * exp(rate * t).
+ROUNDOFF_PER_STEP = 1e-14
+
+
 @settings(max_examples=50, deadline=None)
 @given(t_end=st.floats(0.0, 3.0), dt=st.floats(0.01, 1.0),
        amp=st.floats(0.1, 1.5), amp2=st.floats(0.1, 1.5),
        mode=st.integers(-7, 7))
+@example(t_end=3.0, dt=0.015625, amp=1.5, amp2=1.0, mode=1)
 def test_strang_adapters_carry_plane_waves_exactly(t_end, dt, amp, amp2, mode):
     # a plane wave keeps |u| constant, so every substep of either split
-    # step is exact and the final field pins the time the steps add up
-    # to; that the plan reaches t_end is checked above
+    # step is exact up to roundoff and the final field pins the time the
+    # steps add up to; that the plan reaches t_end is checked above.
+    # Each step adds a few ulps of the amplitude, and the focusing flow
+    # amplifies them at most at the plane wave's largest modulational
+    # instability rate: amp^2 for GP, U amp amp2 for the coupled pair
     grid = continuum.Grid1D(16.0, 32)
     k = 2.0 * np.pi * mode / grid.L
     wave = np.exp(1j * k * grid.xs)
     nfull, rem = fixed_steps(0.0, t_end, dt)
     reached = nfull * dt + rem
 
+    def bound(a, rate):
+        return ROUNDOFF_PER_STEP * (nfull + (rem > 0) + 2) * a * np.exp(rate * reached)
+
     _, states = march(continuum.gp_strang(grid), amp * wave, 0.0, t_end, dt)
     u = states[-1]
     exact = amp * wave * np.exp(-1j * (1.0 + k * k - amp ** 2) * reached)
-    assert np.abs(u - exact).max() < 1e-12
+    assert np.abs(u - exact).max() < bound(amp, amp ** 2)
 
     t_hop, U = 0.5, 1.3
     step = continuum.coupled_gp_strang(grid, t_hop, np.full(grid.M, U))
     _, states = march(step, np.stack([amp * wave, amp2 * wave]), 0.0, t_end, dt)
     for got, a, other in zip(states[-1], (amp, amp2), (amp2, amp)):
         omega = -4.0 * t_hop + 2.0 * t_hop * k * k + U * other ** 2
-        assert np.abs(got - a * wave * np.exp(-1j * omega * reached)).max() < 1e-12
+        assert np.abs(got - a * wave * np.exp(-1j * omega * reached)).max() \
+            < bound(a, U * amp * amp2)
 
 
 @settings(max_examples=100, deadline=None)
