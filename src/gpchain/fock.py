@@ -2,13 +2,14 @@
 
 This is the numeric oracle for the symbolic layer: any algebraic identity
 between expressions must also hold between their matrices, exactly for
-fermions and away from the truncation edge for bosons.
+fermions and away from the truncation edge for bosons.  to_matrix builds
+each word by index arithmetic, with the bits of the dense ladder product.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -28,10 +29,6 @@ def mode_index(site: int, flavor: int, nsites: int) -> int:
     return flavor * nsites + site
 
 
-def _kron_chain(mats: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, mats)
-
-
 def ladder_matrices(
     nsites: int,
     cutoff: int,
@@ -42,32 +39,46 @@ def ladder_matrices(
 
     `cutoff` is the largest bosonic occupation kept, so the local dimension
     is cutoff+1.  Fermions use local dimension 2 with Jordan-Wigner sign
-    strings, which makes the fermionic realization exact.  The matrices
-    are fresh copies the caller may write into.
+    strings, which makes the fermionic realization exact.  Each matrix is
+    fresh, scattered from its mode's column table, and equals the
+    Kronecker product of the local ladders entry for entry.
     """
-    return [a.copy() for a in _ladders(nsites, cutoff, statistics, nflavors)]
+    dim, tgt, val = _mode_tables(nsites, cutoff, statistics, nflavors)
+    out = [np.zeros((dim, dim)) for _ in tgt]
+    for a, t, v in zip(out, tgt[:, 0, :dim], val[:, 0, :dim]):
+        a[t % dim, np.arange(dim)] = v  # a dead column puts its zero in row 0
+    return out
 
 
 @lru_cache(maxsize=8)
-def _ladders(nsites: int, cutoff: int, statistics: Statistics,
-             nflavors: int) -> tuple:
-    """ladder_matrices, built once per argument set; the arrays are read-only."""
+def _mode_tables(nsites: int, cutoff: int, statistics: Statistics,
+                 nflavors: int) -> tuple:
+    """(dim, tgt, val), built once per space; the arrays are read-only.
+
+    Column j of mode m's annihilator (d = 0) or creator (d = 1) has its
+    one nonzero, val[m, d, j], in row tgt[m, d, j].  A column with none
+    points at index dim, a dead slot that points at itself.
+    """
     nmodes = nflavors * nsites
-    if statistics is Statistics.FERMI:
-        sm = np.array([[0.0, 1.0], [0.0, 0.0]])
-        z = np.diag([1.0, -1.0])
-        eye = np.eye(2)
-        factors = [[z] * m + [sm] + [eye] * (nmodes - m - 1) for m in range(nmodes)]
-    else:
-        if cutoff < 1:
-            raise ValueError("bosonic cutoff must be at least 1")
-        a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
-        eye = np.eye(cutoff + 1)
-        factors = [[eye] * m + [a] + [eye] * (nmodes - m - 1) for m in range(nmodes)]
-    out = tuple(_kron_chain(f) for f in factors)
-    for mat in out:
-        mat.flags.writeable = False
-    return out
+    fermi = statistics is Statistics.FERMI
+    if not fermi and cutoff < 1:
+        raise ValueError("bosonic cutoff must be at least 1")
+    radix = 2 if fermi else cutoff + 1
+    dim = radix**nmodes
+    j = np.arange(dim)
+    tgt = np.full((nmodes, 2, dim + 1), dim)
+    val = np.zeros((nmodes, 2, dim + 1))
+    sign = np.ones(dim)  # the Jordan-Wigner string of the modes before m
+    for m in range(nmodes):
+        stride = radix ** (nmodes - m - 1)  # mode 0 is the leading digit
+        occ = j // stride % radix
+        tgt[m, :, :dim] = (np.where(occ > 0, j - stride, dim),
+                           np.where(occ < radix - 1, j + stride, dim))
+        val[m, :, :dim] = sign * np.sqrt(occ), sign * np.sqrt(occ + 1)
+        if fermi:
+            sign = np.where(occ > 0, -sign, sign)
+    tgt.flags.writeable = val.flags.writeable = False
+    return dim, tgt, val
 
 
 def to_matrix(
@@ -83,6 +94,14 @@ def to_matrix(
     every parameter appearing in the coefficients.  `cutoff` is the largest
     bosonic occupation kept (default: expression degree + 2); for fermions
     it is ignored (the local dimension is 2).
+
+    A word is realized from the modes' column tables.  A product of ladder
+    matrices has at most one nonzero per column, and column j of acc @ F
+    is column tgt[j] of acc times val[j].  So row = row[tgt] and
+    amp = amp[tgt] * val, run over the factors left to right, form the
+    float products of the dense chain eye @ F1 @ F2 @ ... in its order,
+    whose other terms add exact zeros.  Words add in term order, as
+    coeff * acc, so the bits equal the dense product's.
     """
     if bindings is None:
         bindings = {}
@@ -96,18 +115,21 @@ def to_matrix(
     for f in expr.flavors():
         if not 0 <= f < nflavors:
             raise ValueError(f"flavor {f} outside [0, {nflavors})")
-    ann = _ladders(nsites, cutoff, expr.statistics, nflavors)
-    dim = ann[0].shape[0] if ann else 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim)
+    dim, tgt, val = _mode_tables(nsites, cutoff, expr.statistics, nflavors)
+    mat = np.zeros(dim * dim, dtype=complex)
+    cols = np.arange(dim + 1)
+    # each column's row, as a flat offset, and value; a dead column takes
+    # the dead slot's row 0 and value 0, adding c * 0 as the dense sum does
+    eye = cols * dim, np.ones(dim + 1)
+    eye[0][dim] = eye[1][dim] = 0
     for word, coeff in expr.terms():
-        acc = eye
+        row, amp = eye
         for f in word:
             m = mode_index(f.site, f.flavor, nsites)
-            factor = ann[m].conj().T if f.dagger else ann[m]
-            acc = acc @ factor
-        mat += coeff.evaluate(bindings) * acc
-    return mat
+            t = tgt[m, int(f.dagger)]
+            row, amp = row[t], amp[t] * val[m, int(f.dagger)]
+        mat[row[:dim] + cols[:dim]] += coeff.evaluate(bindings) * amp[:dim]
+    return mat.reshape(dim, dim)
 
 
 def interior_mask(
@@ -154,4 +176,4 @@ def coherent_state(
         phi = complex(phi)
         amp = np.exp(-abs(phi) ** 2 / 2) * phi**n / np.exp(lognf / 2)
         vecs.append(amp)
-    return _kron_chain(vecs) if vecs else np.ones(1, dtype=complex)
+    return reduce(np.kron, vecs) if vecs else np.ones(1, dtype=complex)

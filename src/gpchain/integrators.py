@@ -4,13 +4,13 @@ Both integrate dy/dt = f(t, y) for complex numpy arrays of any shape.
 Step functions are pure: they write only into arrays they allocated,
 never into y or into an array f returned.  Their sums run in place and
 keep the bits of the sums as written, since only single additions swap
-operands.  rk4_step decides once per step whether its seven sums can run
-in place; the Dormand-Prince sums decide one by one.  march, the one
-fixed-step driver, runs RK4 (4 RHS calls per step) or any step(t, y, h);
-it fuses the adjacent half phases of consecutive Strang split steps
-(SplitStep).  integrate_adaptive has its own controller and hands each
-accepted Dormand-Prince step's last stage on as the next step's first
-(6 RHS calls per attempt, plus one).  Both collect snapshots and convert
+operands.  Each step decides once, on its first stage, whether all its
+sums can run in place.  march, the one fixed-step driver, runs RK4 (4
+RHS calls per step) or any step(t, y, h); it fuses the adjacent half
+phases of consecutive Strang split steps (SplitStep).
+integrate_adaptive has its own controller and hands each accepted
+Dormand-Prince step's last stage on as the next step's first (6 RHS
+calls per attempt, plus one).  Both collect snapshots and convert
 blow-ups into typed errors carrying the last good state.
 """
 
@@ -42,18 +42,10 @@ class StepUnderflowError(IntegrationError):
     """The adaptive controller drove the step below the resolvable size."""
 
 
-def _add(acc, x):
-    """acc + x, summed into acc when acc already has the sum's dtype and shape.
-
-    acc must be an array the step allocated itself: the steps never write
-    into y or into an array f returned.  IEEE addition commutes, so the
-    bits are those of x + acc either way.
-    """
-    if isinstance(acc, np.ndarray) and isinstance(x, np.ndarray) \
-            and x.dtype == acc.dtype and x.shape == acc.shape:
-        acc += x
-        return acc
-    return acc + x
+def _sum_op(k1, y):
+    """iadd when k1 has the dtype and shape of y, else add; see rk4_step."""
+    return iadd if (isinstance(k1, np.ndarray) and isinstance(y, np.ndarray)
+                    and k1.dtype == y.dtype and k1.shape == y.shape) else add
 
 
 def rk4_step(f, t, y, dt):
@@ -68,8 +60,7 @@ def rk4_step(f, t, y, dt):
     """
     half = 0.5 * dt
     k1 = f(t, y)
-    plus = iadd if (isinstance(k1, np.ndarray) and isinstance(y, np.ndarray)
-                    and k1.dtype == y.dtype and k1.shape == y.shape) else add
+    plus = _sum_op(k1, y)
     k2 = f(t + half, plus(half * k1, y))
     k3 = f(t + half, plus(half * k2, y))
     k4 = f(t + dt, plus(dt * k3, y))
@@ -194,14 +185,14 @@ _DP_B4 = (
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
-def _stage_sum(y, dt, coeffs, ks):
-    """y + (dt c_1) k_1 + (dt c_2) k_2 + ..., summed left to right and
-    skipping the zero coefficients."""
+def _stage_sum(y, dt, coeffs, ks, plus):
+    """y + (dt c_1) k_1 + (dt c_2) k_2 + ..., summed left to right by plus
+    (add or iadd) and skipping the zero coefficients."""
     acc = None
     for c, k in zip(coeffs, ks):
         if c:
             term = (dt * c) * k
-            acc = _add(term, y) if acc is None else _add(acc, term)
+            acc = plus(term, y) if acc is None else plus(acc, term)
     return acc
 
 
@@ -211,16 +202,18 @@ def _dp45(f, t, y, dt, k1):
     k7 = f(t + dt, y5) is the seventh stage and the next step's k1.  Its
     input is y5 itself: the tableau's row adds a (dt * 0) k2 term, which
     can change only the sign of an exact zero, and k7 enters only err.
-    Six RHS calls per step.
+    Six RHS calls per step.  Its 27 sums keep their order and, as in
+    rk4_step, run in place when k1 has the dtype and shape of y.
     """
+    plus = _sum_op(k1, y)
     ks = [k1]
     for i in range(1, 6):
-        ks.append(f(t + _DP_C[i] * dt, _stage_sum(y, dt, _DP_A[i], ks)))
-    y5 = _stage_sum(y, dt, _DP_B5, ks)
+        ks.append(f(t + _DP_C[i] * dt, _stage_sum(y, dt, _DP_A[i], ks, plus)))
+    y5 = _stage_sum(y, dt, _DP_B5, ks, plus)
     ks.append(f(t + dt, y5))
     err = np.zeros_like(y)
     for e, k in zip(_DP_E, ks):
-        err = _add(err, (dt * e) * k)
+        err = plus(err, (dt * e) * k)
     return y5, err, ks[6]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -120,24 +121,64 @@ def _kron_oracle_matrix(expr, nsites, cutoff):
     return mat
 
 
-def test_to_matrix_reuses_one_read_only_ladder_set():
+def test_to_matrix_reuses_one_read_only_table_set():
     # verify-derivation's matrix oracle realizes several expressions on
     # the same 3-site, cutoff-4 Bose space
     exprs = [B.ad(0) * B.a(1) + B.ad(1) * B.a(0), B.number(2) * B.number(2),
              B.ad(2) * B.ad(0) * B.a(1) * B.a(1)]
-    fock._ladders.cache_clear()
+    fock._mode_tables.cache_clear()
     mats = [fock.to_matrix(e, 3, 4) for e in exprs]
-    info = fock._ladders.cache_info()
+    info = fock._mode_tables.cache_info()
     assert (info.misses, info.hits) == (1, len(exprs) - 1)
     for e, m in zip(exprs, mats):
-        assert np.abs(m - _kron_oracle_matrix(e, 3, 4)).max() < 1e-12
-    cached = fock._ladders(3, 4, Statistics.BOSE, 1)
-    for a in cached:
+        assert m.tobytes() == _kron_oracle_matrix(e, 3, 4).tobytes()
+    _, tgt, val = fock._mode_tables(3, 4, Statistics.BOSE, 1)
+    before = tgt.copy(), val.copy()
+    for table in (tgt, val):
         with pytest.raises(ValueError):
-            a[0, 1] = 7.0
-    # ladder_matrices hands out copies, so writing one leaves the cache alone
+            table[0, 0, 1] = 7
+    # ladder_matrices hands out fresh arrays, so writing one leaves the tables alone
     copies = fock.ladder_matrices(3, 4, Statistics.BOSE)
     copies[0][0, 1] = 7.0
-    assert cached[0][0, 1] == 0.0
+    assert np.array_equal(tgt, before[0]) and np.array_equal(val, before[1])
     assert fock.ladder_matrices(3, 4, Statistics.BOSE)[0][0, 1] == 0.0
     assert np.array_equal(fock.to_matrix(exprs[0], 3, 4), mats[0])
+
+
+def _kron_ladders(nsites, cutoff, statistics, nflavors):
+    """Every mode's annihilator as a Kronecker product of local ladders."""
+    nmodes = nflavors * nsites
+    if statistics is Statistics.FERMI:
+        low, z, eye = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1.0]), np.eye(2)
+    else:
+        low = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
+        z = eye = np.eye(cutoff + 1)
+    out = []
+    for m in range(nmodes):
+        op = np.eye(1)
+        for local in [z] * m + [low] + [eye] * (nmodes - m - 1):
+            op = np.kron(op, local)
+        out.append(op)
+    return out
+
+
+def test_ladder_matrices_equal_their_kronecker_products():
+    for stats in Statistics:
+        for nflavors, nsites, cutoff in itertools.product((1, 2), (1, 2, 3), (1, 2, 3)):
+            if (cutoff + 1) ** (nflavors * nsites) > 256:
+                continue
+            got = fock.ladder_matrices(nsites, cutoff, stats, nflavors)
+            want = _kron_ladders(nsites, cutoff, stats, nflavors)
+            assert len(got) == len(want) == nflavors * nsites
+            for a, b in zip(got, want):
+                # equal values; the Kronecker zeros may carry a sign
+                assert a.flags.c_contiguous and np.array_equal(a, b)
+
+
+def test_to_matrix_rejects_a_bad_space():
+    with pytest.raises(ValueError, match="bosonic cutoff must be at least 1"):
+        fock.to_matrix(B.a(0), 1, cutoff=0)
+    with pytest.raises(ValueError, match=r"site 2 outside \[0, 2\)"):
+        fock.to_matrix(B.a(2), 2)
+    with pytest.raises(ValueError, match=r"flavor 1 outside \[0, 1\)"):
+        fock.to_matrix(B.a(0, 1), 1, nflavors=1)
