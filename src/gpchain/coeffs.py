@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Union
 
 __all__ = ["RationalComplex", "TermSum", "ParamCoeff", "Monomial"]
@@ -113,8 +114,13 @@ class RationalComplex:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def to_complex(self) -> complex:
+    @cached_property
+    def _complex(self) -> complex:
         return float(self.re) + 1j * float(self.im)
+
+    def to_complex(self) -> complex:
+        """The value as a complex float, converted once per instance."""
+        return self._complex
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -298,10 +298,12 @@ def _check_rules(cfg: dict, command: str, run) -> None:
         raise ConfigError(f"model.N must be at least {MIN_CLI_SITES}, got {n}")
     if command == "simulate":
         _, eq, scheme, family = run
-        if (scheme == "strang") != (eq in _SPLIT_STEP):
+        if (scheme == "strang") != (eq in _SPLIT_STEP) or (
+                scheme == "rk45" and eq not in _LATTICE):
             raise ConfigError(
                 f"integrator.scheme {scheme!r} does not apply to equation {eq}: "
-                "gp and coupled-gp take strang, the others rk4 or rk45")
+                "gp and coupled-gp take strang, pretransform and precursor rk4, "
+                "the lattice equations rk4 or rk45")
         if _EQUATIONS[eq] not in (None, family):
             raise ConfigError(
                 f"model.family must be {_EQUATIONS[eq]} for equation {eq}, got {family!r}")

@@ -13,8 +13,8 @@ equation, all on a periodic interval of length L:
       with RK4 or by a norm-preserving Strang split step.
 
 All three belong to one cubic-dispersive family and share one fused
-RHS.  It acts on the Fourier coefficients fft(u), so an RK4 or RK45
-run steps the spectrum and transforms only at its two ends.  It also
+RHS.  It acts on the Fourier coefficients fft(u), so an RK4 run steps
+the spectrum and transforms only at its two ends.  It also
 evolves the rows of an (R, M) array as independent fields, so a batch
 of runs on one grid makes one integration.
 
@@ -106,6 +106,13 @@ def _cubic_rhs(grid: Grid1D, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     stacked with V u as a row of its own when V is set.  That is two FFT
     calls per evaluation in every case, so an integrator stepping uh
     leaves physical space only to form the nonlinear products.
+
+    The stacked product and its ifft are written into two work arrays
+    kept per shape of uh, so the largest temporaries are not allocated
+    afresh on each call; every operation keeps its operands and order,
+    so the bits are those of the plain expressions.  The returned array
+    is new on every call, since the integrators hold several at once.
+    One RHS must therefore not be called from two threads at once.
     """
     scale, lin, d2, cubic, grad, pair = (
         _per_row(c) for c in (scale, lin, d2, cubic, grad, pair))
@@ -119,10 +126,16 @@ def _cubic_rhs(grid: Grid1D, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     back = scale * grid.dealias_mask() if dealias else scale
     two_pair = 2.0 * pair
     Varr = None if V is None else np.asarray(V, dtype=float)
+    work = {}  # per uh.shape: the stacked derivs * uh, and its ifft
 
     def f(t, uh):
         if gradients:
-            u, u_x, u_xx = np.fft.ifft((derivs if uh.ndim == 1 else derivs[:, None]) * uh)
+            if uh.shape not in work:
+                work[uh.shape] = (np.empty((3,) + uh.shape, complex),
+                                  np.empty((3,) + uh.shape, complex))
+            stacked, fields = work[uh.shape]
+            np.multiply(derivs if uh.ndim == 1 else derivs[:, None], uh, out=stacked)
+            u, u_x, u_xx = np.fft.ifft(stacked, out=fields)
         else:
             u = np.fft.ifft(uh)
         weight = cubic * (u.real ** 2 + u.imag ** 2)

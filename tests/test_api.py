@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +19,22 @@ def test_every_exported_name_resolves(module):
     assert len(set(module.__all__)) == len(module.__all__)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_package_import_loads_no_submodule():
+    # gpchain resolves its exported names on first use (PEP 562)
+    code = ("import sys, gpchain\n"
+            "print([m for m in sys.modules if m.startswith('gpchain.')],"
+            " 'numpy' in sys.modules)\n"
+            "print([n for n in gpchain.__all__ if n not in dir(gpchain)])\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpchain.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines() == ["[] False", "[]"]
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        gpchain.nothing
 
 
 def test_readme_library_quickstart_runs(capsys):

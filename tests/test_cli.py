@@ -2,11 +2,13 @@ import glob
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from gpchain import cli, continuum, integrators, models
+from gpchain import commands, continuum, integrators, models
 from gpchain.cli import main
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -302,7 +304,7 @@ def test_precursor_blowup_writes_the_physical_field(tmp_path, monkeypatch):
     # the run steps the spectrum fft(u), and the field it writes is the
     # last finite u, not only the snapshots so far (here just t = 0)
     seen = {}
-    integrate = cli._integrate
+    integrate = commands._integrate
 
     def recording(sim, integ):
         try:
@@ -311,7 +313,7 @@ def test_precursor_blowup_writes_the_physical_field(tmp_path, monkeypatch):
             seen["exc"] = exc
             raise
 
-    monkeypatch.setattr(cli, "_integrate", recording)
+    monkeypatch.setattr(commands, "_integrate", recording)
     cfg = _write_cfg(tmp_path, {
         "equation": "precursor", "model": {"N": 8, "J0": 1.0, "R0": 2.0, "s": 40.0},
         "grid": {"L": 25.0, "M": 64}, "integrator": {"dt": 0.01, "t_end": 1.0},
@@ -576,6 +578,9 @@ _TRUNCATION = {"study": {"kind": "truncation"}}
         "profile": "sech-soliton", "eta": 1.0}}, "potential.profile"),
     ("simulate", {"out": 5}, "out must be a string"),
     ("simulate", {"out": ["a"]}, "out must be a string"),
+    *[("simulate", {"equation": eq, "integrator": {"scheme": "rk45"}, **_GRID},
+       "integrator.scheme 'rk45' does not apply to equation " + eq)
+      for eq in ("pretransform", "precursor")],
 ])
 def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section, path):
     cfg = _write_cfg(tmp_path, section)
@@ -702,6 +707,39 @@ def test_sample_config_dry_run(path, capsys):
     assert json.loads(capsys.readouterr().out)["command"] == command
 
 
+# Runs main on each argument list in one fresh interpreter, then prints the
+# exit codes and every numpy or gpchain submodule the interpreter loaded.
+_FRONT_ONLY = """
+import contextlib, io, json, sys
+from gpchain.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = [m for m in sys.modules if m.partition(".")[0] == "numpy" or m.startswith("gpchain.")]
+print(json.dumps({"codes": codes, "loaded": sorted(loaded)}))
+"""
+
+
+def test_dry_run_and_config_errors_load_neither_numpy_nor_the_library(tmp_path):
+    calls = []
+    for path in CONFIGS:
+        with open(path) as fh:
+            command = "study" if "study" in json.load(fh) else "simulate"
+        calls.append([command, "--config", path, "--dry-run"])
+    calls.append(["verify-derivation", "--dry-run"])
+    calls.append(["simulate", "--config", _write_cfg(tmp_path, {"model": {"s": -1.0}}),
+                  "--out", str(tmp_path / "x")])
+    src = str(pathlib.Path(commands.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _FRONT_ONLY, json.dumps(calls)],
+                          env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert len(CONFIGS) == 6
+    assert result["codes"] == [0] * 7 + [2]
+    assert result["loaded"] == ["gpchain.cli", "gpchain.config"]
+    assert not (tmp_path / "x").exists()
+
+
 # ------------------------------------------------- CSV byte oracle
 #
 # The row-by-row formatter the CLI first had: one tuple per row, every
@@ -773,7 +811,7 @@ _BYTE_RUNS = {
 def test_csv_bytes_match_row_oracle(tmp_path, monkeypatch, name):
     rc, payload = _BYTE_RUNS[name]
     seen = {}
-    integrate = cli._integrate
+    integrate = commands._integrate
 
     def recording(sim, integ):
         try:
@@ -783,7 +821,7 @@ def test_csv_bytes_match_row_oracle(tmp_path, monkeypatch, name):
             raise
         return seen["run"]
 
-    monkeypatch.setattr(cli, "_integrate", recording)
+    monkeypatch.setattr(commands, "_integrate", recording)
     out = tmp_path / name
     assert main(["simulate", "--config", _write_cfg(tmp_path, payload),
                  "--out", str(out)]) == rc

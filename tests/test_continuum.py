@@ -1,11 +1,9 @@
-import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gpchain import continuum, integrators
-from gpchain.cli import main
+from gpchain import continuum
 from gpchain.continuum import (
     Grid1D,
     continuum_observables,
@@ -685,40 +683,6 @@ def test_spectral_rk4_matches_physical_space_oracle(monkeypatch, case):
     _, oracle = integrate_fixed(want, u0, 0.0, 0.2, 1e-3)
     assert len(oracle) == 2
     _assert_agrees(_evolve(got, u0, 0.2, 1e-3), oracle[-1], tol=1e-12)
-
-
-@pytest.mark.parametrize("M", [64, 128])
-def test_rk45_precursor_run_steps_the_field(tmp_path, monkeypatch, M):
-    # An rk45 run hands the adaptive driver u and du/dt, not fft(u), so
-    # integrator.tolerance bounds the error of the field at every grid size,
-    # as it does on the lattice.  An error test on fft(u) would scale with M.
-    seen = []
-    adaptive = integrators.integrate_adaptive
-
-    def spy(f, y0, *args, **kw):
-        seen.append((f, y0))
-        return adaptive(f, y0, *args, **kw)
-
-    monkeypatch.setattr(integrators, "integrate_adaptive", spy)
-    payload = {
-        "equation": "precursor", "dispersive_scale": 1.0,
-        "model": {"N": 8, "J0": 1.0, "R0": 2.0, "R1": 0.3, "x_xi": 0.2, "s": 40.0},
-        "grid": {"L": 25.0, "M": M},
-        "integrator": {"scheme": "rk45", "tolerance": 1e-8, "dt": 1e-3, "t_end": 0.05},
-        "initial": {"profile": "gaussian", "amplitude": 0.8, "width": 2.0},
-    }
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(payload))
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    transform = json.loads((tmp_path / "o" / "run_summary.json").read_text())["transform"]
-    (f, y0), = seen
-    g = Grid1D(L=25.0, M=M)
-    u0 = (0.8 * np.exp(-(((g.xs - 12.5) / 2.0) ** 2))).astype(complex)
-    assert np.array_equal(y0, u0)
-    _, want = _rhs_pair(monkeypatch, precursor_rhs_factory, g, transform["A"],
-                        transform["B"], r1_over_r0=0.15, x_xi=0.2, dispersive_scale=1.0)
-    u = _test_field(g, 31)
-    _assert_agrees(f(0.0, u), want(0.0, u))
 
 
 def _fft_calls(monkeypatch, u, factory, *args, **kw):
