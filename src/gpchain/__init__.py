@@ -41,33 +41,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algebra",
-    "CouplingMode",
-    "DegenerateTransformError",
-    "FieldPoly",
-    "Grid1D",
-    "HubbardParams",
-    "LadderOp",
-    "OperatorExpr",
-    "ParamCoeff",
-    "RationalComplex",
-    "Statistics",
-    "StudyError",
-    "TransformCoefficients",
-    "XXZParams",
-    "build_hubbard",
-    "build_xxz_bosonized",
-    "compute_transform",
-    "derive_eom",
-    "eqmotannih_reference",
-    "lattice_vs_continuum",
-    "naive_symbol",
-    "ordering_correction",
-    "truncation_study",
-    "wick_symbol",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
 
 
 def __getattr__(name: str):

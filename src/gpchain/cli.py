@@ -59,7 +59,11 @@ def main(argv=None) -> int:
 
     from . import commands  # numpy and the library: a real run only
 
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: out: {exc}", file=sys.stderr)
+        return 2
     try:
         return commands.RUNNERS[args.command](cfg, out_dir)
     except ConfigError as exc:

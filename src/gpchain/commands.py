@@ -19,11 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import config as config_mod
-from . import (continuum, csvout, fock, integrators, latticedyn, limitlab, models,
-               symbolmap)
+from . import continuum, csvout, integrators, latticedyn, limitlab, models
 from .config import ConfigError
-from .models import CouplingMode, Statistics
-from .opalg import Algebra
 
 
 def _finite_or_null(value):
@@ -113,86 +110,11 @@ def _make_profile(cfg: dict, section: str, length: float, default_center: float)
 
 def _run_verify(cfg: dict, out_dir: str) -> int:
     ver = cfg["verify"]
-    N = ver["N"]
-    p = models.XXZParams(N=N)
-    sites = range(N) if ver["site"] is None else [int(ver["site"]) % N]
-    checks = []
-
-    def record(name, passed, detail=""):
-        checks.append({"name": name, "passed": bool(passed), "detail": str(detail)})
-
-    # the symbolic chain's equation at the middle site and its reference are
-    # derived once and read by every check below that needs them
-    H = models.build_xxz_bosonized(p, CouplingMode.SYMBOLIC)
-    mid = N // 2
-    eom_mid = models.derive_eom(H, mid)
-    ref_mid = models.xxz_commutator_reference(p, mid, CouplingMode.SYMBOLIC)
-    ok = all(
-        (eom_mid == ref_mid) if site == mid else (
-            models.derive_eom(H, site)
-            == models.xxz_commutator_reference(p, site, CouplingMode.SYMBOLIC))
-        for site in sites
-    )
-    record("chain-commutator-all-sites", ok, f"N={N}")
-
-    He = models.build_xxz_bosonized(p, CouplingMode.EXPANDED)
-    ok = models.derive_eom(He, mid) == models.xxz_commutator_reference(
-        p, mid, CouplingMode.EXPANDED
-    )
-    record("chain-commutator-expanded", ok, f"site={mid}")
-
-    ref_printed = models.xxz_commutator_reference(
-        p, mid, CouplingMode.SYMBOLIC, reversed_pairs=True
-    )
-    gap = ref_printed.normal_order() - ref_mid
-    corr = symbolmap.ordering_correction(ref_printed)
-    ok = gap.degree() <= 1 and symbolmap.naive_symbol(gap) == corr
-    record("printed-order-accounting", ok, f"correction = {corr}")
-
-    merged = models.isotropy_merge(symbolmap.naive_symbol(eom_mid))
-    ok = merged == models.eqmotannih_reference(p, mid)
-    record("merged-equation-of-motion", ok, f"site={mid}")
-
-    p3 = models.XXZParams(N=3, J0=1.0, R0=0.7, s=1.0, h=(0.2, -0.1, 0.4))
-    H3 = models.build_xxz_bosonized(p3, CouplingMode.SYMBOLIC)
-    bind = models.xxz_bindings(p3)
-    cutoff, margin = 4, 2
-    alg3 = Algebra(Statistics.BOSE, 3)
-    Hm = fock.to_matrix(H3, 3, cutoff, bind)
-    mask = fock.interior_mask(3, cutoff, margin)
-    dev = 0.0
-    for site in range(3):
-        a_m = fock.to_matrix(alg3.a(site), 3, cutoff, bind)
-        comm = Hm @ a_m - a_m @ Hm
-        eom_m = fock.to_matrix(models.derive_eom(H3, site), 3, cutoff, bind)
-        dev = max(dev, fock.max_interior_diff(comm, eom_m, mask))
-    record("matrix-oracle", dev <= 1e-10, f"max deviation {dev:.3e}")
-
-    jw = models.verify_jordan_wigner(ver["jw_sites"])
-    record(
-        "jordan-wigner-identity",
-        jw.identity_holds and jw.max_deviation <= 1e-12,
-        f"nsites={jw.nsites}, max deviation {jw.max_deviation:.3e}",
-    )
-
-    stat = models.verify_statistics_independence(p, mid, bose_eom=eom_mid)
-    record(
-        "statistics-independence-linear",
-        stat.linear_equal,
-        "cubic sector also equal" if stat.equal else "cubic sector differs",
-    )
-
-    ph = models.HubbardParams(N=5)
-    ok = True
-    for stats in (Statistics.BOSE, Statistics.FERMI):
-        parts = (("hop", models.build_hubbard_hop(ph, statistics=stats)),
-                 ("interaction", models.build_hubbard_interaction(ph, statistics=stats)))
-        for flavor in (0, 1):
-            for part, H in parts:
-                ref = models.hubbard_commutator_reference(ph, 2, flavor, part, statistics=stats)
-                ok &= models.derive_eom(H, 2, flavor=flavor) == ref
-    record("hubbard-commutators", ok, "hop and interaction, both statistics")
-
+    checks = [
+        {"name": name, "passed": bool(passed), "detail": detail}
+        for name, passed, detail in models.derivation_checks(
+            ver["N"], ver["site"], ver["jw_sites"])
+    ]
     status = "ok" if all(c["passed"] for c in checks) else "failed"
     lines = [
         f"{'ok  ' if c['passed'] else 'FAIL'} {c['name']}  {c['detail']}"

@@ -106,10 +106,10 @@ def march(step, y0, t0, t_end, dt, snapshot_every=0):
     This is the one fixed-step loop: RK4 (integrate_fixed) and the
     Strang split steps run through it.  The steps follow fixed_steps,
     so a dt that does not divide the span ends with one short step.
-    Snapshots always include the initial and final state; with
-    snapshot_every = n > 0, every n-th full step is kept as well.  A
-    non-finite state raises NonFiniteError carrying the last finite
-    (t, y) and the snapshots so far.
+    Snapshots always include the initial and final state, one snapshot
+    when t_end == t0; with snapshot_every = n > 0, every n-th full step
+    is kept as well.  A non-finite state raises NonFiniteError carrying
+    the last finite (t, y) and the snapshots so far.
 
     A SplitStep's closing half phase and the next step's opening one
     are fused, since S(h)^n = K(h/2) [D(h) K(h)]^(n-1) D(h) K(h/2):
@@ -128,6 +128,8 @@ def march(step, y0, t0, t_end, dt, snapshot_every=0):
     t = float(t0)
     times = [t]
     states = [y.copy()]
+    if t_end == t0:
+        return times, states
     nfull, rem = fixed_steps(t0, t_end, dt)
     kernel = step.kernel if isinstance(step, SplitStep) else None
     pending = False  # y carries the next split step's opening K(dt/2)

@@ -21,7 +21,7 @@ import numpy as np
 from . import fock
 from .coeffs import ParamCoeff
 from .opalg import Algebra, LadderOp, OperatorExpr, Statistics
-from .symbolmap import FieldFactor, FieldPoly, naive_symbol
+from .symbolmap import FieldFactor, FieldPoly, naive_symbol, ordering_correction
 
 
 class CouplingMode(Enum):
@@ -528,3 +528,71 @@ def verify_statistics_independence(
         diff=diff,
         cubic_diff=diff.filter_degree(3),
     )
+
+
+def derivation_checks(N: int, site: int = None, jw_sites: int = 4):
+    """Yield (name, passed, detail) for each check of verify-derivation, in order.
+
+    The symbolic N-site chain meets its reference at every site, or at
+    `site` alone; the other checks read its middle site, whose equation
+    and reference are derived once.  jw_sites sizes the Jordan-Wigner space.
+    """
+    p = XXZParams(N=N)
+    sites = range(N) if site is None else [int(site) % N]
+    H = build_xxz_bosonized(p, CouplingMode.SYMBOLIC)
+    mid = N // 2
+    eom_mid = derive_eom(H, mid)
+    ref_mid = xxz_commutator_reference(p, mid, CouplingMode.SYMBOLIC)
+    ok = all(
+        (eom_mid == ref_mid) if i == mid else (
+            derive_eom(H, i) == xxz_commutator_reference(p, i, CouplingMode.SYMBOLIC))
+        for i in sites
+    )
+    yield "chain-commutator-all-sites", ok, f"N={N}"
+
+    He = build_xxz_bosonized(p, CouplingMode.EXPANDED)
+    ok = derive_eom(He, mid) == xxz_commutator_reference(p, mid, CouplingMode.EXPANDED)
+    yield "chain-commutator-expanded", ok, f"site={mid}"
+
+    ref_printed = xxz_commutator_reference(p, mid, CouplingMode.SYMBOLIC, reversed_pairs=True)
+    gap = ref_printed.normal_order() - ref_mid
+    corr = ordering_correction(ref_printed)
+    ok = gap.degree() <= 1 and naive_symbol(gap) == corr
+    yield "printed-order-accounting", ok, f"correction = {corr}"
+
+    merged = isotropy_merge(naive_symbol(eom_mid))
+    yield "merged-equation-of-motion", merged == eqmotannih_reference(p, mid), f"site={mid}"
+
+    p3 = XXZParams(N=3, J0=1.0, R0=0.7, s=1.0, h=(0.2, -0.1, 0.4))
+    H3 = build_xxz_bosonized(p3, CouplingMode.SYMBOLIC)
+    bind = xxz_bindings(p3)
+    cutoff, margin = 4, 2
+    alg3 = Algebra(Statistics.BOSE, 3)
+    Hm = fock.to_matrix(H3, 3, cutoff, bind)
+    mask = fock.interior_mask(3, cutoff, margin)
+    dev = 0.0
+    for i in range(3):
+        a_m = fock.to_matrix(alg3.a(i), 3, cutoff, bind)
+        comm = Hm @ a_m - a_m @ Hm
+        eom_m = fock.to_matrix(derive_eom(H3, i), 3, cutoff, bind)
+        dev = max(dev, fock.max_interior_diff(comm, eom_m, mask))
+    yield "matrix-oracle", dev <= 1e-10, f"max deviation {dev:.3e}"
+
+    jw = verify_jordan_wigner(jw_sites)
+    yield ("jordan-wigner-identity", jw.identity_holds and jw.max_deviation <= 1e-12,
+           f"nsites={jw.nsites}, max deviation {jw.max_deviation:.3e}")
+
+    stat = verify_statistics_independence(p, mid, bose_eom=eom_mid)
+    yield ("statistics-independence-linear", stat.linear_equal,
+           "cubic sector also equal" if stat.equal else "cubic sector differs")
+
+    ph = HubbardParams(N=5)
+    ok = True
+    for stats in (Statistics.BOSE, Statistics.FERMI):
+        parts = (("hop", build_hubbard_hop(ph, statistics=stats)),
+                 ("interaction", build_hubbard_interaction(ph, statistics=stats)))
+        for flavor in (0, 1):
+            for part, H in parts:
+                ref = hubbard_commutator_reference(ph, 2, flavor, part, statistics=stats)
+                ok &= derive_eom(H, 2, flavor=flavor) == ref
+    yield "hubbard-commutators", ok, "hop and interaction, both statistics"

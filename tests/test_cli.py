@@ -142,8 +142,12 @@ def test_verify_detects_tampered_hamiltonian(tmp_path, monkeypatch):
     rc = main(["verify-derivation", "--out", str(out)])
     assert rc == 1
     report = (out / "verify_report.txt").read_text()
-    assert "FAIL" in report
     assert report.strip().endswith("overall: failed")
+    # the doubled chain meets its references nowhere; the matrix oracle and
+    # the statistics comparison double both of their sides and still agree
+    failed = {line.split()[1] for line in report.splitlines() if line.startswith("FAIL")}
+    assert failed == {"chain-commutator-all-sites", "chain-commutator-expanded",
+                      "merged-equation-of-motion"}
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -153,6 +157,27 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cfg2 = _write_cfg(tmp_path, {"modle": {}}, "typo.json")
     assert main(["simulate", "--config", cfg2]) == 2
     assert main(["study", "--config", _write_cfg(tmp_path, {}, "e.json")]) == 2
+    capsys.readouterr()
+    # an --out that is a file, or lies under one, is a bad setting too
+    for out in ("typo.json", os.path.join("typo.json", "sub")):
+        assert main(["verify-derivation", "--out", str(tmp_path / out)]) == 2
+        assert "config error: out: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "rk45"])
+@pytest.mark.parametrize("payload, nflavors", [
+    ({"equation": "xxz-lattice", "model": {"N": 5}}, 1),
+    ({"equation": "hubbard-lattice", "model": {"family": "hubbard", "N": 5},
+      "initial2": {"profile": "uniform"}}, 2),
+])
+def test_zero_length_lattice_run_writes_each_row_once(tmp_path, scheme, payload, nflavors):
+    cfg = _write_cfg(tmp_path, {**payload, "initial": {"profile": "gaussian"},
+                                "integrator": {"t_end": 0.0, "scheme": scheme}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[1:]
+    keys = [tuple(row.split(",")[:3]) for row in rows]
+    assert len(keys) == len(set(keys)) == 5 * nflavors
+    assert {key[0] for key in keys} == {"0"}
 
 
 def test_dry_run_prints_plan_only(tmp_path, capsys):

@@ -197,6 +197,19 @@ def _shift_kernel(calls, nan_at=None):
     return kernel
 
 
+def test_zero_length_march_keeps_one_snapshot():
+    # the initial state is the final one: both schemes return it once,
+    # as integrate_adaptive does, and take no step
+    calls = []
+    y0 = np.array([1.0 + 0j])
+    for step in (lambda t, y, h: calls.append(h) or y, SplitStep(_shift_kernel(calls))):
+        times, states = march(step, y0, 2.0, 2.0, 0.1, snapshot_every=1)
+        assert times == [2.0] and len(states) == 1
+        assert np.array_equal(states[0], y0) and states[0] is not y0
+    assert calls == []
+    assert integrate_adaptive(lambda t, y: y, y0, 2.0, 2.0, 1e-8)[0] == [2.0]
+
+
 def test_march_fuses_the_half_phases_of_split_steps():
     calls = []
     dt, every = 0.25, 3

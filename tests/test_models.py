@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -366,3 +369,33 @@ def test_bindings_cover_all_parameters():
     assert not missing
     He = build_xxz_bosonized(p, CouplingMode.EXPANDED)
     assert not He.parameters() - set(bind)
+
+
+def _golden_check_names(golden):
+    path = os.path.join(os.path.dirname(__file__), "data", golden, "verify_summary.json")
+    with open(path) as fh:
+        return [check["name"] for check in json.load(fh)["checks"]]
+
+
+def test_derivation_checks_pass_in_report_order():
+    checks = {name: (passed, detail) for name, passed, detail in models.derivation_checks(5)}
+    assert list(checks) == _golden_check_names("verify_default")
+    assert list(checks) == _golden_check_names("verify_n10")
+    for name, (passed, _) in checks.items():
+        assert passed, name
+    assert checks["chain-commutator-all-sites"][1] == "N=5"
+    assert checks["chain-commutator-expanded"][1] == "site=2"
+    assert checks["jordan-wigner-identity"][1].startswith("nsites=4,")
+    one_site = {name: (passed, detail) for name, passed, detail in models.derivation_checks(
+        5, site=7, jw_sites=2)}
+    assert list(one_site) == list(checks)
+    assert all(passed for passed, _ in one_site.values())
+    assert one_site["jordan-wigner-identity"][1].startswith("nsites=2,")
+
+
+def test_derivation_checks_flag_only_a_tampered_hubbard_interaction(monkeypatch):
+    real = models.build_hubbard_interaction
+    monkeypatch.setattr(models, "build_hubbard_interaction",
+                        lambda *a, **k: real(*a, **k) + real(*a, **k))
+    failed = [name for name, passed, _ in models.derivation_checks(5) if not passed]
+    assert failed == ["hubbard-commutators"]
