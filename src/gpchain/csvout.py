@@ -1,8 +1,9 @@
 """CSV text made with numpy: floats exactly as "%.17g" writes them.
 
 format_g17(x) gives each value a row of WIDTH bytes that holds the bytes
-of "%.17g" % v in order, with NULs among and after them.  lines() joins
-such rows and constant text into CSV lines and drops the NULs.
+of "%.17g" % v in order, with NULs among and after them.  lines() lays
+such cells and constant text side by side in one table of lines and
+drops the NULs.
 
 The digits.  With k = floor(log10 |x|), the 17 significant digits are
 N = round(|x| 10^(16-k)), so 10^16 <= N < 10^17; where N falls outside,
@@ -11,9 +12,9 @@ float64s, exact to about 2^-106, built from Python ints on first use.
 Dekker's two-product, with Veltkamp's split, gives |x| hi = p + e
 exactly, so N's fraction is known to about 2^-47, and its rounding is
 exact unless the fraction lies within 2^-36 of 1/2.  There, and for
-zeros, non-finite values and |x| outside [1e-270, 1e270] (where a
-product could leave the normal range), the row is "%.17g" % v itself,
-made one value at a time.
+non-finite values and |x| outside [1e-270, 1e270] (where a product could
+leave the normal range), the row is "%.17g" % v itself, made one value
+at a time.  A zero takes the row of 2 with its digit made 0: "0", "-0".
 
 The layout.  %g writes fixed notation for -4 <= k < 17 and exponent
 notation otherwise, and drops the zeros after the last nonzero digit of
@@ -111,8 +112,9 @@ def format_g17(x) -> np.ndarray:
     """A (len(x), WIDTH) uint8 array whose row i, without NULs, is "%.17g" % x[i]."""
     x = np.ravel(np.asarray(x, dtype=np.float64))
     a = np.abs(x)
+    zero = a == 0
     fast = (a >= _RANGE[0]) & (a <= _RANGE[1])  # False for 0, inf and nan
-    a = np.where(fast, a, 1.0)
+    a = np.where(fast, a, 2.0)  # no power of ten, so k needs no correction
     k = np.floor(np.log10(a)).astype(np.int64)
     n, tie = _scaled(a, k)
     # k is one too big where N < 10^16 and may be where N == 10^16; where k - 1
@@ -122,7 +124,7 @@ def format_g17(x) -> np.ndarray:
     if redo.size:
         k[redo] += step[redo]
         n[redo], tie[redo] = _scaled(a[redo], k[redo])
-    slow = ~fast | tie | (n < 10 ** 16) | (n >= 10 ** 17)
+    slow = ~(fast | zero) | tie | (n < 10 ** 16) | (n >= 10 ** 17)
 
     digits = _ascii_digits(n)
     # %g drops the zeros after the last nonzero digit, but not those before the point
@@ -134,8 +136,8 @@ def format_g17(x) -> np.ndarray:
     digits[tail] *= np.arange(_NDIG) < shown[tail, None]
 
     out = _tables()[1].take(k - _K_MIN, axis=0)
-    out[:, _SIGN] = (x < 0) * np.uint8(ord("-"))
-    out[:, _D0] = digits[:, 0]
+    out[:, _SIGN] = np.signbit(x) * np.uint8(ord("-"))
+    out[:, _D0] = np.where(zero, _ZERO, digits[:, 0])
     out[:, _D1:_EXP - 1] = digits[:, 1:]
     out[shown == 1, _P0] = 0  # no digit follows the point
     # for 1 <= k < 16 the point follows digit k and moves the later digits right
@@ -158,10 +160,19 @@ def cells(texts) -> np.ndarray:
 
 
 def lines(*columns) -> bytes:
-    """Rows of text, one line per row, from uint8 arrays and constant bytes, NULs dropped."""
-    nrows = next(len(col) for col in columns if isinstance(col, np.ndarray))
-    table = np.concatenate([
-        col if isinstance(col, np.ndarray)
-        else np.broadcast_to(np.frombuffer(col, dtype=np.uint8), (nrows, len(col)))
-        for col in columns], axis=1)
+    """Lines of text from columns laid side by side, NULs dropped.
+
+    A column is constant bytes or a uint8 array (..., width) of cells.  The
+    arrays' leading axes broadcast to the shape of the table, which holds one
+    line per element, in C order; it is allocated once and each column is
+    written into its slice.
+    """
+    parts = [col if isinstance(col, np.ndarray) else np.frombuffer(col, dtype=np.uint8)
+             for col in columns]
+    shape = np.broadcast_shapes(*(part.shape[:-1] for part in parts))
+    table = np.empty(shape + (sum(part.shape[-1] for part in parts),), dtype=np.uint8)
+    end = 0
+    for part in parts:
+        start, end = end, end + part.shape[-1]
+        table[..., start:end] = part
     return table.tobytes().translate(None, b"\0")

@@ -809,10 +809,24 @@ _BYTE_RUNS = {
         "initial": {"profile": "gaussian", "amplitude": 0.7, "width": 2.0},
         "initial2": {"profile": "plane-wave", "amplitude": -0.3, "mode": 1},
     }),
+    "hubbard-zero-flavor": (0, {
+        "equation": "hubbard-lattice",
+        "model": {"family": "hubbard", "N": 10, "t": 0.8, "U": 1.5},
+        "integrator": {"dt": 1e-2, "t_end": 0.2, "scheme": "rk45", "snapshot_every": 1},
+        "initial": {"profile": "gaussian", "amplitude": 0.7, "width": 2.0},
+        "initial2": {"profile": "zero"},
+    }),
     "blowup": (1, {
         "equation": "xxz-lattice",
         "model": {"N": 8, "J0": 1.0, "R0": 1.0},
         "integrator": {"dt": 10.0, "t_end": 100.0, "snapshot_every": 1},
+        "initial": {"profile": "uniform", "value": 50.0},
+    }),
+    # the state at t = 10 is finite but no snapshot: the run appends it
+    "blowup-between-snapshots": (1, {
+        "equation": "xxz-lattice",
+        "model": {"N": 8, "J0": 1.0, "R0": 1.0},
+        "integrator": {"dt": 10.0, "t_end": 100.0, "snapshot_every": 3},
         "initial": {"profile": "uniform", "value": 50.0},
     }),
     "gp": (0, {
@@ -832,8 +846,8 @@ _BYTE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_BYTE_RUNS))
-def test_csv_bytes_match_row_oracle(tmp_path, monkeypatch, name):
+def _recorded_run(tmp_path, monkeypatch, name):
+    """Run _BYTE_RUNS[name]: its output directory, and what its integration gave."""
     rc, payload = _BYTE_RUNS[name]
     seen = {}
     integrate = commands._integrate
@@ -843,6 +857,9 @@ def test_csv_bytes_match_row_oracle(tmp_path, monkeypatch, name):
             seen["run"] = integrate(sim, integ)
         except integrators.IntegrationError as exc:
             seen["run"] = exc.times, exc.states
+            if exc.t > exc.times[-1]:  # written after the snapshots
+                seen["run"] = exc.times + [exc.t], exc.states + [exc.y]
+                seen["appended"] = True
             raise
         return seen["run"]
 
@@ -850,13 +867,46 @@ def test_csv_bytes_match_row_oracle(tmp_path, monkeypatch, name):
     out = tmp_path / name
     assert main(["simulate", "--config", _write_cfg(tmp_path, payload),
                  "--out", str(out)]) == rc
+    return out, seen
+
+
+@pytest.mark.parametrize("name", sorted(_BYTE_RUNS))
+def test_csv_bytes_match_row_oracle(tmp_path, monkeypatch, name):
+    out, seen = _recorded_run(tmp_path, monkeypatch, name)
     times, states = seen["run"]
+    payload = _BYTE_RUNS[name][1]
     if "grid" in payload:
         xs = continuum.Grid1D(payload["grid"]["L"], payload["grid"]["M"]).xs
         assert (out / "field.csv").read_bytes() == _oracle_field(xs, states[-1])
     else:
         assert len(times) >= 2
         assert (out / "trajectory.csv").read_bytes() == _oracle_trajectory(times, states)
+
+
+@pytest.mark.parametrize("name, block, sizes", [
+    ("xxz", 96, [4, 4, 1]),  # snapshots of 12 rows, 24 floats
+    ("xxz", 16, [1] * 9),  # a snapshot larger than a block
+    ("hubbard", 120, [3, 3, 1]),  # two flavors of 10 sites, 40 floats
+    ("hubbard", 30, [1] * 7),
+    ("hubbard-zero-flavor", 160, [4, 3]),
+    ("blowup", 16, [1, 1]),
+    ("blowup-between-snapshots", 32, [2]),
+])
+def test_trajectory_blocks_match_row_oracle(tmp_path, monkeypatch, name, block, sizes):
+    # the writer formats whole snapshots per block of _BLOCK_VALUES floats
+    monkeypatch.setattr(commands, "_BLOCK_VALUES", block)
+    written = []
+    lines = commands._lines
+
+    def counting(lead, mid, values):
+        written.append(len(values))
+        return lines(lead, mid, values)
+
+    monkeypatch.setattr(commands, "_lines", counting)
+    out, seen = _recorded_run(tmp_path, monkeypatch, name)
+    assert written == sizes
+    assert seen.get("appended", False) == (name == "blowup-between-snapshots")
+    assert (out / "trajectory.csv").read_bytes() == _oracle_trajectory(*seen["run"])
 
 
 _HUBBARD_RK45 = {

@@ -45,6 +45,7 @@ def _edges():
         "powers of ten": _around(powers),
         "ties": _around(ties),
         "integers in [2^53, 1e17]": _around([2.0 ** 53, 1e16, 1e17, *big_ints]),
+        "zeros among values": rng.choice([0.0, -0.0, 1.5, -2e-300, np.nan, 1e100], 3000),
         "specials": np.array([
             99999999999999999.0, 1e-4, np.nextafter(1e-4, 0), 1e-5, 1.1e178,
             1.102907506344507e+178, -4.4116300253780288e+173, 0.5, 1.5, 2.5, 0.0, -0.0,
@@ -77,3 +78,8 @@ def test_rows_and_lines():
     assert cells.shape == (3, csvout.WIDTH) and cells.dtype == np.uint8
     text = csvout.lines(csvout.cells(["a", "bc", ""]), b",", cells, b"\n")
     assert text == b"a,1\nbc,-2.4999999999999999e-07\n,1.0000000000000001e+300\n"
+    # leading axes broadcast: a (2, 3) table of lines from (2, 1) and (3,) columns
+    text = csvout.lines(csvout.cells(["x", "y"])[:, None], b",", cells, b"\n")
+    assert text.split(b"\n")[:4] == [b"x,1", b"x,-2.4999999999999999e-07",
+                                     b"x,1.0000000000000001e+300", b"y,1"]
+    assert text.count(b"\n") == 6
