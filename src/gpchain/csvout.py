@@ -7,8 +7,9 @@ drops the NULs.
 
 The digits.  With k = floor(log10 |x|), the 17 significant digits are
 N = round(|x| 10^(16-k)), so 10^16 <= N < 10^17; where N falls outside,
-log10 was one off and k is corrected.  10^(16-k) is a pair hi + lo of
-float64s, exact to about 2^-106, built from Python ints on first use.
+log10 was one off and k is corrected; N = 10^16 is tried at k - 1 and
+stands where that gives 10^17, as at a power of ten.  10^(16-k) is a pair
+hi + lo of float64s, exact to about 2^-106, built from Python ints on first use.
 Dekker's two-product, with Veltkamp's split, gives |x| hi = p + e
 exactly, so N's fraction is known to about 2^-47, and its rounding is
 exact unless the fraction lies within 2^-36 of 1/2.  There, and for
@@ -118,12 +119,16 @@ def format_g17(x) -> np.ndarray:
     k = np.floor(np.log10(a)).astype(np.int64)
     n, tie = _scaled(a, k)
     # k is one too big where N < 10^16 and may be where N == 10^16; where k - 1
-    # then gives 10^17, |x| rounds up to 10^k and the row is made the slow way
+    # then gives 10^17, |x| rounds up to 10^k and the first (k, 10^16) stands
     step = (n >= 10 ** 17).astype(np.int64) - (n <= 10 ** 16)
     redo = np.flatnonzero(step)
     if redo.size:
+        first = (n[redo] == 10 ** 16) & ~tie[redo]
         k[redo] += step[redo]
         n[redo], tie[redo] = _scaled(a[redo], k[redo])
+        back = redo[first & (n[redo] >= 10 ** 17) & ~tie[redo]]
+        k[back] += 1
+        n[back] = 10 ** 16
     slow = ~(fast | zero) | tie | (n < 10 ** 16) | (n >= 10 ** 17)
 
     digits = _ascii_digits(n)

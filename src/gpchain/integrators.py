@@ -1,17 +1,16 @@
-"""Time steppers: classic RK4 and adaptive Dormand-Prince 5(4).
+"""Time steppers: classic RK4, adaptive Dormand-Prince 5(4) and Strang.
 
-Both integrate dy/dt = f(t, y) for complex numpy arrays of any shape.
-Step functions are pure: they write only into arrays they allocated,
-never into y or into an array f returned.  Their sums run in place and
-keep the bits of the sums as written, since only single additions swap
-operands.  Each step decides once, on its first stage, whether all its
-sums can run in place.  march, the one fixed-step driver, runs RK4 (4
-RHS calls per step) or any step(t, y, h); it fuses the adjacent half
-phases of consecutive Strang split steps (SplitStep).
-integrate_adaptive has its own controller and hands each accepted
-Dormand-Prince step's last stage on as the next step's first (6 RHS
-calls per attempt, plus one).  Both collect snapshots and convert
-blow-ups into typed errors carrying the last good state.
+All integrate complex numpy arrays of any shape.  Step functions are
+pure: they write only into arrays they allocated, never into y or into
+an array f returned.  Their sums run in place and keep the bits of the
+sums as written, since only single additions swap operands.  Each step
+decides once, on its first stage, whether all its sums can run in place.
+One loop, _drive, collects the snapshots, ends at exactly t_end and
+hands blow-ups on as typed errors carrying the last good state.  The
+schemes are generators of accepted steps: march's fixed plan of RK4 (4
+RHS calls per step) or of Strang split steps, whose adjacent half
+phases it fuses (SplitStep), and integrate_adaptive's Dormand-Prince
+controller (6 RHS calls per attempt, plus one).
 """
 
 from __future__ import annotations
@@ -26,12 +25,12 @@ import numpy as np
 class IntegrationError(RuntimeError):
     """Base for stepping failures; carries the last good (t, y) and snapshots."""
 
-    def __init__(self, message, t=None, y=None, times=None, states=None):
+    def __init__(self, message, t=None, y=None):
         super().__init__(message)
         self.t = t
         self.y = y
-        self.times = times or []
-        self.states = states or []
+        self.times = []  # the snapshots so far, filled in by _drive
+        self.states = []
 
 
 class NonFiniteError(IntegrationError):
@@ -100,16 +99,44 @@ class SplitStep:
         return self.kernel(y, h, 0.5 * h, 0.5 * h)
 
 
+def _drive(steps, y0, t0, t_end, snapshot_every):
+    """The one stepping loop: runs steps(t0, y0, keep) to t_end; returns (times, states).
+
+    steps yields each accepted step as (t, y, last), last on the one that
+    reaches t_end.  Snapshots always include the initial state and the
+    final one at exactly t_end, one snapshot when t_end == t0; with
+    snapshot_every = n > 0, every n-th step before the last is kept as
+    well, and keep(m) tells a scheme whether step m is an n-th one.  An
+    IntegrationError out of steps leaves carrying the snapshots so far.
+    """
+    if t_end < t0:
+        raise ValueError(f"t_end {t_end!r} before t0 {t0!r}")
+    y = np.array(y0, dtype=complex, copy=True)
+    times, states = [float(t0)], [y.copy()]
+    if t_end == t0:
+        return times, states
+    keep = lambda n: snapshot_every and n % snapshot_every == 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, (t, y, last) in enumerate(steps(float(t0), y, keep), 1):
+                if keep(n) and not last:
+                    times.append(t)
+                    states.append(y.copy())
+    except IntegrationError as exc:
+        exc.times, exc.states = times, states
+        raise
+    times.append(float(t_end))  # a fixed plan lands on t_end to 1e-9 relative
+    states.append(y.copy())
+    return times, states
+
+
 def march(step, y0, t0, t_end, dt, snapshot_every=0):
     """Apply y <- step(t, y, h) from t0 to exactly t_end; returns (times, states).
 
-    This is the one fixed-step loop: RK4 (integrate_fixed) and the
-    Strang split steps run through it.  The steps follow fixed_steps,
-    so a dt that does not divide the span ends with one short step.
-    Snapshots always include the initial and final state, one snapshot
-    when t_end == t0; with snapshot_every = n > 0, every n-th full step
-    is kept as well.  A non-finite state raises NonFiniteError carrying
-    the last finite (t, y) and the snapshots so far.
+    RK4 (integrate_fixed) and the Strang split steps take this fixed
+    plan, driven by _drive.  The steps follow fixed_steps, so a dt that
+    does not divide the span ends with one short step.  A non-finite
+    state raises NonFiniteError carrying the last finite (t, y).
 
     A SplitStep's closing half phase and the next step's opening one
     are fused, since S(h)^n = K(h/2) [D(h) K(h)]^(n-1) D(h) K(h/2):
@@ -122,23 +149,15 @@ def march(step, y0, t0, t_end, dt, snapshot_every=0):
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    if t_end < t0:
-        raise ValueError(f"t_end {t_end!r} before t0 {t0!r}")
-    y = np.array(y0, dtype=complex, copy=True)
-    t = float(t0)
-    times = [t]
-    states = [y.copy()]
-    if t_end == t0:
-        return times, states
-    nfull, rem = fixed_steps(t0, t_end, dt)
     kernel = step.kernel if isinstance(step, SplitStep) else None
-    pending = False  # y carries the next split step's opening K(dt/2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, nfull + 1 + bool(rem)):
+    def steps(t, y, keep):
+        nfull, rem = fixed_steps(t0, t_end, dt)
+        count = nfull + bool(rem)
+        pending = False  # y carries the next split step's opening K(dt/2)
+        for n in range(1, count + 1):
             full = n <= nfull
             h = dt if full else rem
-            snap = snapshot_every and n % snapshot_every == 0 and n < nfull
-            fuse = kernel is not None and n < nfull and not snap
+            fuse = kernel is not None and n < nfull and not keep(n)
             if kernel is None:
                 y_new = step(t, y, h)
             else:
@@ -148,18 +167,11 @@ def march(step, y0, t0, t_end, dt, snapshot_every=0):
             if not np.isfinite(y_new).all():
                 if pending:
                     y = kernel(y, 0.0, -0.5 * dt, 0.0)
-                raise NonFiniteError(
-                    f"state became non-finite at t={t_new:.6g}",
-                    t=t, y=y, times=times, states=states,
-                )
-            t, y = t_new, y_new
-            pending = fuse
-            if snap:
-                times.append(t)
-                states.append(y.copy())
-    times.append(float(t_end))  # the plan lands on t_end to 1e-9 relative
-    states.append(y.copy())
-    return times, states
+                raise NonFiniteError(f"state became non-finite at t={t_new:.6g}", t, y)
+            t, y, pending = t_new, y_new, fuse
+            yield t, y, n == count
+
+    return _drive(steps, y0, t0, t_end, snapshot_every)
 
 
 def integrate_fixed(f, y0, t0, t_end, dt, snapshot_every=0):
@@ -230,41 +242,28 @@ def integrate_adaptive(f, y0, t0, t_end, tol, dt0=None, snapshot_every=0,
     """Adaptive Dormand-Prince march; returns (times, states).
 
     tol acts as both absolute and relative tolerance.  snapshot_every
-    counts accepted steps.  The step that reaches t_end ends at exactly
-    t_end.  An accepted step hands its last stage, f(t + dt, y5), on as
-    the next step's first, and a rejected or non-finite step keeps its
-    first stage, so a run makes 1 + 6 * attempts RHS calls.
+    counts accepted steps, which _drive keeps as it does march's.  The
+    step that reaches t_end ends at exactly t_end.  An accepted step
+    hands its last stage, f(t + dt, y5), on as the next step's first,
+    and a rejected or non-finite step keeps its first stage, so a run
+    makes 1 + 6 * attempts RHS calls.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if t_end < t0:
-        raise ValueError(f"t_end {t_end!r} before t0 {t0!r}")
     span = t_end - t0
-    y = np.array(y0, dtype=complex, copy=True)
-    t = float(t0)
-    times = [t]
-    states = [y.copy()]
-    if span == 0:
-        return times, states
-    dt = dt0 if dt0 else span / 100.0
-    accepted = 0
-    total = 0
-    k1 = None  # f(t, y), made at the first attempt and then kept
-    scale = tol * (1.0 + np.abs(y).max())
-    with np.errstate(over="ignore", invalid="ignore"):
+    def steps(t, y, keep):
+        dt = dt0 if dt0 else span / 100.0
+        total = 0
+        k1 = None  # f(t, y), made at the first attempt and then kept
+        scale = tol * (1.0 + np.abs(y).max())
         while t < t_end:
             total += 1
             if total > max_steps:
-                raise IntegrationError(
-                    f"exceeded {max_steps} steps", t=t, y=y, times=times, states=states
-                )
+                raise IntegrationError(f"exceeded {max_steps} steps", t, y)
             last = dt >= t_end - t
             dt = min(dt, t_end - t)
             if dt < 1e-14 * span:
-                raise StepUnderflowError(
-                    f"step size underflow at t={t:.6g}",
-                    t=t, y=y, times=times, states=states,
-                )
+                raise StepUnderflowError(f"step size underflow at t={t:.6g}", t, y)
             if k1 is None:
                 k1 = f(t, y)
             y_new, err, k7 = _dp45(f, t, y, dt, k1)
@@ -276,14 +275,10 @@ def integrate_adaptive(f, y0, t0, t_end, tol, dt0=None, snapshot_every=0,
                 t = t_end if last else t + dt  # t + dt may round past t_end
                 y, k1 = y_new, k7
                 scale = tol * (1.0 + np.abs(y).max())
-                accepted += 1
-                if snapshot_every and accepted % snapshot_every == 0 and t < t_end:
-                    times.append(t)
-                    states.append(y.copy())
+                yield t, y, not t < t_end
                 grow = 0.9 * (max(ratio, 1e-16)) ** (-0.2)
                 dt *= min(5.0, max(0.2, grow))
             else:
                 dt *= max(0.2, 0.9 * ratio ** (-0.2))
-    times.append(t)
-    states.append(y.copy())
-    return times, states
+
+    return _drive(steps, y0, t0, t_end, snapshot_every)

@@ -252,6 +252,38 @@ def test_simulate_xxz_lattice_trajectory(tmp_path):
     assert drift < 1e-10
 
 
+def _snapshot_times(out):
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    return list(dict.fromkeys(row.split(",")[0] for row in rows))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "rk45"])
+def test_every_scheme_keeps_every_nth_step_before_the_last(tmp_path, scheme):
+    def run(every):
+        out = tmp_path / f"{scheme}-{every}"
+        cfg = _write_cfg(tmp_path, {
+            "equation": "xxz-lattice",
+            "model": {"N": 8, "J0": 1.0, "R0": 0.5},
+            "integrator": {"dt": 0.003, "t_end": 0.1, "snapshot_every": every,
+                           "scheme": scheme},
+            "initial": {"profile": "gaussian", "amplitude": 0.3, "width": 2.0},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        return _snapshot_times(out)
+
+    times = run(3)
+    if scheme == "rk4":
+        # 33 full steps and a short one: steps 3, 6, ..., 33 and both ends
+        assert len(times) == 13 and _fmt(33 * 0.003) in times
+        want = [_fmt(n * 0.003) for n in range(0, 34, 3)]
+    else:
+        # every accepted step, then every third before the one that ends the run
+        every_step = run(1)
+        want = every_step[:1] + every_step[3:-1:3]
+        assert len(want) > 1  # the third of four accepted steps
+    assert times == want + [_fmt(0.1)]
+
+
 def test_simulate_precursor_reports_transform(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "equation": "precursor",

@@ -276,7 +276,7 @@ def _stepwise(step, u, t_end, dt, every):
     times, states = [0.0], [u]
     for n in range(1, nfull + 1):
         u = step(u, dt)
-        if every and n % every == 0 and n < nfull:
+        if every and n % every == 0 and n < nfull + bool(rem):  # before the last
             times.append(n * dt)
             states.append(u)
     if rem:
@@ -293,7 +293,8 @@ def test_fused_strang_march_matches_whole_steps(every):
                           snapshot_every=every)
     want_t, want = _stepwise(lambda u, h: gp_step_splitstep(u, h, g, V), u0,
                              t_end, dt, every)
-    assert times == want_t and len(states) == len(want) == (12 if every else 2)
+    # with every = 3: steps 3, 6, ..., 33, the last full one, and both ends
+    assert times == want_t and len(states) == len(want) == (13 if every else 2)
     for got, w in zip(states, want):
         _assert_agrees(got, w)
 

@@ -65,6 +65,35 @@ def test_edge_values_match_percent_g17(name):
     assert _texts(x) == _oracle(x)
 
 
+class _CountingNumpy:
+    """numpy as csvout sees it, counting np.frombuffer: once per row that
+    format_g17 makes the slow way, reading back the text of "%.17g" % v."""
+
+    def __init__(self):
+        self.frombuffer_calls = 0
+
+    def frombuffer(self, *args, **kwargs):
+        self.frombuffer_calls += 1
+        return np.frombuffer(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_powers_of_ten_take_the_vectorized_path(monkeypatch):
+    # the first guess N = 10^16 is right for a power of ten; k - 1 gives
+    # 10^17, which once sent the row through the per-value fallback
+    powers = np.array([float(f"1e{m}") for m in range(-270, 271)])
+    x = np.concatenate([powers, -powers, [np.nan]])  # NaN takes the fallback
+    csvout._tables()  # built on first use, with a frombuffer of its own
+    counting = _CountingNumpy()
+    monkeypatch.setattr(csvout, "np", counting)
+    texts = _texts(x)
+    monkeypatch.undo()
+    assert counting.frombuffer_calls == 1
+    assert texts == _oracle(x)
+
+
 def test_random_values_match_percent_g17():
     rng = np.random.default_rng(1971)
     bits = rng.integers(0, 2 ** 64, size=50_000, dtype=np.uint64).view(np.float64)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpchain import latticedyn
+from gpchain import integrators, latticedyn
 from gpchain.integrators import (
     IntegrationError,
     NonFiniteError,
@@ -130,6 +130,43 @@ def test_adaptive_step_bound_raises_with_the_last_good_state():
     assert 0.0 < exc.t < 5.0
     assert np.all(np.isfinite(exc.y.view(float)))
     assert exc.times[0] == 0.0 and np.array_equal(exc.states[0], y0)
+
+
+def _hubbard_golden_capped():
+    rhs, y0 = _hubbard_golden()
+    return integrate_adaptive(rhs, y0, 0.0, 0.3, 1e-11, dt0=0.3, snapshot_every=1,
+                              max_steps=20)
+
+
+def _squared_to_its_pole():
+    # y' = y^2 from y = 1 blows up at t = 1, where the step size underflows
+    return integrate_adaptive(lambda t, y: y * y, np.array([1.0 + 0j]), 0.0, 2.0, 1e-4,
+                              snapshot_every=1)
+
+
+@pytest.mark.parametrize("run, error, accepted, attempts", [
+    (_hubbard_golden_capped, IntegrationError, 17, 20),
+    (_squared_to_its_pole, StepUnderflowError, 91, 181),
+])
+def test_adaptive_failures_carry_every_accepted_step(monkeypatch, run, error, accepted,
+                                                     attempts):
+    # each attempt starts where the last accepted step ended, so the
+    # attempts' start times, then the last good t, are the accepted steps
+    starts = []
+    dp45 = integrators._dp45
+
+    def recording(f, t, y, dt, k1):
+        starts.append(t)
+        return dp45(f, t, y, dt, k1)
+
+    monkeypatch.setattr(integrators, "_dp45", recording)
+    with pytest.raises(IntegrationError) as err:
+        run()
+    exc = err.value
+    assert type(exc) is error
+    assert (len(exc.times) - 1, len(starts)) == (accepted, attempts)
+    assert exc.times == list(dict.fromkeys(starts + [exc.t]))
+    assert len(exc.states) == len(exc.times) and np.array_equal(exc.states[-1], exc.y)
 
 
 def test_shape_preserved_for_2d_states():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from gpchain import continuum  # noqa: E402
 from gpchain.integrators import (  # noqa: E402
-    fixed_steps, integrate_adaptive, integrate_fixed, march, rk4_step,
+    SplitStep, fixed_steps, integrate_adaptive, integrate_fixed, march, rk4_step,
 )
 
 spans = st.floats(0.0, 20.0, allow_nan=False)
@@ -36,6 +36,19 @@ def test_march_ends_at_t_end_after_the_planned_steps(t0, span, dt):
     # count that lands within 1e-9 relative, a remainder below 1e-12
     slack = 1e-9 * max(dt, span) + 1e-12 * max(1.0, abs(t_end))
     assert abs(nfull * dt + rem - span) <= slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(span=spans, dt=steps, every=st.integers(0, 6))
+@example(span=0.1, dt=0.003, every=3)  # 33 full steps and a short one
+def test_march_keeps_every_nth_step_before_the_last(span, dt, every):
+    nfull, rem = fixed_steps(0.0, span, dt)
+    kept = [n for n in range(1, nfull + (rem > 0)) if every and n % every == 0]
+    want = [0.0] + [n * dt for n in kept] + ([span] if span else [])
+    # a plain step and a split step, whose half phases close at the snapshots
+    for step in (lambda t, y, h: y + h, SplitStep(lambda y, h, before, after: y + h)):
+        times, states = march(step, np.zeros(1), 0.0, span, dt, snapshot_every=every)
+        assert times == want and len(states) == len(want)
 
 
 @settings(max_examples=50, deadline=None)
