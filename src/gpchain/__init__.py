@@ -14,7 +14,6 @@ from importlib import import_module
 # first use (PEP 562), so `import gpchain` loads no submodule
 _EXPORTS = {
     "ParamCoeff": "coeffs",
-    "RationalComplex": "coeffs",
     "Grid1D": "continuum",
     "DegenerateTransformError": "limitlab",
     "StudyError": "limitlab",

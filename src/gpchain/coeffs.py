@@ -1,9 +1,11 @@
-"""Exact scalar arithmetic for operator coefficients, and the sums built on it.
+"""Exact coefficients of operator expressions, and the sums built on them.
 
 Coefficients of ladder-operator expressions are polynomials in named real
 parameters (couplings, spin length, field strengths) whose numeric parts are
-exact rational complex numbers.  Floats only appear once a fully bound
-coefficient is evaluated.
+exact rationals, fractions.Fraction.  The Hamiltonians are Hermitian, so no
+coefficient has an imaginary part; the i of the equation of motion enters
+only in the numeric layers (latticedyn, continuum).  Floats only appear
+once a fully bound coefficient is evaluated.
 
 TermSum is the exact sparse sum behind ParamCoeff, opalg.OperatorExpr and
 symbolmap.FieldPoly: their arithmetic, equality, term order and printed
@@ -12,132 +14,25 @@ form are written once there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, Union
+from typing import Mapping
 
-__all__ = ["RationalComplex", "TermSum", "ParamCoeff", "Monomial"]
-
-ScalarLike = Union["RationalComplex", Fraction, int]
+__all__ = ["TermSum", "ParamCoeff", "Monomial"]
 
 
-def _as_fraction(x) -> Fraction:
+def _rational(x) -> Fraction | None:
+    """x as a Fraction when it is an int (bools too) or a Fraction, else None:
+    no float, complex, Decimal or string, which Fraction() would convert."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    return Fraction(x) if isinstance(x, int) else None
 
 
-@dataclass(frozen=True)
-class RationalComplex:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
-
-    @staticmethod
-    def coerce(x: ScalarLike) -> "RationalComplex":
-        if isinstance(x, RationalComplex):
-            return x
-        return RationalComplex(_as_fraction(x))
-
-    @staticmethod
-    def _try(x):
-        if isinstance(x, (RationalComplex, Fraction, int)):
-            return RationalComplex.coerce(x)
-        return None
-
-    def __add__(self, other: ScalarLike) -> "RationalComplex":
-        o = RationalComplex._try(other)
-        if o is None:
-            return NotImplemented
-        return RationalComplex(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ScalarLike) -> "RationalComplex":
-        o = RationalComplex._try(other)
-        if o is None:
-            return NotImplemented
-        return RationalComplex(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other: ScalarLike) -> "RationalComplex":
-        o = RationalComplex._try(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "RationalComplex":
-        return RationalComplex(-self.re, -self.im)
-
-    def __mul__(self, other: ScalarLike) -> "RationalComplex":
-        o = RationalComplex._try(other)
-        if o is None:
-            return NotImplemented
-        # a real factor of 1 or -1 costs no product, any other real one two
-        for x, y in ((self, o), (o, self)):
-            if y.im == 0:
-                if y.re == 1:
-                    return x
-                if y.re == -1:
-                    return -x
-                return RationalComplex(x.re * y.re, x.im * y.re)
-        return RationalComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ScalarLike) -> "RationalComplex":
-        o = RationalComplex.coerce(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero RationalComplex")
-        return RationalComplex(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    def conjugate(self) -> "RationalComplex":
-        return RationalComplex(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    @cached_property
-    def _complex(self) -> complex:
-        return float(self.re) + 1j * float(self.im)
-
-    def to_complex(self) -> complex:
-        """The value as a complex float, converted once per instance."""
-        return self._complex
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-    def __repr__(self) -> str:
-        return f"RationalComplex({self})"
-
-
-RC_ONE = RationalComplex(Fraction(1))
-RC_I = RationalComplex(Fraction(0), Fraction(1))
+def _exact(x) -> Fraction:
+    c = _rational(x)
+    if c is None:
+        raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    return c
 
 
 class TermSum:
@@ -145,17 +40,19 @@ class TermSum:
 
     ParamCoeff, OperatorExpr and FieldPoly are TermSums.  This class holds
     what they share: the ring arithmetic, equality and hashing, the
-    canonical term order, map_coeffs, and the printed form
+    canonical term order, rename_params, and the printed form
     "(coeff) factors + ...".  Each subclass supplies
         _term(raw_key, coeff)  the canonical (key, coeff) of one raw term,
                                or None when the term vanishes;
         _scalar(x)             x as a coefficient, or None when it is not one;
         _sort_key(key)         canonical order, led by the key's degree;
         _key_text(key)         the printed factors of a key;
-        _one, _minus_one       the coefficients 1 and -1;
+        _one, _minus_one       the coefficients 1 and -1: Fractions in
+                               ParamCoeff, ParamCoeffs in the sums over it;
     and overrides _new and _coerce when it carries more state than its terms.
     Products concatenate raw keys, so a subclass's _term is its product rule.
-    Sums are immutable once built.
+    A coefficient is zero exactly when it is falsy.  Sums are immutable
+    once built.
     """
 
     __slots__ = ("_terms",)
@@ -170,7 +67,7 @@ class TermSum:
     def _accumulate(terms: dict, key, c) -> None:
         """Add c to terms[key], dropping the key when the sum is zero."""
         acc = terms[key] + c if key in terms else c
-        if acc.is_zero():
+        if not acc:
             terms.pop(key, None)
         else:
             terms[key] = acc
@@ -191,7 +88,7 @@ class TermSum:
         c = self._scalar(other)
         if c is None:
             return None
-        return self._new({} if c.is_zero() else {(): c})
+        return self._new({(): c} if c else {})
 
     # -- ring operations ----------------------------------------------
 
@@ -269,17 +166,10 @@ class TermSum:
             raise TypeError(f"cannot scale {type(self).__name__} by {type(c).__name__}")
         return self * c
 
-    def map_coeffs(self, fn):
-        """Apply fn to every coefficient, dropping those it sends to zero."""
-        out = {}
-        for k, c in self._terms.items():
-            nc = fn(c)
-            if not nc.is_zero():
-                out[k] = nc
-        return self._new(out)
-
     def rename_params(self, mapping: Mapping[str, str]):
-        return self.map_coeffs(lambda c: c.rename_params(mapping))
+        """Rename parameters in every coefficient, dropping those that cancel."""
+        renamed = ((k, c.rename_params(mapping)) for k, c in self._terms.items())
+        return self._new({k: c for k, c in renamed if c})
 
     # -- queries ------------------------------------------------------
 
@@ -356,22 +246,23 @@ def _mono_sort_key(mono: Monomial):
 
 
 class ParamCoeff(TermSum):
-    """Polynomial in named real parameters with RationalComplex coefficients.
+    """Polynomial in named real parameters with exact rational coefficients.
 
-    A TermSum keyed by Monomial.  Immutable; all arithmetic returns fresh
-    objects.  Parameters are assumed real, so conjugation touches only the
-    numeric parts.
+    A TermSum keyed by Monomial, whose coefficients are Fractions: ints and
+    Fractions convert, anything else raises TypeError (see _rational).
+    Immutable; all arithmetic returns fresh objects.  Parameters and
+    coefficients are real, so a ParamCoeff is its own conjugate.
     """
 
     __slots__ = ()
 
-    _scalar = staticmethod(RationalComplex._try)
+    _scalar = staticmethod(_rational)
     _sort_key = staticmethod(_mono_sort_key)
-    _one, _minus_one = RC_ONE, -RC_ONE
+    _one, _minus_one = Fraction(1), Fraction(-1)
 
-    def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
+    def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
         self._terms = self._collect(
-            (mono, RationalComplex.coerce(c)) for mono, c in (terms or {}).items()
+            (mono, _exact(c)) for mono, c in (terms or {}).items()
         )
 
     @staticmethod
@@ -386,15 +277,11 @@ class ParamCoeff(TermSum):
 
     @staticmethod
     def one() -> "ParamCoeff":
-        return ParamCoeff({(): RC_ONE})
+        return ParamCoeff({(): 1})
 
     @staticmethod
-    def i() -> "ParamCoeff":
-        return ParamCoeff({(): RC_I})
-
-    @staticmethod
-    def scalar(value: ScalarLike) -> "ParamCoeff":
-        return ParamCoeff({(): RationalComplex.coerce(value)})
+    def scalar(value: Fraction | int) -> "ParamCoeff":
+        return ParamCoeff({(): value})
 
     @staticmethod
     def rational(num: int, den: int = 1) -> "ParamCoeff":
@@ -404,7 +291,7 @@ class ParamCoeff(TermSum):
     def symbol(name: str, power: int = 1) -> "ParamCoeff":
         if power == 0:
             return ParamCoeff.one()
-        return ParamCoeff({((name, power),): RC_ONE})
+        return ParamCoeff({((name, power),): 1})
 
     @staticmethod
     def coerce_coeff(x) -> "ParamCoeff":
@@ -434,9 +321,6 @@ class ParamCoeff(TermSum):
             out = out * self
         return out
 
-    def conjugate(self) -> "ParamCoeff":
-        return self.map_coeffs(RationalComplex.conjugate)
-
     def rename_params(self, mapping: Mapping[str, str]) -> "ParamCoeff":
         """Rename parameters; monomials that collide after renaming merge."""
         return self._new(self._collect(
@@ -448,7 +332,7 @@ class ParamCoeff(TermSum):
         """Substitute numeric values for every parameter and sum."""
         total = 0j
         for mono, c in self._terms.items():
-            val = c.to_complex()
+            val = complex(c)
             for name, exp in mono:
                 if name not in bindings:
                     raise KeyError(f"unbound parameter {name!r}")
@@ -463,10 +347,10 @@ class ParamCoeff(TermSum):
             return "0"
         pieces = []
         for mono, c in self.terms():
-            negative = (c.im == 0 and c.re < 0) or (c.re == 0 and c.im < 0)
+            negative = c < 0
             if negative:
                 c = -c
-            body = [] if c == RC_ONE and mono else [str(c)]
+            body = [] if c == 1 and mono else [str(c)]
             if mono:
                 body.append(power_text(mono))
             text = " ".join(body)

@@ -44,7 +44,7 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer literal too long to read
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -53,10 +53,19 @@ def load_config(path: str) -> dict:
 
 # ------------------------------------------------------------ value checks
 
+def _as_float(path: str, value) -> float:
+    """A JSON number as a float; no run can use an integer beyond float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise ConfigError(f"{path} is too large for a float: {digits} digits") from None
+
+
 def _number(path: str, value, low=None, strict=False) -> None:
     """Require a finite JSON number, optionally above low (strictly or not)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+            or not math.isfinite(_as_float(path, value)):
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
     if low is not None and (value <= low if strict else value < low):
         raise ConfigError(
@@ -68,11 +77,13 @@ def _integer(path: str, value, low=None, high=None) -> None:
             or (low is not None and value < low) or (high is not None and value > high):
         bound = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
         raise ConfigError(f"{path} must be an integer{bound}, got {value!r}")
+    _as_float(path, value)
 
 
 def _power_of_two(path: str, value, low: int) -> None:
     if type(value) is not int or value < low or value & (value - 1):
         raise ConfigError(f"{path} must be a power of two >= {low}, got {value!r}")
+    _as_float(path, value)
 
 
 def _numbers(path: str, value) -> None:
@@ -118,6 +129,7 @@ def _points(entry):
 def _size(path: str, value) -> None:
     if not isinstance(value, int) or value < 8 or value & (value - 1):
         raise ConfigError(f"{path} must be one of the powers of two >= 8, got {value!r}")
+    _as_float(path, value)
 
 
 def _site(path: str, value) -> None:

@@ -185,8 +185,9 @@ class OperatorExpr(TermSum):
         return (self * other - other * self).normal_order()
 
     def adjoint(self) -> "OperatorExpr":
+        """Each word reversed with every factor conjugated; coefficients are real."""
         return self._new(self._collect(
-            (tuple(f.conjugate() for f in reversed(word)), coeff.conjugate())
+            (tuple(f.conjugate() for f in reversed(word)), coeff)
             for word, coeff in self._terms.items()
         ))
 

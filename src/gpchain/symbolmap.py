@@ -120,8 +120,9 @@ class FieldPoly(TermSum):
     # -- ring operations ----------------------------------------------
 
     def conjugate(self) -> "FieldPoly":
+        """Every field factor conjugated; coefficients are real."""
         return self._new(self._collect(
-            (((f.conjugate(), e) for f, e in mono), c.conjugate())
+            (((f.conjugate(), e) for f, e in mono), c)
             for mono, c in self._terms.items()
         ))
 

@@ -539,6 +539,36 @@ def test_ill_typed_numbers_exit_2(tmp_path, capsys, section):
     assert f"config error: {path}" in err
 
 
+_HUGE = 10 ** 400  # a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize("section,path", [
+    ({"equation": "gp", "integrator": {"dt": _HUGE}}, "integrator.dt"),
+    ({"model": {"J0": -_HUGE}}, "model.J0"),
+    ({"equation": "gp", "initial": {"profile": "gaussian", "amplitude": _HUGE}},
+     "initial.amplitude"),
+    ({"equation": "gp", "initial": {"profile": "plane-wave", "mode": _HUGE}},
+     "initial.mode"),
+    ({"model": {"N": _HUGE}}, "model.N"),
+    ({"equation": "gp", "grid": {"M": 2 ** 1100}}, "grid.M"),
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_numbers_beyond_float_range_exit_2(tmp_path, capsys, section, path, dry_run):
+    cfg = _write_cfg(tmp_path, section)
+    out = tmp_path / "x"
+    args = ["simulate", "--config", cfg, "--out", str(out)]
+    assert main(args + ["--dry-run"] * dry_run) == 2
+    assert f"config error: {path} is too large for a float: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_literal_too_long_to_read_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": {"N": 1' + "0" * 5000 + "}}")
+    assert main(["simulate", "--config", str(cfg), "--dry-run"]) == 2
+    assert "is not valid JSON: " in capsys.readouterr().err
+
+
 _GRID = {"grid": {"M": 64}}
 _HUBBARD = {"model": {"family": "hubbard", "N": 8}}
 _TRUNCATION = {"study": {"kind": "truncation"}}

@@ -17,9 +17,7 @@ from gpchain.opalg import (  # noqa: E402
 from gpchain.symbolmap import FieldFactor, FieldPoly  # noqa: E402
 
 _part = st.tuples(st.integers(-3, 3), st.integers(1, 3))
-coeffs = st.builds(
-    lambda re, im: ParamCoeff.rational(*re) + ParamCoeff.i() * ParamCoeff.rational(*im),
-    _part, _part)
+coeffs = _part.map(lambda nd: ParamCoeff.rational(*nd))
 
 
 _symbols = st.sampled_from(["s", "J[0,1]", "R[1,0]", "h[2]"])
