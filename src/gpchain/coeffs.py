@@ -96,17 +96,9 @@ class TermSum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.add_all((o,))
-
-    def add_all(self, others):
-        """This sum plus each of others, added into one copy of its terms."""
         out = dict(self._terms)
-        for other in others:
-            o = self._coerce(other)
-            if o is None:
-                raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
-            for key, c in o._terms.items():
-                self._accumulate(out, key, c)
+        for key, c in o._terms.items():
+            self._accumulate(out, key, c)
         return self._new(out)
 
     __radd__ = __add__

@@ -343,18 +343,14 @@ def _run_study(cfg: dict, out_dir: str) -> int:
             p, profile, study["sizes"], L, float(study["t_end"]), float(study["dt"]),
             grid_refine=int(study["grid_refine"]), band=band,
         )
-        header = ("spacing", "N", "error")
-        row = lambda pt: (_fmt(pt["spacing"]), str(pt["N"]), _fmt(pt.get("error", math.nan)))
+        columns = ("spacing", "N", "error")
     else:
         profile = _make_profile(cfg, "study", L, 0.0)
         run = lambda: limitlab.truncation_study(
             p, study["s_values"], profile, L, int(study["M"]),
             float(study["t_end"]), float(study["dt"]), band=band,
         )
-        header = ("s", "rho", "error", "skipped")
-        row = lambda pt: (
-            (_fmt(pt["s"]), "nan", "nan", "1") if pt.get("skipped")
-            else (_fmt(pt["s"]), _fmt(pt["rho"]), _fmt(pt.get("error", math.nan)), "0"))
+        columns = ("s", "rho", "error", "skipped")
     failure = {}
     try:
         report = run()
@@ -363,11 +359,12 @@ def _run_study(cfg: dict, out_dir: str) -> int:
         # and why it failed, and a point the study did not reach has no error
         print(f"error: {exc}", file=sys.stderr)
         failure = {"failure": str(exc)}
-        report = limitlab.ConvergenceReport(kind, [], [], None, None, exc.points,
-                                            band, False)
+        report = limitlab.ConvergenceReport(None, None, exc.points, False)
 
-    _write_csv(os.path.join(out_dir, "study.csv"), header,
-               [(",".join(row(pt)) + "\n").encode() for pt in report.points])
+    # "%.17g" prints a bool as 1 or 0, an int as itself, and a missing value as nan
+    _write_csv(os.path.join(out_dir, "study.csv"), columns,
+               [(",".join(_fmt(pt.get(c, math.nan)) for c in columns) + "\n").encode()
+                for pt in report.points])
     _write_json(
         os.path.join(out_dir, "study_summary.json"),
         {

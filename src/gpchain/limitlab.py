@@ -10,8 +10,9 @@ truncation ratio 2 R0 / (s J0)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,43 +32,30 @@ class DegenerateTransformError(StudyError):
     """The rescaling does not exist."""
 
 
-@dataclass(frozen=True)
-class TransformCoefficients:
-    """Squares of the field/space scalings and the time scale.
+class TransformCoefficients(NamedTuple):
+    """The GP rescaling u = A psi, x = B xi, t = time_scale tau, as exact
+    Fractions; compute_transform returns one only with A^2, B^2 > 0."""
 
-    Values are exact Fractions (inputs are converted exactly, so
-    dyadic parameter choices give exact dyadic results).  B_squared
-    and time_scale degenerate to inf when the denominators vanish.
-    """
-
-    A_squared: object
-    B_squared: object
-    time_scale: object
-    degenerate: bool
+    A_squared: Fraction
+    B_squared: Fraction
+    time_scale: Fraction
 
     @property
     def A(self) -> float:
-        if self.degenerate or self.A_squared <= 0:
-            raise DegenerateTransformError(
-                f"A^2 = {self.A_squared} is not positive; no real field rescaling"
-            )
         return math.sqrt(self.A_squared)
 
     @property
     def B(self) -> float:
-        if self.degenerate or not (0 < self.B_squared < math.inf):
-            raise DegenerateTransformError(
-                f"B^2 = {self.B_squared} is not positive and finite"
-            )
         return math.sqrt(self.B_squared)
 
 
 def compute_transform(p: XXZParams) -> TransformCoefficients:
     """A^2 = D s / (2 R0),  B^2 = J0 / D,  time_scale = 1 / (2 A^2 R0),
 
-    with D = -2 J0 + 2 R0 + 2 (J1 - R1) x_xi.  R0 = 0 leaves nothing
-    to scale against and raises; D = 0 or J0 = 0 flags the transform
-    as degenerate.
+    with D = -2 J0 + 2 R0 + 2 (J1 - R1) x_xi, exact for the exact
+    values of the inputs.  The rescaling exists only when R0 != 0,
+    A^2 > 0 and B^2 > 0; otherwise DegenerateTransformError says which
+    fails.  A^2 is checked first: A^2 != 0 implies D != 0.
     """
     J0, J1 = Fraction(p.J0), Fraction(p.J1)
     R0, R1 = Fraction(p.R0), Fraction(p.R1)
@@ -76,28 +64,22 @@ def compute_transform(p: XXZParams) -> TransformCoefficients:
         raise DegenerateTransformError("R0 = 0: the transform is undefined")
     D = -2 * J0 + 2 * R0 + 2 * (J1 - R1) * x
     A2 = D * s / (2 * R0)
-    if D == 0:
-        B2 = math.inf if J0 > 0 else (-math.inf if J0 < 0 else math.nan)
-    else:
-        B2 = J0 / D
-    if A2 == 0:
-        ts = math.inf
-    else:
-        ts = 1 / (2 * A2 * R0)
-    degenerate = D == 0 or A2 == 0 or B2 == 0
-    return TransformCoefficients(A2, B2, ts, bool(degenerate))
+    if A2 <= 0:
+        raise DegenerateTransformError(
+            f"A^2 = {A2} is not positive; no real field rescaling")
+    B2 = J0 / D
+    if B2 <= 0:
+        raise DegenerateTransformError(f"B^2 = {B2} is not positive")
+    return TransformCoefficients(A2, B2, 1 / (2 * A2 * R0))
 
 
-@dataclass
-class ConvergenceReport:
-    label: str
-    xs: np.ndarray
-    errors: np.ndarray
+class ConvergenceReport(NamedTuple):
+    """A study's log-log slope, its points, and whether the slope is in band."""
+
     slope: float
     slope_stderr: float
     points: list
-    band: tuple = None
-    passed: bool = None
+    passed: bool
 
 
 def fit_loglog(xs, errors):
@@ -126,17 +108,17 @@ def fit_loglog(xs, errors):
     return float(slope), float(stderr)
 
 
-def _finish_report(label, xs, errors, points, band):
-    xs = np.asarray(xs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
+def _finish_report(x_key, points, band):
+    """Fit log(error) against log(x_key) over the points not skipped;
+    a StudyError carrying the points says why there is no slope."""
+    used = [pt for pt in points if not pt["skipped"]]
     try:
-        slope, stderr = fit_loglog(xs, errors)
+        slope, stderr = fit_loglog([pt[x_key] for pt in used],
+                                   [pt["error"] for pt in used])
     except ValueError as exc:
         raise StudyError(str(exc), points) from exc
-    passed = None
-    if band is not None:
-        passed = bool(band[0] <= slope <= band[1])
-    return ConvergenceReport(label, xs, errors, slope, stderr, points, band, passed)
+    passed = None if band is None else bool(band[0] <= slope <= band[1])
+    return ConvergenceReport(slope, stderr, points, passed)
 
 
 def _l2(weight, values) -> float:
@@ -201,9 +183,7 @@ def lattice_vs_continuum(
         detail["error"] = err
         detail["relative_error"] = err / max(_l2(c, uT), 1e-300)
 
-    xs = [pt["spacing"] for pt in points]
-    errors = [pt["error"] for pt in points]
-    return _finish_report("continuum-limit", xs, errors, points, band)
+    return _finish_report("spacing", points, band)
 
 
 def truncation_study(
@@ -220,8 +200,9 @@ def truncation_study(
 
     The initial profile is fixed in the original frame and rescaled per
     point (u0 = profile(B xi_centered) / A), so growing s shrinks the
-    amplitude the way the transform itself does.  Degenerate points are
-    recorded and skipped; with fewer than two usable points left,
+    amplitude the way the transform itself does.  A point whose transform
+    compute_transform refuses is recorded as skipped (R0 = 0 refuses every
+    s and raises at once); with fewer than two usable points left,
     DegenerateTransformError carries the recorded points.  A StudyError
     carries them when the errors admit no log-log slope.  Every usable
     point contributes two rows to one (2S, M) RK4 integration of the
@@ -235,8 +216,11 @@ def truncation_study(
     used = []
     for s in s_values:
         s = float(s)
-        tc = compute_transform(replace(p, s=s))
-        if tc.degenerate or tc.A_squared <= 0 or not (0 < tc.B_squared < math.inf):
+        try:
+            tc = compute_transform(replace(p, s=s))
+        except DegenerateTransformError:
+            if p.R0 == 0:  # undefined at every s: nothing to record
+                raise
             points.append({"s": s, "skipped": True, "reason": "degenerate transform"})
             continue
         detail = {"s": s, "skipped": False, "rho": 2.0 * p.R0 / (s * p.J0),
@@ -253,7 +237,7 @@ def truncation_study(
     u0 = np.array([profile(b * xs_c) for b in B], dtype=complex) / A[:, None]
     rhs = continuum.precursor_rhs_factory(
         grid, np.tile(A, 2), np.tile(B, 2), V=None,
-        r1_over_r0=(p.R1 / p.R0 if p.R0 else 0.0), x_xi=p.x_xi,
+        r1_over_r0=p.R1 / p.R0, x_xi=p.x_xi,
         dispersive_scale=np.repeat([1.0, 0.0], len(used)),
     )
     u0_hat = np.fft.fft(u0)
@@ -265,6 +249,4 @@ def truncation_study(
     up, ug = np.split(np.fft.ifft(states[-1]), 2)
     for detail, a, b, u in zip(used, up, ug, u0):
         detail["error"] = _l2(grid.dx, a - b) / _l2(grid.dx, u)
-    xs = [pt["rho"] for pt in used]
-    errors = [pt["error"] for pt in used]
-    return _finish_report("truncation", xs, errors, points, band)
+    return _finish_report("rho", points, band)

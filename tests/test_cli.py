@@ -768,10 +768,13 @@ def test_study_truncation_all_degenerate_writes_summary(tmp_path, capsys):
 
 
 def test_simulate_precursor_without_transform_fails(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, {"equation": "precursor", "model": {"R0": 0.0},
-                                "grid": {"M": 64}, "integrator": {"t_end": 0.01}})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "p")]) == 1
-    assert "error: R0 = 0" in capsys.readouterr().err
+    # J0 = 0 leaves A^2 = 1 but B^2 = J0 / D = 0: the message names B^2
+    for model, message in [({"R0": 0.0}, "R0 = 0: the transform is undefined"),
+                           ({"J0": 0.0, "R0": 2.0}, "B^2 = 0 is not positive")]:
+        cfg = _write_cfg(tmp_path, {"equation": "precursor", "model": model,
+                                    "grid": {"M": 64}, "integrator": {"t_end": 0.01}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "p")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_hubbard_lattice_second_flavor_defaults_to_first(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from gpchain import continuum, integrators, latticedyn, limitlab
 from gpchain.limitlab import (
     DegenerateTransformError,
-    TransformCoefficients,
     compute_transform,
     fit_loglog,
     lattice_vs_continuum,
@@ -23,7 +22,6 @@ def test_transform_worked_example():
     assert tc.A_squared == Fraction(1, 2)
     assert tc.B_squared == Fraction(1, 2)
     assert tc.time_scale == Fraction(1, 2)
-    assert not tc.degenerate
     assert tc.A == pytest.approx(math.sqrt(0.5))
     assert tc.B == pytest.approx(math.sqrt(0.5))
 
@@ -39,26 +37,54 @@ def test_transform_with_gradient_couplings():
 
 
 def test_transform_negative_branch():
-    tc = compute_transform(XXZParams(N=8, J0=2.0, R0=1.0, s=4.0))
-    assert tc.A_squared == Fraction(-4)
-    assert tc.B_squared == Fraction(-1)
-    assert not tc.degenerate
-    with pytest.raises(DegenerateTransformError):
-        tc.A
-    with pytest.raises(DegenerateTransformError):
-        tc.B
+    # D = -4 + 2 = -2, A^2 = -2*4/2 = -4
+    with pytest.raises(DegenerateTransformError,
+                       match=r"^A\^2 = -4 is not positive; no real field rescaling$"):
+        compute_transform(XXZParams(N=8, J0=2.0, R0=1.0, s=4.0))
 
 
 def test_transform_degenerate_and_undefined():
-    tc = compute_transform(XXZParams(N=8, J0=1.0, R0=1.0, s=3.0))
-    assert tc.degenerate
-    assert tc.B_squared == math.inf
-    assert tc.A_squared == 0
-    assert tc.time_scale == math.inf
-    with pytest.raises(DegenerateTransformError):
-        tc.A
-    with pytest.raises(DegenerateTransformError):
-        compute_transform(XXZParams(N=8, J0=1.0, R0=0.0))
+    for params, message in [
+        (dict(R0=0.0), r"R0 = 0: the transform is undefined"),
+        # D = 0 gives A^2 = 0, checked before B^2 = J0 / D would divide by it
+        (dict(J0=1.0, R0=1.0, s=3.0), r"A\^2 = 0 is not positive; no real field rescaling"),
+        (dict(J0=-1.0, R0=1.0), r"B\^2 = -1/4 is not positive"),  # D = 4
+        (dict(J0=0.0, R0=2.0), r"B\^2 = 0 is not positive"),
+    ]:
+        with pytest.raises(DegenerateTransformError, match=f"^{message}$"):
+            compute_transform(XXZParams(N=8, **params))
+
+
+def test_transform_identities_property():
+    # either the rescaling exists and satisfies its defining identities
+    # exactly, or compute_transform raises, and exactly when it must
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    quarters = st.integers(-8, 8).map(lambda n: n / 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(J0=quarters, J1=quarters, R0=quarters, R1=quarters, x_xi=quarters,
+           s=st.integers(1, 16).map(lambda n: n / 4))
+    def check(J0, J1, R0, R1, x_xi, s):
+        p = XXZParams(N=2, J0=J0, J1=J1, R0=R0, R1=R1, s=s, x_xi=x_xi)
+        J0, R0, s = Fraction(J0), Fraction(R0), Fraction(s)
+        D = -2 * J0 + 2 * R0 + 2 * (Fraction(J1) - Fraction(R1)) * Fraction(x_xi)
+        undefined = R0 == 0 or D * s / (2 * R0) <= 0 or J0 / D <= 0
+        try:
+            tc = compute_transform(p)
+        except DegenerateTransformError:
+            assert undefined
+            return
+        assert not undefined
+        A2, B2, ts = tc
+        assert all(type(v) is Fraction for v in tc)
+        assert A2 * 2 * R0 == D * s
+        assert B2 * D == J0
+        assert ts * 2 * A2 * R0 == 1
+        assert A2 > 0 and B2 > 0
+
+    check()
 
 
 def test_fit_loglog_recovers_power():
@@ -86,7 +112,6 @@ def _taylor_check(fn, d1, d2, deltas, xs, band=(2.7, 3.3)):
     """
     xs = np.asarray(xs, dtype=float)
     base = fn(xs)
-    errors = []
     points = []
     for d in deltas:
         approx_p = base + d * d1(xs) + 0.5 * d * d * d2(xs)
@@ -95,9 +120,8 @@ def _taylor_check(fn, d1, d2, deltas, xs, band=(2.7, 3.3)):
             float(np.abs(fn(xs + d) - approx_p).max()),
             float(np.abs(fn(xs - d) - approx_m).max()),
         )
-        errors.append(err)
-        points.append({"delta": float(d), "error": err})
-    return limitlab._finish_report("taylor", list(deltas), errors, points, band)
+        points.append({"delta": float(d), "skipped": False, "error": err})
+    return limitlab._finish_report("delta", points, band)
 
 
 def test_taylor_check_third_order():
@@ -108,7 +132,6 @@ def test_taylor_check_third_order():
     )
     assert 2.7 <= rep.slope <= 3.3
     assert rep.passed is True
-    assert rep.label == "taylor"
     assert len(rep.points) == 4
 
 
@@ -125,8 +148,7 @@ def test_lattice_vs_continuum_second_order():
     )
     assert rep.passed is True
     assert 1.7 <= rep.slope <= 2.3
-    assert rep.label == "continuum-limit"
-    assert np.all(np.diff(rep.errors) < 0)
+    assert np.all(np.diff([pt["error"] for pt in rep.points]) < 0)
     assert rep.points[0]["N"] == 32
     assert rep.points[-1]["relative_error"] < rep.points[0]["relative_error"]
 
@@ -198,7 +220,6 @@ def test_batched_lattice_legs_match_the_per_size_study(h_profile):
         for key, value in want.items():
             assert type(pt[key]) is type(value), key
             assert np.float64(pt[key]).tobytes() == np.float64(value).tobytes(), key
-    assert rep.errors.tobytes() == np.array([pt["error"] for pt in rep.points]).tobytes()
 
 
 def test_continuum_leg_blowup_keeps_the_errors_measured_so_far(monkeypatch):
@@ -227,11 +248,10 @@ def test_truncation_study_first_order():
         profile=lambda xi: 0.8 * np.exp(-((xi / 2.0) ** 2)),
         L=L, M=128, t_end=0.3, dt=1e-3,
     )
-    assert rep.label == "truncation"
     assert 0.7 <= rep.slope <= 1.3
     assert rep.passed is True
-    assert rep.xs[0] == pytest.approx(0.1)
-    assert rep.xs[1] == pytest.approx(0.01)
+    assert rep.points[0]["rho"] == pytest.approx(0.1)
+    assert rep.points[1]["rho"] == pytest.approx(0.01)
     assert rep.points[0]["A"] > rep.points[0]["B"] * 0  # detail carries A, B
     assert not rep.points[0]["skipped"]
 
@@ -248,12 +268,12 @@ def test_truncation_study_degenerate_rejected():
 
 def test_truncation_batch_matches_points_run_one_at_a_time(monkeypatch):
     # every s gives the same D, so a degenerate point is injected by
-    # flagging one s value's transform
+    # making one s value's transform raise
     real = limitlab.compute_transform
 
     def transform(p):
         if p.s == 200.0:
-            return TransformCoefficients(Fraction(0), math.inf, math.inf, True)
+            raise DegenerateTransformError("A^2 = 0 is not positive")
         return real(p)
 
     monkeypatch.setattr(limitlab, "compute_transform", transform)
@@ -269,12 +289,12 @@ def test_truncation_batch_matches_points_run_one_at_a_time(monkeypatch):
     assert rep.points[1] == {"s": 200.0, "skipped": True,
                              "reason": "degenerate transform"}
     used = [pt for pt in rep.points if not pt["skipped"]]
-    assert len(rep.errors) == len(used) == 3
+    assert len(used) == 3
 
     grid = continuum.Grid1D(L, M)
     xs_c = grid.xs - L / 2.0
     gp = continuum.gp_rhs_factory(grid)
-    for pt, err in zip(used, rep.errors):
+    for pt in used:
         tc = real(replace(p, s=pt["s"]))
         assert (pt["A"], pt["B"]) == (tc.A, tc.B)
         u0 = np.asarray(profile(tc.B * xs_c), dtype=complex) / tc.A
@@ -284,5 +304,4 @@ def test_truncation_batch_matches_points_run_one_at_a_time(monkeypatch):
         _, ug = integrators.integrate_fixed(gp, np.fft.fft(u0), 0.0, t_end, dt)
         alone = (np.sqrt(np.sum(np.abs(np.fft.ifft(up[-1]) - np.fft.ifft(ug[-1])) ** 2))
                  / np.sqrt(np.sum(np.abs(u0) ** 2)))
-        assert err == pt["error"]
-        assert abs(err - alone) <= 1e-12 * alone
+        assert abs(pt["error"] - alone) <= 1e-12 * alone
