@@ -152,41 +152,27 @@ def _lines(lead, mid, values):
     return csvout.lines(lead, mid, cells[..., 0, :], b",", cells[..., 1, :], b"\n")
 
 
-def _trajectory_output(times, states):
-    """Every snapshot, one row per time, site and flavor."""
+def _trajectory_blocks(times, states):
+    """trajectory.csv's rows, one per time, site and flavor, in blocks of whole snapshots."""
     nflavors, nsites = np.shape(states[0])
     rows = nflavors * nsites
     mid = csvout.cells(f",{site},{flavor}," for flavor in range(nflavors)
                        for site in range(nsites))
     stamps = csvout.format_g17(times)
     step = max(1, _BLOCK_VALUES // (2 * rows))
-
-    def blocks():
-        for first in range(0, len(times), step):
-            snaps = np.reshape(states[first:first + step], (-1, rows))
-            yield _lines(stamps[first:first + len(snaps), None], mid, snaps)
-
-    return "trajectory.csv", ("time", "site", "flavor", "re", "im"), blocks()
-
-
-def _field_output(grid):
-    """Only the final field, one block of rows per flavor."""
-    def output(times, states):
-        final = np.atleast_2d(states[-1])
-        flavors = csvout.cells(f",{flavor}," for flavor in range(len(final)))
-        return "field.csv", ("xi", "flavor", "re", "im"), [
-            _lines(csvout.format_g17(grid.xs), flavors[:, None], final)]
-
-    return output
+    for first in range(0, len(times), step):
+        snaps = np.reshape(states[first:first + step], (-1, rows))
+        yield _lines(stamps[first:first + len(snaps), None], mid, snaps)
 
 
 class _Simulation(NamedTuple):
     """What one equation brings to a simulate run."""
 
-    y0: np.ndarray  # (F, N) on the lattice, (M,) or (2, M) on a grid, or fft(u0) for RK4
+    u0: np.ndarray  # the initial field: (F, N) on the lattice, (M,) or (2, M) on a grid
     advance: Callable  # RHS f(t, y); with scheme strang, a step(t, y, h)
-    observe: Callable  # state -> dict of observables
-    output: Callable  # (times, states) -> (file name, header, blocks of CSV bytes)
+    observe: Callable  # field -> dict of observables
+    grid: continuum.Grid1D = None  # where field.csv is written; None: trajectory.csv
+    spectral: bool = False  # advance acts on the spectrum fft(u)
     extra: dict = None  # further run_summary.json entries
 
 
@@ -198,14 +184,13 @@ def _xxz_lattice(cfg, p):
     return _Simulation(
         _lattice_profile(cfg, "initial", p.N)[None, :],
         latticedyn.xxz_rhs(p, symbol_mode=cfg["integrator"]["symbol_mode"]),
-        lambda phi: latticedyn.xxz_observables(phi, p), _trajectory_output)
+        lambda phi: latticedyn.xxz_observables(phi, p))
 
 
 def _hubbard_lattice(cfg, p):
     return _Simulation(
         np.stack([_lattice_profile(cfg, sec, p.N) for sec in ("initial", "initial2")]),
-        latticedyn.hubbard_rhs(p),
-        lambda phi: latticedyn.hubbard_observables(phi, p), _trajectory_output)
+        latticedyn.hubbard_rhs(p), lambda phi: latticedyn.hubbard_observables(phi, p))
 
 
 def _grid_setup(cfg):
@@ -218,32 +203,14 @@ def _grid_setup(cfg):
     return grid, u0, np.real(V)
 
 
-def _gp_observer(grid, V):
-    return lambda u: continuum.continuum_observables(u, grid, V=V)
-
-
-def _spectral(u0, rhs, observe, grid, extra=None):
-    """A run whose RHS acts on the spectrum fft(u).
-
-    RK4 steps the spectrum fft(u0) and transforms back only to observe
-    and write the field.
-    """
-    output = _field_output(grid)
-    uh0 = np.fft.fft(u0)
-    # the initial observables come from u0 itself, not from ifft(fft(u0))
-    field = lambda uh: u0 if uh is uh0 else np.fft.ifft(uh)
-    return _Simulation(uh0, rhs, lambda uh: observe(field(uh)),
-                       lambda times, states: output(times, [field(states[-1])]), extra)
-
-
 def _pretransform(cfg, p):
     grid, u0, V = _grid_setup(cfg)
     rhs = continuum.pretransform_rhs_factory(
         p, grid, spacing=float(cfg["spacing"]), h_values=V)
-    return _spectral(u0, rhs, lambda u: {
+    return _Simulation(u0, rhs, lambda u: {
         "norm": continuum.gp_norm(u, grid),
         "momentum": continuum.gp_momentum(u, grid),
-    }, grid)
+    }, grid, spectral=True)
 
 
 def _precursor(cfg, p):
@@ -255,25 +222,23 @@ def _precursor(cfg, p):
         dispersive_scale=float(cfg["dispersive_scale"]),
     )
     transform = {"A": A, "B": B, "time_scale": float(tc.time_scale)}
-    return _spectral(u0, rhs, _gp_observer(grid, V), grid,
-                     {"transform": transform})
+    return _Simulation(u0, rhs, lambda u: continuum.continuum_observables(u, grid, V=V),
+                       grid, spectral=True, extra={"transform": transform})
 
 
 def _gp(cfg, p):
     grid, u0, V = _grid_setup(cfg)
-    return _Simulation(u0, continuum.gp_strang(grid, V=V), _gp_observer(grid, V),
-                       _field_output(grid))
+    return _Simulation(u0, continuum.gp_strang(grid, V=V),
+                       lambda u: continuum.continuum_observables(u, grid, V=V), grid)
 
 
 def _coupled_gp(cfg, p):
     grid, u0, _ = _grid_setup(cfg)
     u1 = _make_profile(cfg, "initial2", grid.L, grid.L / 2.0)(grid.xs)
-    U_values = np.full(grid.M, p.U[0])
+    U = p.U[0]  # config requires one uniform value
     return _Simulation(
-        np.stack([u0, u1]),
-        continuum.coupled_gp_strang(grid, p.t, U_values, hbar=p.hbar),
-        lambda u: continuum.coupled_gp_observables(u, grid, p.t, U_values, hbar=p.hbar),
-        _field_output(grid))
+        np.stack([u0, u1]), continuum.coupled_gp_strang(grid, p.t, U, hbar=p.hbar),
+        lambda u: continuum.coupled_gp_observables(u, grid, p.t, U, hbar=p.hbar), grid)
 
 
 _SIMULATIONS = {
@@ -287,14 +252,16 @@ _SIMULATIONS = {
 
 
 def _integrate(sim: _Simulation, integ: dict):
+    """Step u0, or its spectrum fft(u0) for a spectral equation; returns (times, states)."""
+    y0 = np.fft.fft(sim.u0) if sim.spectral else sim.u0
     t_end, dt = float(integ["t_end"]), float(integ["dt"])
     every = int(integ["snapshot_every"])
     if integ["scheme"] == "rk45":
         return integrators.integrate_adaptive(
-            sim.advance, sim.y0, 0.0, t_end, float(integ["tolerance"]),
+            sim.advance, y0, 0.0, t_end, float(integ["tolerance"]),
             dt0=dt, snapshot_every=every)
     drive = integrators.march if integ["scheme"] == "strang" else integrators.integrate_fixed
-    return drive(sim.advance, sim.y0, 0.0, t_end, dt, snapshot_every=every)
+    return drive(sim.advance, y0, 0.0, t_end, dt, snapshot_every=every)
 
 
 def _run_simulate(cfg: dict, out_dir: str) -> int:
@@ -319,10 +286,17 @@ def _run_simulate(cfg: dict, out_dir: str) -> int:
         if exc.t > times[-1]:  # and the last finite state after them
             times, states = times + [exc.t], states + [exc.y]
     with np.errstate(over="ignore", invalid="ignore"):  # a blown-up state gives inf or nan
-        summary["initial_observables"] = sim.observe(sim.y0)
-        summary["final_observables"] = sim.observe(states[-1])
-    name, header, blocks = sim.output(times, states)
-    _write_csv(os.path.join(out_dir, name), header, blocks)
+        final = np.fft.ifft(states[-1]) if sim.spectral else states[-1]
+        summary["initial_observables"] = sim.observe(sim.u0)
+        summary["final_observables"] = sim.observe(final)
+    if sim.grid is None:  # every snapshot
+        _write_csv(os.path.join(out_dir, "trajectory.csv"),
+                   ("time", "site", "flavor", "re", "im"), _trajectory_blocks(times, states))
+    else:  # only the final field, one block of rows per flavor
+        final = np.atleast_2d(final)
+        flavors = csvout.cells(f",{flavor}," for flavor in range(len(final)))
+        _write_csv(os.path.join(out_dir, "field.csv"), ("xi", "flavor", "re", "im"),
+                   [_lines(csvout.format_g17(sim.grid.xs), flavors[:, None], final)])
     _write_json(os.path.join(out_dir, "run_summary.json"), summary)
     print(f"simulate {eq}: {summary['status']}")
     return 0 if summary["status"] == "ok" else 1

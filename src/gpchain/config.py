@@ -178,14 +178,15 @@ _KEYS = (
     _Key("model", {}, readers=frozenset({"study"} | set(_EQUATIONS) - {"gp"})),
     _Key("model.family", "xxz", _one_of("xxz", "hubbard")),
     _Key("model.N", 256, _integer),
-    _Key("model.hbar", 1.0, _positive),
+    _Key("model.hbar", 1.0, _positive,
+         frozenset(_LATTICE | {"pretransform", "coupled-gp", "continuum-limit"})),
     _Key("model.J0", 1.0, _number, _XXZ),
     _Key("model.J1", 0.0, _number, _XXZ),
     _Key("model.R0", 1.0, _number, _XXZ),
     _Key("model.R1", 0.0, _number, _XXZ),
     _Key("model.s", 1.0, _positive, _XXZ),
     _Key("model.x_xi", 0.0, _number, _XXZ),
-    _Key("model.h", _ABSENT, _numbers, _XXZ),
+    _Key("model.h", _ABSENT, _numbers, frozenset({"xxz-lattice"})),
     _Key("model.t", 1.0, _number, _HUBBARD),
     _Key("model.U", 1.0, _numbers, _HUBBARD),
     _Key("equation", "xxz-lattice", _one_of(*_EQUATIONS), frozenset({"simulate"})),
@@ -319,10 +320,6 @@ def _check_rules(cfg: dict, command: str, run) -> None:
         if _EQUATIONS[eq] not in (None, family):
             raise ConfigError(
                 f"model.family must be {_EQUATIONS[eq]} for equation {eq}, got {family!r}")
-        if eq == "pretransform" and any(_listed(_get(cfg, "model.h", run) or 0.0)):
-            raise ConfigError(
-                "model.h must be zero for equation pretransform: "
-                "it takes its site field from the potential section")
         if eq == "coupled-gp":
             U = _get(cfg, "model.U", run)
             if len(set(_listed(U))) != 1:
@@ -392,7 +389,8 @@ def _build_params(model: dict):
     return XXZParams(
         N=model["N"], J0=float(model["J0"]), J1=float(model["J1"]),
         R0=float(model["R0"]), R1=float(model["R1"]), s=float(model["s"]),
-        hbar=float(model["hbar"]), x_xi=float(model["x_xi"]), h=_floats(model.get("h", 0.0)),
+        hbar=float(model.get("hbar", 1.0)), x_xi=float(model["x_xi"]),
+        h=_floats(model.get("h", 0.0)),
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import fock
 from .coeffs import ParamCoeff
 from .opalg import Algebra, LadderOp, OperatorExpr, Statistics
-from .symbolmap import FieldFactor, FieldPoly, naive_symbol, ordering_correction
+from .symbolmap import FieldPoly, naive_symbol, ordering_correction
 
 
 class CouplingMode(Enum):
@@ -356,49 +356,6 @@ def isotropy_merge(obj):
     return obj.rename_params(mapping) if mapping else obj
 
 
-_SITE_SYM = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(-?\d+)(?:,(-?\d+))?\]$")
-
-
-def translate(expr, delta: int, nsites: int):
-    """Shift all sites (and site-indexed parameters) by delta, mod nsites."""
-    mapping = {}
-    for name in expr.parameters():
-        m = _SITE_SYM.match(name)
-        if not m:
-            continue
-        base, a, b = m.group(1), int(m.group(2)), m.group(3)
-        if b is None:
-            mapping[name] = f"{base}[{(a + delta) % nsites}]"
-        else:
-            mapping[name] = f"{base}[{(a + delta) % nsites},{(int(b) + delta) % nsites}]"
-    shifted = expr.rename_params(mapping) if mapping else expr
-    if isinstance(shifted, OperatorExpr):
-        moved = [
-            (
-                tuple(
-                    LadderOp(f.dagger, (f.site + delta) % nsites, f.flavor)
-                    for f in word
-                ),
-                coeff,
-            )
-            for word, coeff in shifted.terms()
-        ]
-        return OperatorExpr(shifted.statistics, moved)
-    if isinstance(shifted, FieldPoly):
-        moved = [
-            (
-                [
-                    (FieldFactor(f.conj, (f.site + delta) % nsites, f.flavor), exp)
-                    for f, exp in mono
-                ],
-                coeff,
-            )
-            for mono, coeff in shifted.terms()
-        ]
-        return FieldPoly(moved)
-    raise TypeError(f"cannot translate {type(expr).__name__}")
-
-
 def xxz_bindings(p: XXZParams) -> dict:
     """Numeric values for every symbol the chain Hamiltonian can contain.
 
@@ -440,7 +397,6 @@ class JordanWignerReport:
     identity_holds: bool
     max_deviation: float
     sz_deviation: float
-    swapped_product_deviation: float
 
 
 def verify_jordan_wigner(nsites: int, tol: float = 1e-12) -> JordanWignerReport:
@@ -453,9 +409,6 @@ def verify_jordan_wigner(nsites: int, tol: float = 1e-12) -> JordanWignerReport:
     the string convention built into fock.ladder_matrices.
     Nearest-neighbour pairs are taken without wrap-around, since the
     string makes the dictionary an open-chain statement.
-    swapped_product_deviation reports how far the annihilator-first
-    pairing S-_j S+_{j+sigma} is from a_{j+sigma} ad_j; it is not part
-    of the identity check.
     """
     if not 2 <= nsites <= 6:
         raise ValueError(f"nsites must be in 2..6, got {nsites}")
@@ -475,17 +428,12 @@ def verify_jordan_wigner(nsites: int, tol: float = 1e-12) -> JordanWignerReport:
     for j in range(nsites):
         sz_dev = max(sz_dev, np.abs(Sz[j] - (cre[j] @ ann[j] - 0.5 * eye)).max())
 
-    swapped = 0.0
-    for j in range(nsites - 1):
-        swapped = max(swapped, np.abs(Sm[j] @ Sp[j + 1] - ann[j + 1] @ cre[j]).max())
-
     worst = max(dev, sz_dev)
     return JordanWignerReport(
         nsites=nsites,
         identity_holds=bool(worst <= tol),
         max_deviation=float(worst),
         sz_deviation=float(sz_dev),
-        swapped_product_deviation=float(swapped),
     )
 
 

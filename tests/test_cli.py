@@ -668,6 +668,14 @@ _TRUNCATION = {"study": {"kind": "truncation"}}
     *[("simulate", {"equation": eq, "integrator": {"scheme": "rk45"}, **_GRID},
        "integrator.scheme 'rk45' does not apply to equation " + eq)
       for eq in ("pretransform", "precursor")],
+    # pretransform takes its site field from the potential section, even a zero one
+    *[("simulate", {"equation": "pretransform", "model": model, **_GRID}, "model.h")
+      for model in ({"h": 0.3}, {"N": 8, "h": [0.0] * 7 + [0.1]}, {"h": 0.0})],
+    ("simulate", {"equation": "precursor", "model": {"h": 0.5}, **_GRID}, "model.h"),
+    *[("study", {"model": {"h": 0.5}, "study": {"kind": kind}}, "model.h")
+      for kind in ("truncation", "continuum-limit")],
+    ("simulate", {"equation": "precursor", "model": {"hbar": 0.5}, **_GRID}, "model.hbar"),
+    ("study", {"model": {"hbar": 0.5}, **_TRUNCATION}, "model.hbar"),
 ])
 def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section, path):
     cfg = _write_cfg(tmp_path, section)
@@ -677,13 +685,15 @@ def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section
     assert not out.exists()
 
 
-@pytest.mark.parametrize("section,message", [
-    ({"equation": "pretransform", "model": {"h": 0.3}, **_GRID},
-     "model.h must be zero for equation pretransform: "),
-    ({"equation": "pretransform", "model": {"N": 8, "h": [0.0] * 7 + [0.1]}, **_GRID},
-     "model.h must be zero for equation pretransform: "),
+@pytest.mark.parametrize("section,message", [  # one case for each equation rule
+    ({"equation": "gp", "integrator": {"scheme": "rk4"}, **_GRID},
+     "integrator.scheme 'rk4' does not apply to equation gp"),
+    ({"equation": "precursor", "model": {"family": "hubbard"}, **_GRID},
+     "model.family must be xxz for equation precursor, got 'hubbard'"),
     ({"equation": "coupled-gp", "model": {**_HUBBARD["model"], "U": [1.0] * 7 + [2.0]},
       **_GRID}, "model.U must be one uniform value for equation coupled-gp"),
+    ({"equation": "gp", "integrator": {"snapshot_every": 1}, **_GRID},
+     "integrator.snapshot_every must be 0 for equation gp"),
 ])
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_equation_rules_exit_2_before_any_output(tmp_path, capsys, section, message,

@@ -18,7 +18,6 @@ from gpchain.models import (
     eqmotannih_reference,
     hubbard_commutator_reference,
     isotropy_merge,
-    translate,
     verify_jordan_wigner,
     verify_statistics_independence,
     xxz_bindings,
@@ -274,16 +273,6 @@ def test_merged_equation_reference():
     for site in (0, 3, 7):
         merged = isotropy_merge(naive_symbol(derive_eom(H, site)))
         assert merged == eqmotannih_reference(p, site)
-
-
-def test_translation_equivariance():
-    p = XXZParams(N=6)
-    H = build_xxz_bosonized(p)
-    eom2 = derive_eom(H, 2)
-    eom4 = derive_eom(H, 4)
-    assert translate(eom2, 2, p.N) == eom4
-    poly2 = naive_symbol(eom2)
-    assert translate(poly2, 2, p.N) == naive_symbol(eom4)
 
 
 def test_matrix_oracle_commutator():
