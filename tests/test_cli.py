@@ -669,8 +669,7 @@ _TRUNCATION = {"study": {"kind": "truncation"}}
        "integrator.scheme 'rk45' does not apply to equation " + eq)
       for eq in ("pretransform", "precursor")],
     # pretransform takes its site field from the potential section, even a zero one
-    *[("simulate", {"equation": "pretransform", "model": model, **_GRID}, "model.h")
-      for model in ({"h": 0.3}, {"N": 8, "h": [0.0] * 7 + [0.1]}, {"h": 0.0})],
+    ("simulate", {"equation": "pretransform", "model": {"h": 0.0}, **_GRID}, "model.h"),
     ("simulate", {"equation": "precursor", "model": {"h": 0.5}, **_GRID}, "model.h"),
     *[("study", {"model": {"h": 0.5}, "study": {"kind": kind}}, "model.h")
       for kind in ("truncation", "continuum-limit")],
@@ -694,6 +693,9 @@ def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section
       **_GRID}, "model.U must be one uniform value for equation coupled-gp"),
     ({"equation": "gp", "integrator": {"snapshot_every": 1}, **_GRID},
      "integrator.snapshot_every must be 0 for equation gp"),
+    *[({"equation": "pretransform", "model": model, **_GRID},
+       "model.h is not read by equation pretransform with scheme rk4 on model family xxz")
+      for model in ({"h": 0.3}, {"N": 8, "h": [0.0] * 7 + [0.1]})],
 ])
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_equation_rules_exit_2_before_any_output(tmp_path, capsys, section, message,
