@@ -14,9 +14,9 @@ equation, all on a periodic interval of length L:
 
 All three belong to one cubic-dispersive family and share one fused
 RHS.  It acts on the Fourier coefficients fft(u), so an RK4 run steps
-the spectrum and transforms only at its two ends.  It also
-evolves the rows of an (R, M) array as independent fields, so a batch
-of runs on one grid makes one integration.
+the spectrum and transforms only at its two ends.  It evolves the rows
+of an (R, M) array, or the concatenated spectra of several grids, as
+independent fields, so a batch of runs makes one integration.
 
 The GP equation and the coupled two-flavor equation also have Strang
 split steps on plain arrays, both through one row-batched kernel; as
@@ -87,7 +87,7 @@ def _per_row(c):
     return a if a.ndim == 0 else a.reshape(-1, 1)
 
 
-def _cubic_rhs(grid: Grid1D, scale, lin, d2, cubic, grad=0.0, pair=0.0,
+def _cubic_rhs(grid: Grid1D | tuple, scale, lin, d2, cubic, grad=0.0, pair=0.0,
                V=None, dealias: bool = True):
     """F(t, uh) = d(uh)/dt for the cubic-dispersive family shared by every
     spectral RHS, acting on the Fourier coefficients uh = fft(u) of
@@ -99,56 +99,69 @@ def _cubic_rhs(grid: Grid1D, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     D is the 2/3-rule dealias filter (the identity when dealias is
     False); the potential term is not filtered.  uh may be one spectrum
     of shape (M,) or R independent spectra of shape (R, M); each
-    coefficient is a scalar or holds one value per row.  The linear part
-    acts on uh directly.  One ifft over the stacked [1, i k, -k^2] uh
-    (plain uh when grad = pair = 0) gives u, u_x and u_xx; the nonlinear
-    terms are summed in physical space, and one fft brings them back,
-    stacked with V u as a row of its own when V is set.  That is two FFT
-    calls per evaluation in every case, so an integrator stepping uh
-    leaves physical space only to form the nonlinear products.
+    coefficient is a scalar or holds one value per row.  With a tuple of
+    grids, the last axis of uh concatenates their spectra and d2, grad
+    and pair hold one value per grid.  The linear part acts on uh
+    directly.  Per grid, one ifft of the stacked [1, i k, -k^2] uh (plain
+    uh when grad = pair = 0) gives u, u_x and u_xx; the nonlinear terms
+    are summed in physical space, and one fft per grid brings them back,
+    stacked with V u as a row of its own when V is set: two FFT calls
+    per grid per evaluation in every case.
 
-    The stacked product and its ifft are written into two work arrays
-    kept per shape of uh, so the largest temporaries are not allocated
-    afresh on each call; every operation keeps its operands and order,
-    so the bits are those of the plain expressions.  The returned array
-    is new on every call, since the integrators hold several at once.
-    One RHS must therefore not be called from two threads at once.
+    The FFTs write into two work arrays kept per shape of uh (the fft in
+    place), so the largest temporaries are not allocated on each call;
+    every operation keeps its operands and order, so each grid's bits are
+    those of the plain expressions on it alone.  The returned array is
+    new on every call, since the integrators hold several at once.  One
+    RHS must therefore not be called from two threads at once.
     """
-    scale, lin, d2, cubic, grad, pair = (
-        _per_row(c) for c in (scale, lin, d2, cubic, grad, pair))
+    grids = grid if isinstance(grid, tuple) else (grid,)
+    sizes = [g.M for g in grids]
+    segs = [slice(end - M, end) for M, end in zip(sizes, np.cumsum(sizes))]
+    spread = (lambda c: np.repeat(c, sizes)) if isinstance(grid, tuple) else _per_row
+    d2, grad, pair = map(spread, (d2, grad, pair))
+    scale, lin, cubic = map(_per_row, (scale, lin, cubic))
     gradients = bool(np.any(grad != 0) or np.any(pair != 0))
-    minus_k2 = -grid.k ** 2
+    k = np.concatenate([g.k for g in grids])
+    minus_k2 = -k ** 2
     # 1, i k and -k^2 as one complex (3, M) array: rows u, u_x and u_xx
-    derivs = np.stack([np.ones(grid.M), 1j * grid.k, minus_k2])
+    derivs = np.stack([np.ones(k.size), 1j * k, minus_k2])
     lin_hat = scale * (lin + d2 * minus_k2)
     # the nonlinear sum is formed with its real coefficients; scale and
     # the filter act on its spectrum
-    back = scale * grid.dealias_mask() if dealias else scale
+    back = scale * np.concatenate([g.dealias_mask() for g in grids]) if dealias else scale
     two_pair = 2.0 * pair
     Varr = None if V is None else np.asarray(V, dtype=float)
-    work = {}  # per uh.shape: the stacked derivs * uh, and its ifft
+
+    @lru_cache(maxsize=None)
+    def arrays(shape):  # work arrays for one shape of uh: rows and FFT views
+        nsums = 1 if Varr is None else 2  # nl, and V u when V is set
+        stacked = np.empty((3 if gradients else nsums,) + shape, complex)
+        fields = np.empty(((3,) if gradients else ()) + shape, complex)
+        return (stacked, tuple(fields) if gradients else (fields, None, None), tuple(stacked),
+                [fields[..., s] for s in segs], [stacked[:nsums, ..., s] for s in segs])
 
     def f(t, uh):
-        if gradients:
-            if uh.shape not in work:
-                work[uh.shape] = (np.empty((3,) + uh.shape, complex),
-                                  np.empty((3,) + uh.shape, complex))
-            stacked, fields = work[uh.shape]
-            np.multiply(derivs if uh.ndim == 1 else derivs[:, None], uh, out=stacked)
-            u, u_x, u_xx = np.fft.ifft(stacked, out=fields)
-        else:
-            u = np.fft.ifft(uh)
+        stacked, (u, u_x, u_xx), rows, ifft_out, fft_views = arrays(uh.shape)
+        src = uh if not gradients else np.multiply(
+            derivs if uh.ndim == 1 else derivs[:, None], uh, out=stacked)
+        for s, out in zip(segs, ifft_out):
+            np.fft.ifft(src[..., s], out=out)
         weight = cubic * (u.real ** 2 + u.imag ** 2)
         if gradients:
             weight += grad * (u_x.real ** 2 + u_x.imag ** 2)
-        nl = weight * u
+        # the stacked product is spent: its rows take the sums to transform
+        nl = np.multiply(weight, u, out=rows[0])
         if gradients:
             # u* u_xx + u u*_xx is real: twice Re(u* u_xx)
             nl += two_pair * (u.real * u_xx.real + u.imag * u_xx.imag)
+        if Varr is not None:
+            np.multiply(Varr, u, out=rows[1])
+        for sums in fft_views:
+            np.fft.fft(sums, out=sums)
         if Varr is None:
-            return lin_hat * uh + back * np.fft.fft(nl)
-        nl_hat, v_hat = np.fft.fft(np.stack([nl, Varr * u]))
-        return lin_hat * uh + back * nl_hat - scale * v_hat
+            return lin_hat * uh + back * rows[0]
+        return lin_hat * uh + back * rows[0] - scale * rows[1]
 
     return f
 
@@ -235,7 +248,7 @@ def gp_momentum(values, grid: Grid1D) -> float:
     return float(grid.dx * np.sum(np.imag(np.conj(values) * ux)))
 
 
-def pretransform_rhs_factory(p: XXZParams, grid: Grid1D, spacing: float = 1.0,
+def pretransform_rhs_factory(p: XXZParams, grid: Grid1D | tuple, spacing=1.0,
                              h_values=None, dealias: bool = True):
     """F(t, uh) = d(uh)/dt, uh = fft(u), for the continuum limit of the
     lattice equation, term by term:
@@ -251,18 +264,21 @@ def pretransform_rhs_factory(p: XXZParams, grid: Grid1D, spacing: float = 1.0,
     pair u* u_xx + c.c. enters exactly as written (no trailing u);
     setting J1 = R1 = 0, h = 0 and c -> 0 recovers nothing but the
     nondispersive part, which is the point of the convergence study.
+    With a tuple of grids, spacing and h_values hold one entry per grid;
+    an evaluation then makes two FFT calls per grid.
     """
-    c2 = spacing * spacing
-    if h_values is None:
-        if any(v != 0.0 for v in p.h):
-            raise ValueError(
-                "p.h is nonzero but no h_values profile was given for the grid"
-            )
-        harr = None
-    else:
-        harr = np.asarray(h_values, dtype=float)
-        if harr.shape != (grid.M,):
-            raise ValueError(f"h_values must have shape ({grid.M},)")
+    many = isinstance(grid, tuple)
+    grids, spacing, h_values = (grid, spacing, h_values) if many else (
+        (grid,), [spacing], None if h_values is None else [h_values])
+    if {len(spacing), len(grids if h_values is None else h_values)} != {len(grids)}:
+        raise ValueError("need one spacing and one h_values profile per grid")
+    if h_values is None and any(v != 0.0 for v in p.h):
+        raise ValueError("p.h is nonzero but no h_values profile was given for the grid")
+    for g, h in zip(grids, h_values or ()):
+        if np.shape(h) != (g.M,):
+            raise ValueError(f"h_values must have shape ({g.M},)")
+    harr = None if h_values is None else np.concatenate(h_values, dtype=float)
+    c2 = np.array([c * c for c in spacing]) if many else spacing[0] * spacing[0]
     lin = (-2.0 * p.J0 + 2.0 * p.R0) * p.s \
         + 2.0 * p.J1 * p.s * p.x_xi - 2.0 * p.R1 * p.s * p.x_xi
     cubic = -2.0 * p.R0 + 2.0 * p.R1 * p.x_xi

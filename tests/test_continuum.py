@@ -737,6 +737,61 @@ def test_rhs_with_a_potential_makes_two_fft_calls(monkeypatch, dealias, rows):
         assert calls == ["ifft", "fft"] * 3, (factory.__name__, kw)
 
 
+def _merged_case(with_h):
+    """A pretransform model, four unsorted grids with a repeat, and per grid a
+    spacing and (with_h) a site-field profile."""
+    p = XXZParams(N=32, J0=0.9, J1=0.2, R0=0.7, R1=0.1, s=1.4, x_xi=0.3,
+                  hbar=0.9, h=0.25 if with_h else 0.0)
+    grids = tuple(Grid1D(L=20.0, M=M) for M in (64, 32, 128, 64))
+    spacing = [0.5, 0.9, 0.3, 0.7]
+    h = tuple(0.25 + 0.1 * np.cos(2 * np.pi * g.xs / g.L + i)
+              for i, g in enumerate(grids)) if with_h else None
+    return p, grids, spacing, h
+
+
+@pytest.mark.parametrize("with_h", [False, True])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_merged_grids_rhs_is_the_concatenation_of_each_grid(with_h, dealias):
+    p, grids, spacing, h = _merged_case(with_h)
+    uh = np.concatenate([np.fft.fft(_test_field(g, seed))
+                         for seed, g in enumerate(grids)])
+    rhs = pretransform_rhs_factory(p, grids, spacing=spacing, h_values=h,
+                                   dealias=dealias)
+    ends = np.cumsum([g.M for g in grids])
+    for _ in range(2):  # the second call reuses the work arrays
+        got = rhs(0.0, uh)
+        assert got.shape == uh.shape
+        for i, (g, end) in enumerate(zip(grids, ends)):
+            seg = slice(end - g.M, end)
+            want = pretransform_rhs_factory(
+                p, g, spacing=spacing[i], h_values=None if h is None else h[i],
+                dealias=dealias)(0.0, uh[seg])
+            assert got[seg].tobytes() == want.tobytes(), (i, g.M)
+
+
+@pytest.mark.parametrize("with_h", [False, True])
+def test_merged_grids_rhs_makes_two_fft_calls_per_grid(monkeypatch, with_h):
+    p, grids, spacing, h = _merged_case(with_h)
+    u = np.concatenate([_test_field(g, 14) for g in grids])
+    calls = _fft_calls(monkeypatch, u, pretransform_rhs_factory, p, grids,
+                       spacing=spacing, h_values=h)
+    assert calls == (["ifft"] * 4 + ["fft"] * 4) * 3
+
+
+def test_merged_grids_need_one_spacing_and_profile_per_grid():
+    p, grids, spacing, h = _merged_case(True)
+    for kw in [dict(spacing=spacing[:3], h_values=h),
+               dict(spacing=spacing + [0.1], h_values=h),
+               dict(spacing=spacing[:3], h_values=None),
+               dict(spacing=spacing, h_values=h[:3]),
+               dict(spacing=spacing, h_values=h + h[:1])]:
+        with pytest.raises(ValueError, match="one spacing and one h_values profile per grid"):
+            pretransform_rhs_factory(p, grids, **kw)
+    # the profiles of grids M = 64, 32, 128, 64 in reverse order
+    with pytest.raises(ValueError, match=r"h_values must have shape \(32,\)"):
+        pretransform_rhs_factory(p, grids, spacing=spacing, h_values=h[::-1])
+
+
 def test_grid_arrays_cached_read_only():
     g = Grid1D(L=10.0, M=64)
     assert g.k is g.k

@@ -201,8 +201,9 @@ def _frozen_study_point(p, profile, N, L, t_end, dt, grid_refine, h_profile):
 
 @pytest.mark.parametrize("h_profile", [None, "cos"])
 def test_batched_lattice_legs_match_the_per_size_study(h_profile):
-    # one march over the union of the rings, with sizes unsorted and repeated,
-    # gives every point of the size-by-size study bit for bit
+    # one march over the union of the rings and one over the concatenated
+    # spectra, with sizes unsorted and repeated, give every point of the
+    # size-by-size study bit for bit
     L, t_end, dt = 8 * np.pi, 0.05, 1e-3
     p = XXZParams(N=8, J0=1.0, J1=0.2, R0=2.0, R1=0.1, s=1.0, x_xi=0.3)
     h = None if h_profile is None else (lambda x: 0.3 * np.cos(2 * np.pi * x / L))
@@ -222,22 +223,33 @@ def test_batched_lattice_legs_match_the_per_size_study(h_profile):
             assert np.float64(pt[key]).tobytes() == np.float64(value).tobytes(), key
 
 
-def test_continuum_leg_blowup_keeps_the_errors_measured_so_far(monkeypatch):
+def test_continuum_leg_blowup_stops_every_spectral_leg(monkeypatch):
+    # the spectral legs are one march, so a blow-up in one grid's segment
+    # stops them all and no point records an error
     real = continuum.pretransform_rhs_factory
 
-    def factory(p, grid, **kw):
-        f = real(p, grid, **kw)
-        return f if grid.M < 256 else (lambda t, uh: np.full_like(uh, np.nan))
+    def factory(p, grids, **kw):
+        f = real(p, grids, **kw)
+        start = grids[0].M
+        seg = slice(start, start + grids[1].M)  # the N = 64 leg's spectrum
+
+        def rhs(t, uh):
+            du = f(t, uh)
+            assert np.isfinite(np.delete(du, seg)).all()
+            du[seg] = np.nan
+            return du
+
+        return rhs
 
     monkeypatch.setattr(limitlab.continuum, "pretransform_rhs_factory", factory)
     L = 8 * np.pi
-    with pytest.raises(limitlab.StudyError, match="continuum leg at N = 64") as info:
+    with pytest.raises(limitlab.StudyError) as info:
         lattice_vs_continuum(XXZParams(N=8, J0=1.0, R0=2.0, s=1.0),
                              lambda x: _gaussian(x, L), [32, 64, 128],
                              L=L, t_end=0.01, dt=1e-3)
-    first, *rest = info.value.points
-    assert first["N"] == 32 and first["error"] > 0
-    assert [(pt["N"], "error" in pt) for pt in rest] == [(64, False), (128, False)]
+    assert str(info.value) == "continuum legs: state became non-finite at t=0.001"
+    assert info.value.points == [{"N": N, "spacing": L / N, "skipped": False}
+                                 for N in (32, 64, 128)]
 
 
 def test_truncation_study_first_order():
