@@ -108,12 +108,19 @@ def _cubic_rhs(grid: Grid1D | tuple, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     stacked with V u as a row of its own when V is set: two FFT calls
     per grid per evaluation in every case.
 
-    The FFTs write into two work arrays kept per shape of uh (the fft in
-    place), so the largest temporaries are not allocated on each call;
-    every operation keeps its operands and order, so each grid's bits are
-    those of the plain expressions on it alone.  The returned array is
-    new on every call, since the integrators hold several at once.  One
-    RHS must therefore not be called from two threads at once.
+    Every temporary is a work array kept per shape of uh: both FFTs run
+    in place, and |u|^2, |u_x|^2, the weight, the Re(u* u_xx) term and
+    the back * nl and scale * V u spectra are written into work arrays.
+    The linear part and the derivative factors are spread to the shape
+    of an (R, M) batch once, since a numpy product that broadcasts
+    allocates a buffer.  So an evaluation allocates only the array it
+    returns, new on every call since the integrators hold several at
+    once, and numpy's buffers for the casts and broadcasts left (a real
+    factor times a complex one, a per-row or per-wavenumber coefficient
+    over a batch), each freed before du is made.  Every operation keeps
+    its operands and order, so each grid's bits are those of the plain
+    expressions on it alone.  One RHS must not be called from two
+    threads at once.
     """
     grids = grid if isinstance(grid, tuple) else (grid,)
     sizes = [g.M for g in grids]
@@ -134,34 +141,51 @@ def _cubic_rhs(grid: Grid1D | tuple, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     Varr = None if V is None else np.asarray(V, dtype=float)
 
     @lru_cache(maxsize=None)
-    def arrays(shape):  # work arrays for one shape of uh: rows and FFT views
-        nsums = 1 if Varr is None else 2  # nl, and V u when V is set
-        stacked = np.empty((3 if gradients else nsums,) + shape, complex)
+    def arrays(shape):  # work arrays for one shape of uh, and what must match it
+        def fill(c):  # c spread to the shape, so that no product broadcasts it
+            return c if c.ndim == 0 or c.shape == shape else np.broadcast_to(c, shape).copy()
+
         fields = np.empty(((3,) if gradients else ()) + shape, complex)
-        return (stacked, tuple(fields) if gradients else (fields, None, None), tuple(stacked),
-                [fields[..., s] for s in segs], [stacked[:nsums, ..., s] for s in segs])
+        sums = np.empty((1 if Varr is None else 2,) + shape, complex)  # nl, and V u
+        return (fields, tuple(fields) if gradients else (fields, None, None),
+                [fields[..., s] for s in segs], sums, [sums[..., s] for s in segs],
+                tuple(np.empty((3,) + shape)), tuple(map(fill, derivs)) if gradients else (),
+                fill(lin_hat))
 
     def f(t, uh):
-        stacked, (u, u_x, u_xx), rows, ifft_out, fft_views = arrays(uh.shape)
-        src = uh if not gradients else np.multiply(
-            derivs if uh.ndim == 1 else derivs[:, None], uh, out=stacked)
-        for s, out in zip(segs, ifft_out):
+        (fields, (u, u_x, u_xx), field_views, sums, sum_views, (a, b, c), factors,
+         lin_hat) = arrays(uh.shape)
+        for factor, row in zip(factors, fields):
+            np.multiply(factor, uh, out=row)
+        src = fields if gradients else uh
+        for s, out in zip(segs, field_views):
             np.fft.ifft(src[..., s], out=out)
-        weight = cubic * (u.real ** 2 + u.imag ** 2)
+        # cubic |u|^2 in a, then grad |u_x|^2 in b: the real products take
+        # a, b and c in turn
+        weight = np.multiply(cubic, np.add(np.square(u.real, out=a),
+                                           np.square(u.imag, out=b), out=a), out=a)
         if gradients:
-            weight += grad * (u_x.real ** 2 + u_x.imag ** 2)
-        # the stacked product is spent: its rows take the sums to transform
-        nl = np.multiply(weight, u, out=rows[0])
+            weight += np.multiply(grad, np.add(np.square(u_x.real, out=b),
+                                               np.square(u_x.imag, out=c), out=b), out=b)
+        nl = np.multiply(weight, u, out=sums[0])
         if gradients:
             # u* u_xx + u u*_xx is real: twice Re(u* u_xx)
-            nl += two_pair * (u.real * u_xx.real + u.imag * u_xx.imag)
+            nl += np.multiply(two_pair, np.add(np.multiply(u.real, u_xx.real, out=a),
+                                               np.multiply(u.imag, u_xx.imag, out=b),
+                                               out=a), out=a)
         if Varr is not None:
-            np.multiply(Varr, u, out=rows[1])
-        for sums in fft_views:
-            np.fft.fft(sums, out=sums)
-        if Varr is None:
-            return lin_hat * uh + back * rows[0]
-        return lin_hat * uh + back * rows[0] - scale * rows[1]
+            np.multiply(Varr, u, out=sums[1])
+        for view in sum_views:
+            np.fft.fft(view, out=view)
+        # each spectrum takes its factor in place; only du is new
+        np.multiply(back, sums[0], out=sums[0])
+        if Varr is not None:
+            np.multiply(scale, sums[1], out=sums[1])
+        du = lin_hat * uh
+        du += sums[0]
+        if Varr is not None:
+            du -= sums[1]
+        return du
 
     return f
 

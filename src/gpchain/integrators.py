@@ -1,10 +1,13 @@
 """Time steppers: classic RK4, adaptive Dormand-Prince 5(4) and Strang.
 
-All integrate complex numpy arrays of any shape.  Step functions are
-pure: they write only into arrays they allocated, never into y or into
-an array f returned.  Their sums run in place and keep the bits of the
-sums as written, since only single additions swap operands.  Each step
-decides once, on its first stage, whether all its sums can run in place.
+All integrate complex numpy arrays of any shape.  Step functions write
+only into arrays they allocated, never into y or into an array f
+returned.  Their sums run in place and keep the bits of the sums as
+written, since only single additions swap operands.  Each step decides
+once, on its first stage, whether all its sums can run in place.  An
+RK4 march keeps its stage inputs and its sum of stages in work arrays
+allocated at its first step, so that each step allocates only its
+result; f must therefore not keep its argument past the call.
 One loop, _drive, collects the snapshots, ends at exactly t_end and
 hands blow-ups on as typed errors carrying the last good state.  The
 schemes are generators of accepted steps: march's fixed plan of RK4 (4
@@ -41,30 +44,64 @@ class StepUnderflowError(IntegrationError):
     """The adaptive controller drove the step below the resolvable size."""
 
 
-def _sum_op(k1, y):
-    """iadd when k1 has the dtype and shape of y, else add; see rk4_step."""
-    return iadd if (isinstance(k1, np.ndarray) and isinstance(y, np.ndarray)
-                    and k1.dtype == y.dtype and k1.shape == y.shape) else add
+def _fits(k1, y):
+    """Whether k1 has the dtype and shape of y, so that a step's sums can
+    run in place; see _rk4."""
+    return (isinstance(k1, np.ndarray) and isinstance(y, np.ndarray)
+            and k1.dtype == y.dtype and k1.shape == y.shape)
+
+
+def _spare(stage, k):
+    """stage, unless the stage k that f returned is it or a view of it:
+    None then, so that the step writes into nothing f returned."""
+    return None if stage is not None and (k is stage or k.base is stage) else stage
+
+
+def _rk4(f):
+    """A classic RK4 step on f, step(t, y, dt) = y + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
+
+    The seven sums keep their order.  When k1 fits y (_fits), as for
+    every RHS here, since f returns one dtype and shape at every stage,
+    the stage inputs, then 2 k3, go into one work array, and the sum of
+    the stages into another; the step allocates both on its first such
+    call and reuses them at every later one, so that a step allocates
+    only its result.  Otherwise each sum allocates.  No array that f
+    returned is written: once f returns the work array or a view of it
+    (its argument), the rest of the step allocates in its place.  The
+    next stage or step writes into f's argument, so f must not keep it
+    past the call.
+    """
+    work = {}
+    # bound once, and out passed by position: on a small array the lookup
+    # and the out keyword of each of a step's 13 calls cost about what
+    # its sum does
+    mul, plus = np.multiply, np.add
+
+    def step(t, y, dt):
+        k1 = f(t, y)
+        fits = _fits(k1, y)
+        stage, acc = (work.get((y.dtype, y.shape)) or work.setdefault(
+            (y.dtype, y.shape), (np.empty(y.shape, y.dtype), np.empty(y.shape, y.dtype)))
+            if fits else (None, None))
+        half = 0.5 * dt
+        k2 = f(t + half, plus(mul(half, k1, stage), y, stage))
+        stage = _spare(stage, k2)
+        k3 = f(t + half, plus(mul(half, k2, stage), y, stage))
+        stage = _spare(stage, k3)
+        k4 = f(t + dt, plus(mul(dt, k3, stage), y, stage))
+        stage = _spare(stage, k4)
+        acc = plus(mul(2.0, k2, acc), k1, acc)
+        acc = plus(acc, mul(2.0, k3, stage), acc)
+        acc = plus(acc, k4, acc)
+        y_new = mul(dt / 6.0, acc)
+        return plus(y_new, y, y_new if fits else None)
+
+    return step
 
 
 def rk4_step(f, t, y, dt):
-    """One classic RK4 step: y + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
-
-    The seven sums keep their order.  When k1 has the dtype and shape of
-    y, each sum adds in place into the product just made, a fresh array
-    that already has the sum's dtype and shape, since f returns one dtype
-    and shape at every stage of a step, as every RHS here does.
-    Otherwise each sum allocates.  The check runs once per step, not once
-    per sum.
-    """
-    half = 0.5 * dt
-    k1 = f(t, y)
-    plus = _sum_op(k1, y)
-    k2 = f(t + half, plus(half * k1, y))
-    k3 = f(t + half, plus(half * k2, y))
-    k4 = f(t + dt, plus(dt * k3, y))
-    acc = plus(plus(plus(2.0 * k2, k1), 2.0 * k3), k4)
-    return plus((dt / 6.0) * acc, y)
+    """One classic RK4 step: y + (dt/6) (k1 + 2 k2 + 2 k3 + k4); see _rk4."""
+    return _rk4(f)(t, y, dt)
 
 
 def fixed_steps(t0, t_end, dt):
@@ -176,8 +213,7 @@ def march(step, y0, t0, t_end, dt, snapshot_every=0):
 
 def integrate_fixed(f, y0, t0, t_end, dt, snapshot_every=0):
     """March RK4 on dy/dt = f(t, y) from t0 to t_end; see march."""
-    return march(lambda t, y, h: rk4_step(f, t, y, h), y0, t0, t_end, dt,
-                 snapshot_every=snapshot_every)
+    return march(_rk4(f), y0, t0, t_end, dt, snapshot_every=snapshot_every)
 
 
 # Dormand-Prince 5(4) tableau.  It is first same as last: the seventh
@@ -217,9 +253,9 @@ def _dp45(f, t, y, dt, k1):
     input is y5 itself: the tableau's row adds a (dt * 0) k2 term, which
     can change only the sign of an exact zero, and k7 enters only err.
     Six RHS calls per step.  Its 27 sums keep their order and, as in
-    rk4_step, run in place when k1 has the dtype and shape of y.
+    RK4's, run in place when k1 fits y (_fits).
     """
-    plus = _sum_op(k1, y)
+    plus = iadd if _fits(k1, y) else add
     ks = [k1]
     for i in range(1, 6):
         ks.append(f(t + _DP_C[i] * dt, _stage_sum(y, dt, _DP_A[i], ks, plus)))

@@ -1,9 +1,10 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gpchain import continuum
+from gpchain import continuum, integrators
 from gpchain.continuum import (
     Grid1D,
     continuum_observables,
@@ -790,6 +791,151 @@ def test_merged_grids_need_one_spacing_and_profile_per_grid():
     # the profiles of grids M = 64, 32, 128, 64 in reverse order
     with pytest.raises(ValueError, match=r"h_values must have shape \(32,\)"):
         pretransform_rhs_factory(p, grids, spacing=spacing, h_values=h[::-1])
+
+
+# The fused RHS as plain expressions, each allocating its result: the
+# work arrays must give its bits.
+
+def _plain_cubic_rhs(grid, scale, lin, d2, cubic, grad=0.0, pair=0.0, V=None,
+                     dealias=True):
+    grids = grid if isinstance(grid, tuple) else (grid,)
+    sizes = [g.M for g in grids]
+    segs = [slice(end - M, end) for M, end in zip(sizes, np.cumsum(sizes))]
+    spread = (lambda c: np.repeat(c, sizes)) if isinstance(grid, tuple) else continuum._per_row
+    d2, grad, pair = map(spread, (d2, grad, pair))
+    scale, lin, cubic = map(continuum._per_row, (scale, lin, cubic))
+    gradients = bool(np.any(grad != 0) or np.any(pair != 0))
+    k = np.concatenate([g.k for g in grids])
+    derivs = np.stack([np.ones(k.size), 1j * k, -k ** 2])
+    lin_hat = scale * (lin + d2 * -k ** 2)
+    back = scale * np.concatenate([g.dealias_mask() for g in grids]) if dealias else scale
+    Varr = None if V is None else np.asarray(V, dtype=float)
+
+    def transform(fn, x):
+        return np.concatenate([fn(x[..., s]) for s in segs], axis=-1)
+
+    def f(t, uh):
+        rows = (derivs[:, None] if uh.ndim == 2 else derivs) * uh if gradients else uh
+        u = transform(np.fft.ifft, rows)
+        u, u_x, u_xx = u if gradients else (u, None, None)
+        weight = cubic * (u.real ** 2 + u.imag ** 2)
+        if gradients:
+            weight += grad * (u_x.real ** 2 + u_x.imag ** 2)
+        nl = weight * u
+        if gradients:
+            nl += 2.0 * pair * (u.real * u_xx.real + u.imag * u_xx.imag)
+        sums = transform(np.fft.fft, np.stack([nl] if Varr is None else [nl, Varr * u]))
+        du = lin_hat * uh + back * sums[0]
+        return du if Varr is None else du - scale * sums[1]
+
+    return f
+
+
+def _signed_zeros(u):
+    """u with signed zeros in both parts of some points, to show a swapped
+    operand or a changed cast."""
+    u = u.copy()
+    u.real[..., ::7] = -0.0
+    u.imag[..., 3::11] = -0.0
+    return u
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("with_V", [False, True])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_rhs_keeps_the_bits_of_plain_expressions(monkeypatch, rows, with_V, dealias):
+    g = Grid1D(L=25.0, M=64)
+    uh = _signed_zeros(np.fft.fft(_field(g, rows, 17)))
+    for factory, args, kw in _rhs_cases(g, rows, with_V, dealias):
+        got = factory(*args, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(continuum, "_cubic_rhs", _plain_cubic_rhs)
+            want = factory(*args, **kw)(0.0, uh)
+        for _ in range(2):  # the second call reuses the work arrays
+            du = got(0.0, uh)
+            assert du.shape == want.shape and du.tobytes() == want.tobytes(), factory.__name__
+
+
+@pytest.mark.parametrize("with_h", [False, True])
+def test_merged_grids_rhs_keeps_the_bits_of_plain_expressions(monkeypatch, with_h):
+    p, grids, spacing, h = _merged_case(with_h)
+    uh = _signed_zeros(np.concatenate([np.fft.fft(_test_field(g, seed))
+                                       for seed, g in enumerate(grids)]))
+    got = pretransform_rhs_factory(p, grids, spacing=spacing, h_values=h)
+    with monkeypatch.context() as m:
+        m.setattr(continuum, "_cubic_rhs", _plain_cubic_rhs)
+        want = pretransform_rhs_factory(p, grids, spacing=spacing, h_values=h)(0.0, uh)
+    for _ in range(2):
+        assert got(0.0, uh).tobytes() == want.tobytes()
+
+
+def _peak_allocation(call):
+    """call()'s result after a warm-up call, and the most memory that
+    tracemalloc saw allocated at once during it; numpy reports its data
+    and buffer allocations to tracemalloc."""
+    call()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def _truncation_rhs():
+    """The truncation study's RHS: five points, a precursor row (eps = 1)
+    and a GP row (eps = 0) for each, on the (10, 256) spectra it steps."""
+    g = Grid1D(L=8.0 * np.pi, M=256)
+    A, B = np.linspace(0.3, 3.0, 5), np.linspace(1.0, 10.0, 5)
+    rhs = precursor_rhs_factory(g, np.tile(A, 2), np.tile(B, 2), r1_over_r0=0.2,
+                                x_xi=0.3, dispersive_scale=np.repeat([1.0, 0.0], 5))
+    u = np.exp(-((g.xs - g.L / 2) / 2.0) ** 2) / A[:, None]
+    return rhs, np.fft.fft(np.vstack([u, u]).astype(complex))
+
+
+# Headroom over the returned array: tracemalloc's own records and numpy's
+# small objects, well below any (M,) float temporary at M = 1024.
+_SLACK = 4096
+
+
+def test_rhs_allocates_only_its_result():
+    # the truncation batch, and single grids with V: every temporary is a
+    # work array, and the peak is du itself
+    g = Grid1D(L=25.0, M=1024)
+    V = 0.2 * np.sin(2 * np.pi * g.xs / g.L)
+    uh1 = np.fft.fft(_test_field(g, 21))
+    for rhs, uh in [_truncation_rhs(),
+                    (precursor_rhs_factory(g, 0.9, 1.1, V=V, r1_over_r0=0.4, x_xi=0.3), uh1),
+                    (gp_rhs_factory(g, V=V), uh1)]:
+        du, peak = _peak_allocation(lambda: rhs(0.0, uh))
+        assert du.shape == uh.shape
+        assert peak <= du.nbytes + _SLACK, (uh.shape, peak, du.nbytes)
+
+
+def test_rk4_march_step_allocates_only_its_stages_and_result():
+    # the step that integrate_fixed makes: its stage inputs and sum of
+    # stages are work arrays, so the four RHS results and the new state
+    # are all it allocates.  Holding every stage input to the end of the
+    # step puts a fresh one in the peak.
+    rhs, uh = _truncation_rhs()
+    inputs = []
+
+    def f(t, y):
+        inputs.append(y)
+        return rhs(t, y)
+
+    step = integrators._rk4(f)
+    y, peak = _peak_allocation(lambda: step(0.0, uh, 1e-3))
+    assert y.shape == uh.shape
+    assert peak <= 5 * (y.nbytes + _SLACK), peak
+    # both steps handed f uh, then one work array at stages 2 to 4
+    assert all(x is uh for x in inputs[::4])
+    assert len({id(x) for i, x in enumerate(inputs) if i % 4}) == 1
 
 
 def test_grid_arrays_cached_read_only():

@@ -470,6 +470,22 @@ def test_adaptive_matches_the_parent_bit_for_bit(f, y0, t_end, tol, dt0, every):
         assert old_calls.count(0.0) > 1 and new_calls.count(0.0) == 1
 
 
+@pytest.mark.parametrize("every", [0, 1])
+def test_fixed_march_never_writes_what_f_returned(every):
+    # the march reuses its stage and sum arrays from step to step: f that
+    # returns its argument, a view of it, a cached array or a real array
+    # for a complex y must still give the bits of the parent's fresh sums
+    y0 = np.array([[1.0 + 0.5j, -2.0 + 0j, 0.25 - 1.0j]])
+    cached = np.array([[0.5 - 0.25j, -1.0 + 2.0j, 0.0 + 0.75j]])
+    for f in (lambda t, y: y, lambda t, y: y[:, ::-1], lambda t, y: cached,
+              lambda t, y: np.abs(y) - 1.0):
+        got = integrate_fixed(f, y0, 0.0, 0.35, 0.1, snapshot_every=every)
+        want = march(lambda t, y, h: _parent_rk4_step(f, t, y, h), y0, 0.0, 0.35, 0.1,
+                     snapshot_every=every)
+        _same_run(got, want)
+    assert np.array_equal(cached, [[0.5 - 0.25j, -1.0 + 2.0j, 0.0 + 0.75j]])
+
+
 def test_fixed_makes_four_rhs_calls_per_step():
     f, calls = _counted(lambda t, y: 1j * y)
     integrate_fixed(f, np.array([1.0 + 0j]), 0.0, 0.35, 0.1)
