@@ -62,9 +62,12 @@ def _read_profile_file(section: str, path: str) -> np.ndarray:
         else:
             raw = np.loadtxt(path, delimiter=",", ndmin=2)
             data = raw[:, 0] + 1j * raw[:, 1] if raw.shape[1] >= 2 else raw[:, 0]
-        return np.asarray(data).astype(complex).ravel()
+        data = np.asarray(data).astype(complex).ravel()
     except (OSError, EOFError, ValueError, TypeError) as exc:
         raise ConfigError(f"{section}.path: cannot read {path}: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise ConfigError(f"{section}.path: {path} holds non-finite values")
+    return data
 
 
 def _make_profile(cfg: dict, section: str, length: float, default_center: float):

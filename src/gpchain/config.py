@@ -162,7 +162,7 @@ class _Key(NamedTuple):
 
 def _profile_keys(section: str, profiles, default=_ABSENT):
     """The rows of a profile section that takes the given profiles."""
-    checks = {"mode": _integer, "path": _file_name}
+    checks = {"mode": _integer, "path": _file_name, "width": _positive}
     return [_Key(f"{section}.profile", default, _one_of(*profiles)),
             *(_Key(f"{section}.{key}", _ABSENT, checks.get(key, _number))
               for key in sorted(_ANY_PROFILE))]

@@ -87,7 +87,7 @@ def _per_row(c):
     return a if a.ndim == 0 else a.reshape(-1, 1)
 
 
-def _cubic_rhs(grid: Grid1D | tuple, scale, lin, d2, cubic, grad=0.0, pair=0.0,
+def _cubic_rhs(grids: tuple, scale, lin, d2, cubic, grad=0.0, pair=0.0,
                V=None, dealias: bool = True):
     """F(t, uh) = d(uh)/dt for the cubic-dispersive family shared by every
     spectral RHS, acting on the Fourier coefficients uh = fft(u) of
@@ -97,11 +97,11 @@ def _cubic_rhs(grid: Grid1D | tuple, scale, lin, d2, cubic, grad=0.0, pair=0.0,
                              + pair (u* u_xx + u u*_xx) ) ]
 
     D is the 2/3-rule dealias filter (the identity when dealias is
-    False); the potential term is not filtered.  uh may be one spectrum
-    of shape (M,) or R independent spectra of shape (R, M); each
-    coefficient is a scalar or holds one value per row.  With a tuple of
-    grids, the last axis of uh concatenates their spectra and d2, grad
-    and pair hold one value per grid.  The linear part acts on uh
+    False); the potential term is not filtered.  The last axis of uh
+    concatenates the spectra of the grids, and uh may hold R independent
+    rows of them, shaped (R, sum M).  The coefficients broadcast against
+    uh as given: a scalar, one value per row shaped (R, 1), or one value
+    per wavenumber shaped (sum M,).  The linear part acts on uh
     directly.  Per grid, one ifft of the stacked [1, i k, -k^2] uh (plain
     uh when grad = pair = 0) gives u, u_x and u_xx; the nonlinear terms
     are summed in physical space, and one fft per grid brings them back,
@@ -122,12 +122,8 @@ def _cubic_rhs(grid: Grid1D | tuple, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     expressions on it alone.  One RHS must not be called from two
     threads at once.
     """
-    grids = grid if isinstance(grid, tuple) else (grid,)
     sizes = [g.M for g in grids]
     segs = [slice(end - M, end) for M, end in zip(sizes, np.cumsum(sizes))]
-    spread = (lambda c: np.repeat(c, sizes)) if isinstance(grid, tuple) else _per_row
-    d2, grad, pair = map(spread, (d2, grad, pair))
-    scale, lin, cubic = map(_per_row, (scale, lin, cubic))
     gradients = bool(np.any(grad != 0) or np.any(pair != 0))
     k = np.concatenate([g.k for g in grids])
     minus_k2 = -k ** 2
@@ -195,7 +191,7 @@ def gp_rhs_factory(grid: Grid1D, V=None, dealias: bool = True):
 
         i u_t = u - u_xx - |u|^2 u - V u
     """
-    return _cubic_rhs(grid, -1j, 1.0, -1.0, -1.0, V=V, dealias=dealias)
+    return _cubic_rhs((grid,), -1j, 1.0, -1.0, -1.0, V=V, dealias=dealias)
 
 
 @lru_cache(maxsize=32)
@@ -302,12 +298,12 @@ def pretransform_rhs_factory(p: XXZParams, grid: Grid1D | tuple, spacing=1.0,
         if np.shape(h) != (g.M,):
             raise ValueError(f"h_values must have shape ({g.M},)")
     harr = None if h_values is None else np.concatenate(h_values, dtype=float)
-    c2 = np.array([c * c for c in spacing]) if many else spacing[0] * spacing[0]
+    c2 = np.repeat([c * c for c in spacing], [g.M for g in grids])  # per wavenumber
     lin = (-2.0 * p.J0 + 2.0 * p.R0) * p.s \
         + 2.0 * p.J1 * p.s * p.x_xi - 2.0 * p.R1 * p.s * p.x_xi
     cubic = -2.0 * p.R0 + 2.0 * p.R1 * p.x_xi
     return _cubic_rhs(
-        grid, 1.0 / (1j * p.hbar), lin, -p.s * p.J0 * c2, cubic,
+        grids, 1.0 / (1j * p.hbar), lin, -p.s * p.J0 * c2, cubic,
         grad=-2.0 * p.R0 * c2, pair=-p.R0 * c2, V=harr, dealias=dealias,
     )
 
@@ -334,10 +330,9 @@ def precursor_rhs_factory(grid: Grid1D, A, B, V=None, r1_over_r0=0.0,
     Bm2 = B ** -2
     c_cubic = np.asarray(r1_over_r0, dtype=float) * x_xi / B
     c_pair = Bm2 / (2.0 * A)
-    return _cubic_rhs(
-        grid, -1j, 1.0, -1.0, -1.0 + eps * c_cubic,
-        grad=-eps * Bm2, pair=-eps * c_pair, V=V, dealias=dealias,
-    )
+    cubic, grad, pair = map(_per_row, (-1.0 + eps * c_cubic, -eps * Bm2, -eps * c_pair))
+    return _cubic_rhs((grid,), -1j, 1.0, -1.0, cubic, grad=grad, pair=pair, V=V,
+                      dealias=dealias)
 
 
 def coupled_gp_step(u, dt: float, grid: Grid1D, t_hop: float, U_values,

@@ -2,12 +2,12 @@
 
 All integrate complex numpy arrays of any shape.  Step functions write
 only into arrays they allocated, never into y or into an array f
-returned.  Their sums run in place and keep the bits of the sums as
-written, since only single additions swap operands.  Each step decides
-once, on its first stage, whether all its sums can run in place.  An
-RK4 march keeps its stage inputs and its sum of stages in work arrays
-allocated at its first step, so that each step allocates only its
-result; f must therefore not keep its argument past the call.
+returned.  Their sums run in place, in arrays of the result type of y
+and f's first stage, and keep the bits of the sums as written, since
+only single additions swap operands.  An RK4 march keeps its stage
+inputs and its sum of stages in work arrays allocated at its first
+step, so that each step allocates only its result; f must therefore
+not keep its argument past the call.
 One loop, _drive, collects the snapshots, ends at exactly t_end and
 hands blow-ups on as typed errors carrying the last good state.  The
 schemes are generators of accepted steps: march's fixed plan of RK4 (4
@@ -19,7 +19,6 @@ controller (6 RHS calls per attempt, plus one).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, iadd
 from typing import Callable
 
 import numpy as np
@@ -44,13 +43,6 @@ class StepUnderflowError(IntegrationError):
     """The adaptive controller drove the step below the resolvable size."""
 
 
-def _fits(k1, y):
-    """Whether k1 has the dtype and shape of y, so that a step's sums can
-    run in place; see _rk4."""
-    return (isinstance(k1, np.ndarray) and isinstance(y, np.ndarray)
-            and k1.dtype == y.dtype and k1.shape == y.shape)
-
-
 def _spare(stage, k):
     """stage, unless the stage k that f returned is it or a view of it:
     None then, so that the step writes into nothing f returned."""
@@ -60,16 +52,15 @@ def _spare(stage, k):
 def _rk4(f):
     """A classic RK4 step on f, step(t, y, dt) = y + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
 
-    The seven sums keep their order.  When k1 fits y (_fits), as for
-    every RHS here, since f returns one dtype and shape at every stage,
-    the stage inputs, then 2 k3, go into one work array, and the sum of
-    the stages into another; the step allocates both on its first such
-    call and reuses them at every later one, so that a step allocates
-    only its result.  Otherwise each sum allocates.  No array that f
-    returned is written: once f returns the work array or a view of it
-    (its argument), the rest of the step allocates in its place.  The
-    next stage or step writes into f's argument, so f must not keep it
-    past the call.
+    The seven sums keep their order.  The stage inputs, then 2 k3, go
+    into one work array, and the sum of the stages into another, both of
+    the result type of y and k1 and of y's shape; the step allocates
+    them on its first call with that type and shape and reuses them at
+    every later one, so that a step allocates only its result.  No array
+    that f returned is written: once f returns the work array or a view
+    of it (its argument), the rest of the step allocates in its place.
+    The next stage or step writes into f's argument, so f must not keep
+    it past the call.
     """
     work = {}
     # bound once, and out passed by position: on a small array the lookup
@@ -79,10 +70,9 @@ def _rk4(f):
 
     def step(t, y, dt):
         k1 = f(t, y)
-        fits = _fits(k1, y)
-        stage, acc = (work.get((y.dtype, y.shape)) or work.setdefault(
-            (y.dtype, y.shape), (np.empty(y.shape, y.dtype), np.empty(y.shape, y.dtype)))
-            if fits else (None, None))
+        key = (np.result_type(y, k1), y.shape)
+        stage, acc = work.get(key) or work.setdefault(
+            key, (np.empty(y.shape, key[0]), np.empty(y.shape, key[0])))
         half = 0.5 * dt
         k2 = f(t + half, plus(mul(half, k1, stage), y, stage))
         stage = _spare(stage, k2)
@@ -94,7 +84,7 @@ def _rk4(f):
         acc = plus(acc, mul(2.0, k3, stage), acc)
         acc = plus(acc, k4, acc)
         y_new = mul(dt / 6.0, acc)
-        return plus(y_new, y, y_new if fits else None)
+        return plus(y_new, y, y_new)
 
     return step
 
@@ -235,14 +225,15 @@ _DP_B4 = (
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
-def _stage_sum(y, dt, coeffs, ks, plus):
-    """y + (dt c_1) k_1 + (dt c_2) k_2 + ..., summed left to right by plus
-    (add or iadd) and skipping the zero coefficients."""
+def _stage_sum(y, dt, coeffs, ks, dtype, mul=np.multiply, plus=np.add):
+    """y + (dt c_1) k_1 + (dt c_2) k_2 + ..., summed left to right in place
+    and skipping the zero coefficients: the first term is made in a new
+    array of dtype, which takes y and then each later term."""
     acc = None
     for c, k in zip(coeffs, ks):
         if c:
-            term = (dt * c) * k
-            acc = plus(term, y) if acc is None else plus(acc, term)
+            term = mul(dt * c, k, np.empty(y.shape, dtype) if acc is None else None)
+            acc = plus(term, y, term) if acc is None else plus(acc, term, acc)
     return acc
 
 
@@ -253,17 +244,17 @@ def _dp45(f, t, y, dt, k1):
     input is y5 itself: the tableau's row adds a (dt * 0) k2 term, which
     can change only the sign of an exact zero, and k7 enters only err.
     Six RHS calls per step.  Its 27 sums keep their order and, as in
-    RK4's, run in place when k1 fits y (_fits).
+    RK4's, run in place in arrays of the result type of y and k1.
     """
-    plus = iadd if _fits(k1, y) else add
+    dtype = np.result_type(y, k1)
     ks = [k1]
     for i in range(1, 6):
-        ks.append(f(t + _DP_C[i] * dt, _stage_sum(y, dt, _DP_A[i], ks, plus)))
-    y5 = _stage_sum(y, dt, _DP_B5, ks, plus)
+        ks.append(f(t + _DP_C[i] * dt, _stage_sum(y, dt, _DP_A[i], ks, dtype)))
+    y5 = _stage_sum(y, dt, _DP_B5, ks, dtype)
     ks.append(f(t + dt, y5))
-    err = np.zeros_like(y)
+    err = np.zeros(y.shape, dtype)
     for e, k in zip(_DP_E, ks):
-        err = plus(err, (dt * e) * k)
+        err += (dt * e) * k
     return y5, err, ks[6]
 
 

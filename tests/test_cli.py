@@ -675,6 +675,16 @@ _TRUNCATION = {"study": {"kind": "truncation"}}
       for kind in ("truncation", "continuum-limit")],
     ("simulate", {"equation": "precursor", "model": {"hbar": 0.5}, **_GRID}, "model.hbar"),
     ("study", {"model": {"hbar": 0.5}, **_TRUNCATION}, "model.hbar"),
+    # a gaussian width of 0 started from NaN, or from an all-zero field when
+    # the center is off the grid points; a negative one acted as its |width|
+    *[(command, {**rest, key: {"profile": "gaussian", "center": center, "width": width}},
+       f"{key}.width must be above 0")
+      for command, key, rest in (("simulate", "initial", {"equation": "gp", **_GRID}),
+                                 ("simulate", "initial2", {"equation": "hubbard-lattice",
+                                                           **_HUBBARD}),
+                                 ("simulate", "potential", {"equation": "gp", **_GRID}),
+                                 ("study", "study", {}))
+      for center, width in ((4.0, 0), (4.1, 0.0), (4.0, -2.0))],
 ])
 def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section, path):
     cfg = _write_cfg(tmp_path, section)
@@ -716,12 +726,17 @@ def test_equation_rules_exit_2_before_any_output(tmp_path, capsys, section, mess
     ({"initial": {"profile": "file", "path": "short.csv"}}, "initial.path"),
     ({"equation": "hubbard-lattice", **_HUBBARD,
       "initial2": {"profile": "file", "path": "nope.csv"}}, "initial2.path"),
+    # a non-finite sample used to start a run that was never finite
+    *[({"initial": {"profile": "file", "path": name}},
+       f"initial.path: {name} holds non-finite values") for name in ("nan.csv", "inf.npy")],
 ])
 def test_unreadable_initial_data_exits_2(tmp_path, capsys, monkeypatch, section, path):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "garbage.npy").write_text("not an array")
     (tmp_path / "garbage.csv").write_text("re,im\n")
     (tmp_path / "short.csv").write_text("0.1,0.2\n")
+    (tmp_path / "nan.csv").write_text("0.1,0.2\n" * 7 + "nan,0.2\n")
+    np.save(tmp_path / "inf.npy", np.array([0.1] * 7 + [complex(0.0, np.inf)]))
     cfg = _write_cfg(tmp_path, {"model": {"N": 8}, "integrator": {"t_end": 0.01},
                                 **section})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

@@ -552,10 +552,9 @@ def test_fused_rows_are_independent_fields():
 # and u_x and u_xx had an ifft call each, five calls per evaluation with
 # gradients and three without.
 
-def _five_call_cubic_rhs(grid, scale, lin, d2, cubic, grad=0.0, pair=0.0,
+def _five_call_cubic_rhs(grids, scale, lin, d2, cubic, grad=0.0, pair=0.0,
                          V=None, dealias=True):
-    scale, lin, d2, cubic, grad, pair = (
-        continuum._per_row(c) for c in (scale, lin, d2, cubic, grad, pair))
+    (grid,) = grids
     gradients = bool(np.any(grad != 0) or np.any(pair != 0))
     ik = 1j * grid.k
     minus_k2 = -grid.k ** 2
@@ -796,14 +795,10 @@ def test_merged_grids_need_one_spacing_and_profile_per_grid():
 # The fused RHS as plain expressions, each allocating its result: the
 # work arrays must give its bits.
 
-def _plain_cubic_rhs(grid, scale, lin, d2, cubic, grad=0.0, pair=0.0, V=None,
+def _plain_cubic_rhs(grids, scale, lin, d2, cubic, grad=0.0, pair=0.0, V=None,
                      dealias=True):
-    grids = grid if isinstance(grid, tuple) else (grid,)
     sizes = [g.M for g in grids]
     segs = [slice(end - M, end) for M, end in zip(sizes, np.cumsum(sizes))]
-    spread = (lambda c: np.repeat(c, sizes)) if isinstance(grid, tuple) else continuum._per_row
-    d2, grad, pair = map(spread, (d2, grad, pair))
-    scale, lin, cubic = map(continuum._per_row, (scale, lin, cubic))
     gradients = bool(np.any(grad != 0) or np.any(pair != 0))
     k = np.concatenate([g.k for g in grids])
     derivs = np.stack([np.ones(k.size), 1j * k, -k ** 2])

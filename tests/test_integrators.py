@@ -185,12 +185,15 @@ def test_step_functions_do_not_mutate_input():
     rk4_step(f, 0.0, y0, 0.1)
     dp45_step(f, 0.0, y0, 0.1)
     assert np.array_equal(y0, keep)
-    # an f that returns its argument, one that returns a cached array and
-    # one that returns a real array for a complex y: no step writes into
-    # y or into anything f returned, and each matches the frozen bodies
-    # below bit for bit
+    # an f that returns its argument, one that returns a cached array, one
+    # that returns a real array for a complex y, and a complex f on a real
+    # y, whose step promotes to complex: no step writes into y or into
+    # anything f returned, and each matches the frozen bodies below bit
+    # for bit, dtype included
     cached = np.array([0.5 - 0.25j, -1.0 + 2.0j])
-    for rhs in (lambda t, y: y, lambda t, y: cached, lambda t, y: np.abs(y) - 1.0):
+    z, x = np.array([1.0 + 0.5j, -2.0 + 0j]), np.array([1.0, -2.0])
+    for rhs, y0 in ((lambda t, y: y, z), (lambda t, y: cached, z),
+                    (lambda t, y: np.abs(y) - 1.0, z), (lambda t, y: 1j * y - cached, x)):
         for step, parent in ((rk4_step, _parent_rk4_step), (dp45_step, _parent_dp45_step)):
             returned = []
 
@@ -199,7 +202,7 @@ def test_step_functions_do_not_mutate_input():
                 returned.append((out, out.copy()))
                 return out
 
-            y = np.array([1.0 + 0.5j, -2.0 + 0j])
+            y = y0.copy()
             keep = y.copy()
             got = step(f, 0.1, y, 0.3)
             assert y.tobytes() == keep.tobytes()

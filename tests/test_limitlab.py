@@ -268,6 +268,42 @@ def test_truncation_study_first_order():
     assert not rep.points[0]["skipped"]
 
 
+def test_truncation_slope_measures_the_shrinking_amplitude():
+    # configs/truncation.json's study, with a linear row (i u_t = u - u_xx)
+    # next to each point's precursor and GP rows in one RK4 march.  ACCEPTANCE
+    # 7's distance is precursor - GP, but GP is farther still from the
+    # linear equation, and both fall as rho: u0 = profile(B xi) / A has an
+    # amplitude that falls as 1/A, and with it every nonlinear term.
+    p = XXZParams(N=8, J0=1.0, R0=2.0, s=1.0)
+    s_values = [40.0, 126.0, 400.0, 1265.0, 4000.0]
+    grid = continuum.Grid1D(8 * np.pi, 256)
+    xs_c = grid.xs - grid.L / 2.0
+
+    def profile(xi):
+        return 0.8 * np.exp(-((xi / 2.0) ** 2))
+
+    tcs = [compute_transform(replace(p, s=s)) for s in s_values]
+    A, B = np.array([tc.A for tc in tcs]), np.array([tc.B for tc in tcs])
+    rho = [2.0 * p.R0 / (s * p.J0) for s in s_values]
+    u0 = np.array([profile(b * xs_c) for b in B], dtype=complex) / A[:, None]
+    pair = continuum.precursor_rhs_factory(
+        grid, np.tile(A, 2), np.tile(B, 2), dispersive_scale=np.repeat([1.0, 0.0], 5))
+    linear = continuum._cubic_rhs((grid,), -1j, 1.0, -1.0, 0.0)
+    rhs = lambda t, uh: np.concatenate([pair(t, uh[:10]), linear(t, uh[10:])])
+    _, states = integrators.integrate_fixed(rhs, np.fft.fft(np.vstack([u0] * 3)),
+                                            0.0, 1.0, 1e-3)
+    pre, gp, lin = np.split(np.fft.ifft(states[-1]), 3)
+    norm = np.linalg.norm(u0, axis=1)
+    pre_gp = np.linalg.norm(pre - gp, axis=1) / norm
+    gp_lin = np.linalg.norm(gp - lin, axis=1) / norm
+    report = truncation_study(p, s_values, profile, L=grid.L, M=grid.M, t_end=1.0,
+                              dt=1e-3)
+    assert pre_gp == pytest.approx([pt["error"] for pt in report.points], rel=1e-9)
+    assert np.all(gp_lin > pre_gp)
+    for errors in (pre_gp, gp_lin):
+        assert 0.9 <= fit_loglog(rho, errors)[0] <= 1.1
+
+
 def test_truncation_study_degenerate_rejected():
     p = XXZParams(N=8, J0=1.0, R0=1.0, s=1.0)  # D = 0 for every s
     with pytest.raises(ValueError):
