@@ -46,7 +46,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header, blocks) -> None:
-    """Write the header line, then each block of finished CSV lines (bytes)."""
+    """Write the header line, then each piece of finished CSV text."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         fh.writelines(blocks)
@@ -137,35 +137,44 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
 # -------------------------------------------------------- simulate command
 
 # floats (re and im) formatted per block of trajectory rows; a block holds whole
-# snapshots, at least one.  Writing the 72 snapshots of 512 rows of a dense
-# 256-site two-flavor RK45 run took 17.0 / 14.9 / 13.6 / 14.2 / 15.0 ms with
-# blocks of 2048 / 4096 / 8192 / 16384 / 32768 floats and 20.1 ms as one block
-# (medians of 30 interleaved runs on a 2-core Xeon VM): small blocks pay
-# numpy's per-call cost, large ones spill the cache.
-_BLOCK_VALUES = 8192
+# snapshots, at least one, and the file's work arrays grow with it (about 2 MB
+# at 16384).  Against the writer before the work arrays, the 72 snapshots of 512
+# rows of a dense 256-site two-flavor RK45 run were written 8-10% / 11-12% /
+# 12-18% faster with blocks of 8192 / 16384 / 32768 floats (two runs of 40 writes
+# interleaved in one process with the older writer, on a 2-core Xeon VM): each
+# block pays format_g17's ~60 numpy calls once.
+_BLOCK_VALUES = 16384
 
 
-def _lines(lead, mid, values):
-    """CSV lines lead mid re,im as bytes, one per complex value of values.
+def _lines(lead, mid, values, work=None):
+    """CSV lines lead mid re,im as text, one per complex value of values.
 
-    lead and mid are cells whose leading axes broadcast to values' shape.
+    lead and mid are cells whose leading axes broadcast to values' shape;
+    work is the csvout.Workspace of the file, if it is written in blocks.
     """
     values = np.ascontiguousarray(values, dtype=complex)
-    cells = csvout.format_g17(values.view(np.float64)).reshape(*values.shape, 2, -1)
-    return csvout.lines(lead, mid, cells[..., 0, :], b",", cells[..., 1, :], b"\n")
+    cells = csvout.format_g17(values.view(np.float64), work).reshape(*values.shape, 2, -1)
+    # re and im are adjacent cells: their free last slots take "," and the newline
+    cells[..., 0, -1] = ord(",")
+    cells[..., 1, -1] = ord("\n")
+    return csvout.lines(lead, mid, cells.reshape(*values.shape, -1), work=work)
 
 
 def _trajectory_blocks(times, states):
-    """trajectory.csv's rows, one per time, site and flavor, in blocks of whole snapshots."""
+    """trajectory.csv's rows, one per time, site and flavor, in blocks of whole
+    snapshots, each stacked and formatted in the file's one workspace."""
     nflavors, nsites = np.shape(states[0])
     rows = nflavors * nsites
     mid = csvout.cells(f",{site},{flavor}," for flavor in range(nflavors)
                        for site in range(nsites))
-    stamps = csvout.format_g17(times)
+    stamps = csvout.cells(map(_fmt, times))  # packed: fewer NULs in each line
     step = max(1, _BLOCK_VALUES // (2 * rows))
+    work = csvout.Workspace()
     for first in range(0, len(times), step):
-        snaps = np.reshape(states[first:first + step], (-1, rows))
-        yield _lines(stamps[first:first + len(snaps), None], mid, snaps)
+        batch = states[first:first + step]
+        snaps = np.stack(batch, out=work("snaps", (len(batch), nflavors, nsites), complex))
+        yield from _lines(stamps[first:first + len(batch), None], mid,
+                          snaps.reshape(-1, rows), work)
 
 
 class _Simulation(NamedTuple):
@@ -299,7 +308,7 @@ def _run_simulate(cfg: dict, out_dir: str) -> int:
         final = np.atleast_2d(final)
         flavors = csvout.cells(f",{flavor}," for flavor in range(len(final)))
         _write_csv(os.path.join(out_dir, "field.csv"), ("xi", "flavor", "re", "im"),
-                   [_lines(csvout.format_g17(sim.grid.xs), flavors[:, None], final)])
+                   _lines(csvout.format_g17(sim.grid.xs), flavors[:, None], final))
     _write_json(os.path.join(out_dir, "run_summary.json"), summary)
     print(f"simulate {eq}: {summary['status']}")
     return 0 if summary["status"] == "ok" else 1

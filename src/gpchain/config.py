@@ -146,6 +146,12 @@ _positive = partial(_number, low=0, strict=True)
 _at_least_zero = partial(_number, low=0)
 
 
+def _nonzero(path: str, value) -> None:
+    _number(path, value)
+    if value == 0:
+        raise ConfigError(f"{path} must not be 0, got {value!r}")
+
+
 # ------------------------------------------------------------------ table
 
 _ABSENT = object()  # the default of a key that has none
@@ -162,7 +168,7 @@ class _Key(NamedTuple):
 
 def _profile_keys(section: str, profiles, default=_ABSENT):
     """The rows of a profile section that takes the given profiles."""
-    checks = {"mode": _integer, "path": _file_name, "width": _positive}
+    checks = {"mode": _integer, "path": _file_name, "width": _positive, "eta": _nonzero}
     return [_Key(f"{section}.profile", default, _one_of(*profiles)),
             *(_Key(f"{section}.{key}", _ABSENT, checks.get(key, _number))
               for key in sorted(_ANY_PROFILE))]

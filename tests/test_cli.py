@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -719,6 +720,35 @@ def test_equation_rules_exit_2_before_any_output(tmp_path, capsys, section, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, rest", [
+    ("simulate", "initial", {"equation": "gp", **_GRID}),
+    ("simulate", "initial2", {"equation": "coupled-gp", **_HUBBARD, **_GRID}),
+    ("study", "study", _TRUNCATION),
+    ("study", "study", {"study": {"kind": "continuum-limit"}}),
+])
+@pytest.mark.parametrize("eta", [0, 0.0, -0.0])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_sech_soliton_eta_zero_exits_2(tmp_path, capsys, command, key, rest, eta, dry_run):
+    # eta 0 gave an all-zero field that ran to exit 0
+    section = {**rest, key: {**rest.get(key, {}), "profile": "sech-soliton", "eta": eta}}
+    cfg = _write_cfg(tmp_path, section)
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)] + ["--dry-run"] * dry_run) == 2
+    assert f"config error: {key}.eta must not be 0, got {eta!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_eta_is_the_negated_soliton(tmp_path):
+    xs = continuum.Grid1D(40.0, 64).xs
+    cfg = {"initial": {"profile": "sech-soliton", "eta": 1.5, "center": 18.0}}
+    soliton = commands._make_profile(cfg, "initial", 40.0, 20.0)(xs)
+    cfg["initial"]["eta"] = -1.5
+    assert np.array_equal(commands._make_profile(cfg, "initial", 40.0, 20.0)(xs), -soliton)
+    run = _write_cfg(tmp_path, {"equation": "gp", "grid": {"L": 40.0, "M": 64},
+                                "integrator": {"dt": 0.01, "t_end": 0.05}, **cfg})
+    assert main(["simulate", "--config", run, "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("section,path", [
     ({"initial": {"profile": "file", "path": "nope.npy"}}, "initial.path"),
     ({"initial": {"profile": "file", "path": "garbage.npy"}}, "initial.path"),
@@ -990,15 +1020,67 @@ def test_trajectory_blocks_match_row_oracle(tmp_path, monkeypatch, name, block, 
     written = []
     lines = commands._lines
 
-    def counting(lead, mid, values):
+    def counting(lead, mid, values, work):
         written.append(len(values))
-        return lines(lead, mid, values)
+        return lines(lead, mid, values, work)
 
     monkeypatch.setattr(commands, "_lines", counting)
     out, seen = _recorded_run(tmp_path, monkeypatch, name)
     assert written == sizes
     assert seen.get("appended", False) == (name == "blowup-between-snapshots")
     assert (out / "trajectory.csv").read_bytes() == _oracle_trajectory(*seen["run"])
+
+
+def _dense_chain(count, seed=34):
+    """count snapshots of a two-flavor 256-site chain: gaussian tails that
+    print in e-notation, and a zero among them."""
+    rng = np.random.default_rng(seed)
+    envelope = np.exp(-((np.arange(256) - 128) / 12.0) ** 2)
+    states = [(rng.standard_normal((2, 256)) + 1j * rng.standard_normal((2, 256))) * envelope
+              for _ in range(count)]
+    states[1][0, 5] = 0.0
+    return list(np.cumsum(rng.random(count) * 0.03)), states
+
+
+def test_full_blocks_and_a_short_last_one_match_the_row_oracle(tmp_path, monkeypatch):
+    # 20 snapshots of 1024 floats: blocks of 8, 8 and 4 through one workspace,
+    # the full ones NUL-dropped in two pieces; texts kept past later blocks
+    # stay as made
+    monkeypatch.setattr(commands, "_BLOCK_VALUES", 8192)
+    times, states = _dense_chain(20)
+    texts = list(commands._trajectory_blocks(times, states))
+    assert len(texts) == 5
+    want = _oracle_trajectory(times, states)
+    assert b"time,site,flavor,re,im\n" + b"".join(texts) == want
+    path = tmp_path / "trajectory.csv"
+    commands._write_csv(str(path), ("time", "site", "flavor", "re", "im"),
+                        commands._trajectory_blocks(times, states))
+    assert path.read_bytes() == want
+
+
+def test_later_blocks_allocate_only_their_text(monkeypatch):
+    # after the first block has made the file's work arrays, producing each
+    # text allocates the text and little else.  bytearray.translate allocates
+    # the text at the length of the table it drops NULs from and keeps that
+    # size, so the text's own size, sys.getsizeof, is what it holds.
+    monkeypatch.setattr(commands, "_BLOCK_VALUES", 8192)
+    times, states = _dense_chain(20)
+    blocks = commands._trajectory_blocks(times, states)
+    next(blocks)
+    tracemalloc.start()
+    try:
+        for text in blocks:
+            del text
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                text = next(blocks)
+            except StopIteration:
+                break
+            grown = tracemalloc.get_traced_memory()[1] - before
+            assert grown <= sys.getsizeof(text) + 16 * 1024, (grown, len(text))
+    finally:
+        tracemalloc.stop()
 
 
 _HUBBARD_RK45 = {

@@ -105,10 +105,83 @@ def test_random_values_match_percent_g17():
 def test_rows_and_lines():
     cells = csvout.format_g17([1.0, -2.5e-7, 1e300])
     assert cells.shape == (3, csvout.WIDTH) and cells.dtype == np.uint8
-    text = csvout.lines(csvout.cells(["a", "bc", ""]), b",", cells, b"\n")
+    text = b"".join(csvout.lines(csvout.cells(["a", "bc", ""]), b",", cells, b"\n"))
     assert text == b"a,1\nbc,-2.4999999999999999e-07\n,1.0000000000000001e+300\n"
     # leading axes broadcast: a (2, 3) table of lines from (2, 1) and (3,) columns
-    text = csvout.lines(csvout.cells(["x", "y"])[:, None], b",", cells, b"\n")
+    text = b"".join(csvout.lines(csvout.cells(["x", "y"])[:, None], b",", cells, b"\n"))
     assert text.split(b"\n")[:4] == [b"x,1", b"x,-2.4999999999999999e-07",
                                      b"x,1.0000000000000001e+300", b"y,1"]
     assert text.count(b"\n") == 6
+
+
+def test_power_rows_match_the_python_int_construction():
+    # each row 10^m = hi + lo, m = 16 - k, pinned byte for byte to the exact
+    # construction it replaced: hi is the int quotient, correctly rounded;
+    # hi's Veltkamp halves; lo the rounded rest (10^m - hi), all in ints
+    hi, lo = [], []
+    for k in range(csvout._K_MIN, csvout._K_MAX + 1):
+        m = 16 - k
+        num, den = (10 ** m, 1) if m >= 0 else (1, 10 ** -m)
+        h = num / den
+        hn, hd = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
+    hi = np.array(hi)
+    c = csvout._SPLIT * hi
+    high = c - (c - hi)
+    want = np.stack([hi, high, hi - high, np.array(lo)])
+    powers = csvout._tables()[0]
+    assert powers.shape == (4, csvout._K_MAX - csvout._K_MIN + 1)
+    for row, want_row in zip(powers, want):
+        assert row.tobytes() == want_row.tobytes()
+
+
+def _blocks():
+    """Blocks of different sizes and contents, the edge cases among them."""
+    rng = np.random.default_rng(34)
+    dense = rng.standard_normal(6000) * np.exp(-rng.random(6000) * 40)
+    return [dense, _EDGES["specials"], np.concatenate([_EDGES["ties"], dense[:50]]),
+            dense[:7], _EDGES["powers of ten"], _EDGES["zeros among values"]]
+
+
+def test_one_workspace_gives_the_bytes_of_fresh_calls():
+    # blocks of different sizes in alternating order through one workspace:
+    # every row, NUL slots included, and every line are those of fresh calls
+    blocks = _blocks()
+    work = csvout.Workspace()
+    lead = csvout.cells(["a", "bcd"])[:, None]
+    for x in blocks + blocks[::-1] + blocks:
+        fresh = csvout.format_g17(x)
+        assert not fresh[:, -1].any()  # the slot a writer may fill
+        assert np.array_equal(csvout.format_g17(x, work), fresh)
+        cells = csvout.format_g17(x[:len(x) // 2 * 2], work).reshape(2, -1, csvout.WIDTH)
+        text = list(csvout.lines(lead, b",", cells, b"\n", work=work))
+        assert b"".join(text) == b"".join(csvout.lines(lead, b",", cells.copy(), b"\n"))
+
+
+def test_text_and_fresh_rows_are_not_changed_by_later_calls():
+    blocks = _blocks()
+    kept = csvout.format_g17(blocks[1])  # no workspace: the caller's array
+    want = kept.copy()
+    work = csvout.Workspace()
+    texts, wanted = [], []
+    for x in blocks:
+        cells = csvout.format_g17(x, work)
+        texts += csvout.lines(cells, b"\n", work=work)
+        wanted += [text + b"\n" for text in _oracle(x)]
+    assert np.array_equal(kept, want)
+    assert b"".join(texts) == b"".join(wanted)
+
+
+def test_lines_in_pieces_are_the_lines_in_one(monkeypatch):
+    # the table is NUL-dropped in equal parts of its first axis
+    x = _blocks()[0][:5 * 2 * 300]
+    cells = csvout.format_g17(x).reshape(5, 300, 2, -1)
+    columns = (csvout.cells(["t0", "t1", "t2", "t3", "t4"])[:, None, :],
+               csvout.cells([f",{i}," for i in range(300)]),
+               cells[..., 0, :], b",", cells[..., 1, :], b"\n")
+    whole = list(csvout.lines(*columns))
+    monkeypatch.setattr(csvout, "_TEXT_BYTES", 20_000)
+    pieces = list(csvout.lines(*columns, work=csvout.Workspace()))
+    assert len(whole) == 1 and len(pieces) == 5
+    assert b"".join(pieces) == whole[0]
