@@ -14,6 +14,7 @@ timestamps so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ from . import config as config_mod
 from .config import ConfigError
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpchain",

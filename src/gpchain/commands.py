@@ -146,18 +146,18 @@ def _run_verify(cfg: dict, out_dir: str) -> int:
 _BLOCK_VALUES = 16384
 
 
-def _lines(lead, mid, values, work=None):
-    """CSV lines lead mid re,im as text, one per complex value of values.
+def _lines(lead, mid, cells, work=None):
+    """CSV lines lead mid re,im as text, one per complex value.
 
-    lead and mid are cells whose leading axes broadcast to values' shape;
-    work is the csvout.Workspace of the file, if it is written in blocks.
+    cells is format_g17's (..., 2, WIDTH) result for the re and im of the
+    values; lead and mid are cells whose leading axes broadcast to its
+    leading axes; work is the csvout.Workspace of the file, if it is
+    written in blocks.
     """
-    values = np.ascontiguousarray(values, dtype=complex)
-    cells = csvout.format_g17(values.view(np.float64), work).reshape(*values.shape, 2, -1)
     # re and im are adjacent cells: their free last slots take "," and the newline
     cells[..., 0, -1] = ord(",")
     cells[..., 1, -1] = ord("\n")
-    return csvout.lines(lead, mid, cells.reshape(*values.shape, -1), work=work)
+    return csvout.lines(lead, mid, cells.reshape(*cells.shape[:-2], -1), work=work)
 
 
 def _trajectory_blocks(times, states):
@@ -173,8 +173,9 @@ def _trajectory_blocks(times, states):
     for first in range(0, len(times), step):
         batch = states[first:first + step]
         snaps = np.stack(batch, out=work("snaps", (len(batch), nflavors, nsites), complex))
+        cells = csvout.format_g17(snaps.view(np.float64), work)
         yield from _lines(stamps[first:first + len(batch), None], mid,
-                          snaps.reshape(-1, rows), work)
+                          cells.reshape(len(batch), rows, 2, -1), work)
 
 
 class _Simulation(NamedTuple):
@@ -305,10 +306,13 @@ def _run_simulate(cfg: dict, out_dir: str) -> int:
         _write_csv(os.path.join(out_dir, "trajectory.csv"),
                    ("time", "site", "flavor", "re", "im"), _trajectory_blocks(times, states))
     else:  # only the final field, one block of rows per flavor
-        final = np.atleast_2d(final)
+        final = np.ascontiguousarray(np.atleast_2d(final), dtype=complex)
         flavors = csvout.cells(f",{flavor}," for flavor in range(len(final)))
+        work = csvout.Workspace()  # the positions and the values formatted in one call
+        xs, values = np.split(csvout.format_g17(np.concatenate(
+            [sim.grid.xs, final.view(np.float64)], axis=None), work), [sim.grid.M])
         _write_csv(os.path.join(out_dir, "field.csv"), ("xi", "flavor", "re", "im"),
-                   _lines(csvout.format_g17(sim.grid.xs), flavors[:, None], final))
+                   _lines(xs, flavors[:, None], values.reshape(*final.shape, 2, -1), work))
     _write_json(os.path.join(out_dir, "run_summary.json"), summary)
     print(f"simulate {eq}: {summary['status']}")
     return 0 if summary["status"] == "ok" else 1

@@ -108,11 +108,6 @@ def _one_of(*allowed):
     return check
 
 
-def _file_name(path: str, value) -> None:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path} must be a file name, got {value!r}")
-
-
 def _points(entry):
     """A list of at least two different points, each checked by entry."""
     def check(path: str, value) -> None:
@@ -124,12 +119,6 @@ def _points(entry):
             raise ConfigError(
                 f"{path} must hold at least two different points, got {value!r}")
     return check
-
-
-def _size(path: str, value) -> None:
-    if not isinstance(value, int) or value < 8 or value & (value - 1):
-        raise ConfigError(f"{path} must be one of the powers of two >= 8, got {value!r}")
-    _as_float(path, value)
 
 
 def _site(path: str, value) -> None:
@@ -168,7 +157,7 @@ class _Key(NamedTuple):
 
 def _profile_keys(section: str, profiles, default=_ABSENT):
     """The rows of a profile section that takes the given profiles."""
-    checks = {"mode": _integer, "path": _file_name, "width": _positive, "eta": _nonzero}
+    checks = {"mode": _integer, "path": _string, "width": _positive, "eta": _nonzero}
     return [_Key(f"{section}.profile", default, _one_of(*profiles)),
             *(_Key(f"{section}.{key}", _ABSENT, checks.get(key, _number))
               for key in sorted(_ANY_PROFILE))]
@@ -224,7 +213,8 @@ _KEYS = (
     _Key("study.dt", lambda out: out["integrator"]["dt"], _positive),
     *_profile_keys("study", [p for p in _PROFILES if p != "file"], "gaussian"),
     _Key("study.threads", _ABSENT, partial(_integer, low=1, high=1)),
-    _Key("study.sizes", [32, 64, 128, 256], _points(_size), _CONTINUUM_LIMIT),
+    _Key("study.sizes", [32, 64, 128, 256], _points(partial(_power_of_two, low=8)),
+         _CONTINUUM_LIMIT),
     _Key("study.grid_refine", 4, partial(_power_of_two, low=1), _CONTINUUM_LIMIT),
     _Key("study.s_values", [40.0, 126.0, 400.0, 1265.0, 4000.0], _points(_positive),
          _TRUNCATION),
@@ -326,6 +316,12 @@ def _check_rules(cfg: dict, command: str, run) -> None:
         if _EQUATIONS[eq] not in (None, family):
             raise ConfigError(
                 f"model.family must be {_EQUATIONS[eq]} for equation {eq}, got {family!r}")
+        for key in ("h", "U"):  # the per-site lists, where the run reads them
+            values = cfg.get("model", {}).get(key)
+            if isinstance(values, list) and len(values) != n \
+                    and _row_read(f"model.{key}", run) is not None:
+                raise ConfigError(
+                    f"model.{key} must have one entry per site ({n}), got {len(values)}")
         if eq == "coupled-gp":
             U = _get(cfg, "model.U", run)
             if len(set(_listed(U))) != 1:
@@ -389,17 +385,12 @@ def _build_params(model: dict):
 
     if model["family"] == "hubbard":
         return HubbardParams(
-            N=model["N"], t=float(model["t"]), U=_floats(model["U"]),
+            N=model["N"], t=float(model["t"]), U=model["U"],
             hbar=float(model["hbar"]),
         )
     return XXZParams(
         N=model["N"], J0=float(model["J0"]), J1=float(model["J1"]),
         R0=float(model["R0"]), R1=float(model["R1"]), s=float(model["s"]),
         hbar=float(model.get("hbar", 1.0)), x_xi=float(model["x_xi"]),
-        h=_floats(model.get("h", 0.0)),
+        h=model.get("h"),
     )
-
-
-def _floats(value):
-    """A float, or a tuple of floats for per-site values."""
-    return tuple(float(x) for x in value) if isinstance(value, (list, tuple)) else float(value)

@@ -48,8 +48,8 @@ class Grid1D:
     M: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError(f"L must be positive, got {self.L!r}")
+        if not 0 < self.L < np.inf:  # NaN fails too
+            raise ValueError(f"L must be positive and finite, got {self.L!r}")
         if self.M < 8 or self.M & (self.M - 1):
             raise ValueError(f"M must be a power of two, at least 8, got {self.M!r}")
 
@@ -324,7 +324,7 @@ def precursor_rhs_factory(grid: Grid1D, A, B, V=None, r1_over_r0=0.0,
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if np.any(A <= 0) or np.any(B <= 0):
+    if not (np.all(A > 0) and np.all(B > 0)):  # NaN fails too
         raise ValueError(f"A and B must be positive, got A={A!r}, B={B!r}")
     eps = np.asarray(dispersive_scale, dtype=float)
     Bm2 = B ** -2

@@ -174,7 +174,7 @@ def march(step, y0, t0, t_end, dt, snapshot_every=0):
     blow-up after an open state undoes its pending half phase with
     K(-dt/2).
     """
-    if dt <= 0:
+    if not dt > 0:  # NaN fails too
         raise ValueError(f"dt must be positive, got {dt!r}")
     kernel = step.kernel if isinstance(step, SplitStep) else None
     def steps(t, y, keep):
@@ -275,7 +275,7 @@ def integrate_adaptive(f, y0, t0, t_end, tol, dt0=None, snapshot_every=0,
     and a rejected or non-finite step keeps its first stage, so a run
     makes 1 + 6 * attempts RHS calls.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     span = t_end - t0
     def steps(t, y, keep):

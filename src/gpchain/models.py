@@ -36,6 +36,29 @@ def _require_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_ring(p, finite, field: str) -> None:
+    """Check p's N and hbar, that hbar and the scalars named in finite are
+    finite, and its per-site field, which becomes a tuple of N floats: a
+    number, or None for 0, is one value for every site."""
+    if not isinstance(p.N, int) or p.N < 2:
+        raise ValueError(f"need at least 2 sites, got N={p.N!r}")
+    if p.hbar <= 0:
+        raise ValueError(f"hbar must be positive, got {p.hbar!r}")
+    for name in (*finite, "hbar"):
+        _require_finite(name, getattr(p, name))
+    values = getattr(p, field)
+    if values is None or isinstance(values, (int, float)):
+        values = (float(values or 0.0),) * p.N
+    else:
+        values = tuple(float(v) for v in values)
+        if len(values) != p.N:
+            raise ValueError(
+                f"{field} must have one entry per site ({p.N}), got {len(values)}")
+    for v in values:
+        _require_finite(field, v)
+    object.__setattr__(p, field, values)
+
+
 @dataclass(frozen=True)
 class XXZParams:
     """Parameters of the anisotropic chain in ladder form."""
@@ -51,26 +74,9 @@ class XXZParams:
     h: tuple = None
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 2:
-            raise ValueError(f"need at least 2 sites, got N={self.N!r}")
         if self.s <= 0:
             raise ValueError(f"spin magnitude must be positive, got s={self.s!r}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar!r}")
-        for name in ("J0", "J1", "R0", "R1", "s", "hbar", "x_xi"):
-            _require_finite(name, getattr(self, name))
-        h = self.h
-        if h is None:
-            h = (0.0,) * self.N
-        elif isinstance(h, (int, float)):
-            h = (float(h),) * self.N
-        else:
-            h = tuple(float(v) for v in h)
-            if len(h) != self.N:
-                raise ValueError(f"h must have one entry per site ({self.N}), got {len(h)}")
-        for v in h:
-            _require_finite("h", v)
-        object.__setattr__(self, "h", h)
+        _check_ring(self, ("J0", "J1", "R0", "R1", "s", "x_xi"), "h")
 
 
 @dataclass(frozen=True)
@@ -83,21 +89,7 @@ class HubbardParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 2:
-            raise ValueError(f"need at least 2 sites, got N={self.N!r}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar!r}")
-        _require_finite("t", self.t)
-        U = self.U
-        if isinstance(U, (int, float)):
-            U = (float(U),) * self.N
-        else:
-            U = tuple(float(v) for v in U)
-            if len(U) != self.N:
-                raise ValueError(f"U must have one entry per site ({self.N}), got {len(U)}")
-        for v in U:
-            _require_finite("U", v)
-        object.__setattr__(self, "U", U)
+        _check_ring(self, ("t",), "U")
 
 
 _HALF = ParamCoeff.rational(1, 2)

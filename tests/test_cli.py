@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpchain import commands, continuum, integrators, models
+from gpchain import cli, commands, continuum, csvout, integrators, models
 from gpchain.cli import main
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -189,6 +189,18 @@ def test_dry_run_prints_plan_only(tmp_path, capsys):
     assert plan["command"] == "simulate"
     assert plan["config"]["equation"] == "xxz-lattice"
     assert not out.exists()
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    # the parser is built once per process, and no call leaves a mark on it
+    assert main(["simulate", "--config", _gp_config(tmp_path), "--dry-run",
+                 "--out", str(tmp_path / "dry")]) == 0
+    with pytest.raises(SystemExit):
+        main(["simulate", "--no-such-option"])
+    assert main(["simulate", "--config", _gp_config(tmp_path),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "field.csv").exists() and not (tmp_path / "dry").exists()
+    assert cli._build_parser() is cli._build_parser()
 
 
 def _command(path):
@@ -707,6 +719,14 @@ def test_unread_or_mismatched_settings_exit_2(tmp_path, capsys, command, section
     *[({"equation": "pretransform", "model": model, **_GRID},
        "model.h is not read by equation pretransform with scheme rk4 on model family xxz")
       for model in ({"h": 0.3}, {"N": 8, "h": [0.0] * 7 + [0.1]})],
+    # a per-site list needs one entry for each of model.N sites, given or default
+    ({"equation": "xxz-lattice", "model": {"N": 8, "h": [0.1, 0.2]}},
+     "model.h must have one entry per site (8), got 2"),
+    ({"model": {"h": [0.1] * 8}}, "model.h must have one entry per site (256), got 8"),
+    ({"equation": "hubbard-lattice", "model": {**_HUBBARD["model"], "U": [1.0] * 9}},
+     "model.U must have one entry per site (8), got 9"),
+    ({"equation": "coupled-gp", "model": {"family": "hubbard", "U": [1.0] * 8}, **_GRID},
+     "model.U must have one entry per site (256), got 8"),
 ])
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_equation_rules_exit_2_before_any_output(tmp_path, capsys, section, message,
@@ -1003,6 +1023,24 @@ def test_csv_bytes_match_row_oracle(tmp_path, monkeypatch, name):
     else:
         assert len(times) >= 2
         assert (out / "trajectory.csv").read_bytes() == _oracle_trajectory(times, states)
+
+
+@pytest.mark.parametrize("name, floats", [("gp", 64 + 2 * 64),
+                                          ("coupled-gp", 32 + 2 * 2 * 32)])
+def test_field_csv_is_formatted_in_one_call(tmp_path, monkeypatch, name, floats):
+    # the positions and the re and im of every flavor's values go through
+    # format_g17 together, which pays its fixed cost once per file
+    calls = []
+    format_g17 = csvout.format_g17
+
+    def counting(x, work=None):
+        calls.append(np.size(x))
+        return format_g17(x, work)
+
+    monkeypatch.setattr(csvout, "format_g17", counting)
+    out, _ = _recorded_run(tmp_path, monkeypatch, name)
+    assert calls == [floats]
+    assert (out / "field.csv").exists()
 
 
 @pytest.mark.parametrize("name, block, sizes", [

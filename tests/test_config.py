@@ -6,6 +6,7 @@ import os
 import pytest
 
 from gpchain.config import (
+    MIN_CLI_SITES,
     ConfigError,
     load_config,
     model_params,
@@ -104,7 +105,8 @@ def test_study_section_requirements():
     cfg2 = validate_config({"study": {"kind": "truncation"}}, "study")
     assert cfg2["study"]["M"] == 256
     assert len(cfg2["study"]["s_values"]) == 5
-    with pytest.raises(ConfigError, match="powers of two"):
+    with pytest.raises(ConfigError,
+                       match=r"^study\.sizes\[1\] must be a power of two >= 8, got 48$"):
         validate_config({"study": {"kind": "continuum-limit",
                                    "sizes": [32, 48]}}, "study")
 
@@ -176,10 +178,52 @@ def test_ill_typed_and_out_of_range_numbers_rejected_with_path():
         validate_config({"study": {"kind": "truncation", "s_values": [0.0]}}, "study")
     with pytest.raises(ConfigError, match=r"study\.M"):
         validate_config({"study": {"kind": "truncation", "M": 100}}, "study")
-    # a mismatch only the parameter object can see still names its section
-    cfg = validate_config({"model": {"N": 6, "h": [0.1] * 5}}, "simulate")
-    with pytest.raises(ConfigError, match="model: h must have one entry per site"):
+    # a mismatch only the parameter object can see still names its section:
+    # a study does not read model.N, but its parameter object still needs 2 sites
+    cfg = validate_config({"model": {"N": 1}, "study": {"kind": "truncation"}}, "study")
+    with pytest.raises(ConfigError, match=r"^model: need at least 2 sites, got N=1$"):
         model_params(cfg)
+
+
+def test_lattice_models_validate_exactly_when_their_parameters_build():
+    # --dry-run rejects what the run rejects: on both lattice families a model
+    # section passes validation exactly when its parameter object builds.
+    # model.N stays at or above the CLI's floor, which the library does not have.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    numbers = st.one_of(st.integers(-2, 2), st.floats(-2.0, 2.0))
+    scalars = {"xxz": ("J0", "J1", "R0", "R1", "s", "x_xi", "hbar"), "hubbard": ("t", "hbar")}
+
+    @st.composite
+    def models(draw):
+        family = draw(st.sampled_from(sorted(scalars)))
+        model = {"family": family, "N": draw(st.integers(MIN_CLI_SITES, 8))}
+        for key in scalars[family]:
+            if draw(st.booleans()):
+                model[key] = draw(numbers)
+        field = "h" if family == "xxz" else "U"
+        if draw(st.booleans()):
+            model[field] = draw(st.one_of(numbers, st.lists(numbers, max_size=9)))
+        return model
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=models())
+    def check(model):
+        run = {"equation": f"{model['family']}-lattice", "model": model}
+        try:
+            resolved = validate_config(run, "simulate")
+        except ConfigError:
+            # the same model with the run's defaults filled in
+            defaults = validate_config({**run, "model": {"family": model["family"]}},
+                                       "simulate")
+            resolved = {"model": {**defaults["model"], **model}}
+            with pytest.raises(ConfigError):
+                model_params(resolved)
+        else:
+            model_params(resolved)
+
+    check()
 
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs",

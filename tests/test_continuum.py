@@ -47,6 +47,13 @@ def test_grid_validation():
         Grid1D(L=5.0, M=4)
 
 
+@pytest.mark.parametrize("L", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_grid_length_must_be_positive_and_finite(L):
+    # a NaN or infinite L made a NaN or infinite dx
+    with pytest.raises(ValueError, match=rf"^L must be positive and finite, got {L!r}$"):
+        Grid1D(L=L, M=64)
+
+
 def test_spectral_derivative_exact_on_modes():
     g = Grid1D(L=2 * np.pi, M=64)
     x = g.xs
@@ -157,6 +164,9 @@ def test_precursor_rejects_bad_transform():
         precursor_rhs_factory(g, A=0.0, B=1.0)
     with pytest.raises(ValueError):
         precursor_rhs_factory(g, A=1.0, B=-2.0)
+    for A, B in ((np.nan, 1.0), (1.0, np.nan), ([1.0, np.nan], 1.0)):
+        with pytest.raises(ValueError, match="A and B must be positive"):
+            precursor_rhs_factory(g, A, B)
 
 
 def test_pretransform_linear_plane_wave():

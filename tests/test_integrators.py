@@ -28,6 +28,17 @@ def test_rk4_exact_on_linear_oscillator():
     assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
 
 
+def test_nan_step_and_tolerance_are_rejected():
+    # NaN passed the old "<= 0" checks: a NaN dt died converting the step
+    # count to an integer, a NaN tolerance ran into StepUnderflowError
+    f = lambda t, y: 1j * y
+    y0 = np.array([1.0 + 0j])
+    with pytest.raises(ValueError, match=r"^dt must be positive, got nan$"):
+        integrate_fixed(f, y0, 0.0, 1.0, math.nan)
+    with pytest.raises(ValueError, match=r"^tolerance must be positive, got nan$"):
+        integrate_adaptive(f, y0, 0.0, 1.0, math.nan)
+
+
 def test_rk4_fourth_order_convergence():
     f = lambda t, y: 1j * np.exp(1j * t) * y  # y' = i e^{it} y
     exact = np.exp(1j * (np.exp(1j) - 1.0) / 1j)  # y = exp(e^{it} - 1), messy on purpose

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -38,6 +39,30 @@ def test_params_validation():
         XXZParams(N=4, h=(1.0, 2.0))
     hp = HubbardParams(N=3, U=2.0)
     assert hp.U == (2.0, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("cls", [XXZParams, HubbardParams])
+@pytest.mark.parametrize("hbar, message", [
+    (math.inf, "hbar must be finite, got inf"), (math.nan, "hbar must be finite, got nan"),
+    (0.0, "hbar must be positive, got 0.0"), (-1.0, "hbar must be positive, got -1.0"),
+])
+def test_both_parameter_classes_check_hbar_alike(cls, hbar, message):
+    # HubbardParams accepted an infinite or NaN hbar
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls(N=3, hbar=hbar)
+
+
+@pytest.mark.parametrize("cls, field", [(XXZParams, "h"), (HubbardParams, "U")])
+def test_per_site_field_is_one_value_or_one_per_site(cls, field):
+    assert getattr(cls(N=3, **{field: 2}), field) == (2.0, 2.0, 2.0)
+    assert getattr(cls(N=3, **{field: [1, 2, 3]}), field) == (1.0, 2.0, 3.0)
+    with pytest.raises(ValueError,
+                       match=rf"^{field} must have one entry per site \(3\), got 2$"):
+        cls(N=3, **{field: [1.0, 2.0]})
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+        cls(N=3, **{field: [1.0, math.inf, 2.0]})
+    with pytest.raises(ValueError, match=r"^need at least 2 sites, got N=1$"):
+        cls(N=1)
 
 
 def test_hamiltonian_is_self_adjoint():
