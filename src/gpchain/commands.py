@@ -229,12 +229,9 @@ def _pretransform(cfg, p):
 def _precursor(cfg, p):
     grid, u0, V = _grid_setup(cfg)
     tc = limitlab.compute_transform(p)
-    A, B = tc.A, tc.B
     rhs = continuum.precursor_rhs_factory(
-        grid, A, B, V=V, r1_over_r0=p.R1 / p.R0, x_xi=p.x_xi,
-        dispersive_scale=float(cfg["dispersive_scale"]),
-    )
-    transform = {"A": A, "B": B, "time_scale": float(tc.time_scale)}
+        p, tc, grid, V=V, dispersive_scale=float(cfg["dispersive_scale"]))
+    transform = {"A": tc.A, "B": tc.B, "time_scale": float(tc.time_scale)}
     return _Simulation(u0, rhs, lambda u: continuum.continuum_observables(u, grid, V=V),
                        grid, spectral=True, extra={"transform": transform})
 

@@ -136,6 +136,8 @@ def _drive(steps, y0, t0, t_end, snapshot_every):
     well, and keep(m) tells a scheme whether step m is an n-th one.  An
     IntegrationError out of steps leaves carrying the snapshots so far.
     """
+    if not (abs(t0) < np.inf and abs(t_end) < np.inf):  # NaN fails too
+        raise ValueError(f"t0 and t_end must be finite, got t0={t0!r}, t_end={t_end!r}")
     if t_end < t0:
         raise ValueError(f"t_end {t_end!r} before t0 {t0!r}")
     y = np.array(y0, dtype=complex, copy=True)
@@ -174,8 +176,8 @@ def march(step, y0, t0, t_end, dt, snapshot_every=0):
     blow-up after an open state undoes its pending half phase with
     K(-dt/2).
     """
-    if not dt > 0:  # NaN fails too
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not 0 < dt < np.inf:  # NaN fails too
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     kernel = step.kernel if isinstance(step, SplitStep) else None
     def steps(t, y, keep):
         nfull, rem = fixed_steps(t0, t_end, dt)
@@ -277,6 +279,8 @@ def integrate_adaptive(f, y0, t0, t_end, tol, dt0=None, snapshot_every=0,
     """
     if not tol > 0:  # NaN fails too
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if dt0 and not 0 < dt0 < np.inf:  # 0 or None: span / 100
+        raise ValueError(f"dt0 must be positive and finite, got {dt0!r}")
     span = t_end - t0
     def steps(t, y, keep):
         dt = dt0 if dt0 else span / 100.0

@@ -217,11 +217,12 @@ def truncation_study(
     grid = continuum.Grid1D(L, M)
     xs_c = grid.xs - L / 2.0
     points = []
-    used = []
+    legs = []  # (detail, model, transform) of each usable point
     for s in s_values:
         s = float(s)
+        ps = replace(p, s=s)
         try:
-            tc = compute_transform(replace(p, s=s))
+            tc = compute_transform(ps)
         except DegenerateTransformError:
             if p.R0 == 0:  # undefined at every s: nothing to record
                 raise
@@ -230,20 +231,18 @@ def truncation_study(
         detail = {"s": s, "skipped": False, "rho": 2.0 * p.R0 / (s * p.J0),
                   "A": tc.A, "B": tc.B}
         points.append(detail)
-        used.append(detail)
-    if len(used) < 2:
+        legs.append((detail, ps, tc))
+    if len(legs) < 2:
         raise DegenerateTransformError(
-            f"fewer than two usable truncation points ({len(used)} of "
+            f"fewer than two usable truncation points ({len(legs)} of "
             f"{len(points)})", points)
 
-    A = np.array([pt["A"] for pt in used])
-    B = np.array([pt["B"] for pt in used])
-    u0 = np.array([profile(b * xs_c) for b in B], dtype=complex) / A[:, None]
+    used, models, transforms = zip(*legs)
+    A = np.array([tc.A for tc in transforms])
+    u0 = np.array([profile(tc.B * xs_c) for tc in transforms], dtype=complex) / A[:, None]
     rhs = continuum.precursor_rhs_factory(
-        grid, np.tile(A, 2), np.tile(B, 2), V=None,
-        r1_over_r0=p.R1 / p.R0, x_xi=p.x_xi,
-        dispersive_scale=np.repeat([1.0, 0.0], len(used)),
-    )
+        models * 2, transforms * 2, grid,
+        dispersive_scale=np.repeat([1.0, 0.0], len(used)))
     u0_hat = np.fft.fft(u0)
     try:
         _, states = integrators.integrate_fixed(

@@ -20,6 +20,7 @@ from gpchain.continuum import (
     spectral_derivative,
 )
 from gpchain.integrators import fixed_steps, integrate_fixed, march
+from gpchain.limitlab import DegenerateTransformError, TransformCoefficients, compute_transform
 from gpchain.models import XXZParams
 
 
@@ -32,6 +33,41 @@ def _evolve(rhs, u0, t_end, dt):
     """The field at t_end of an RK4 run on the spectrum fft(u0)."""
     _, states = integrate_fixed(rhs, np.fft.fft(u0), 0.0, t_end, dt)
     return np.fft.ifft(states[-1])
+
+
+def _model(J0=1.0, R0=2.0, s=1.4, **kw):
+    """An XXZ model and its GP rescaling."""
+    p = XXZParams(N=8, J0=J0, R0=R0, s=s, **kw)
+    return p, compute_transform(p)
+
+
+# a precursor batch's rows: gradient couplings, a negative J1, and none
+_ROWS = [_model(J0=1.2, R0=1.6, J1=0.5, R1=0.25, x_xi=0.5, s=1.6),
+         _model(J0=1.0, R0=1.5, J1=-0.2, R1=0.4, x_xi=0.3, s=2.0),
+         _model(J0=1.3, R0=1.9, s=3.0)]
+
+
+def _precursor_args(rows):
+    """(p, tc) of one model, or per-row lists of the first rows of _ROWS."""
+    return _ROWS[0] if rows is None else tuple(list(c) for c in zip(*_ROWS[:rows]))
+
+
+def _random_model(rng, **fixed):
+    """A model with J0, J1, R0, R1, x_xi and hbar all nonzero and of either
+    sign, drawn until it has a GP rescaling, and that rescaling; fixed
+    overrides any of them."""
+    while True:
+        sign = lambda: float(rng.choice([-1.0, 1.0]))
+        kw = dict(J0=float(rng.uniform(0.3, 2.0)), R0=float(rng.uniform(0.3, 3.0)) * sign(),
+                  J1=float(rng.uniform(0.1, 1.0)) * sign(),
+                  R1=float(rng.uniform(0.1, 1.0)) * sign(),
+                  x_xi=float(rng.uniform(0.1, 1.0)) * sign(),
+                  s=float(rng.uniform(0.5, 5.0)), hbar=float(rng.uniform(0.5, 2.0)))
+        kw.update(fixed)
+        try:
+            return _model(**kw)
+        except DegenerateTransformError:
+            pass
 
 
 def test_grid_validation():
@@ -138,8 +174,7 @@ def test_precursor_eps_zero_matches_gp():
     rng = np.random.default_rng(3)
     u = rng.normal(size=g.M) + 1j * rng.normal(size=g.M)
     gp = gp_rhs_factory(g)
-    pre = precursor_rhs_factory(g, A=0.7, B=1.3, r1_over_r0=0.4, x_xi=0.2,
-                                dispersive_scale=0.0)
+    pre = precursor_rhs_factory(*_model(J1=0.3, R1=0.4, x_xi=0.2), g, dispersive_scale=0.0)
     uh = np.fft.fft(u)
     assert np.array_equal(gp(0.0, uh), pre(0.0, uh))
 
@@ -149,9 +184,9 @@ def test_precursor_remainder_is_nonzero_and_linear_in_eps():
     x = g.xs
     u = 0.7 / np.cosh(0.4 * (x - 12.5))
     gp = gp_rhs_factory(g)
-    kw = dict(A=0.9, B=1.1, r1_over_r0=0.25, x_xi=0.3)
-    full = precursor_rhs_factory(g, dispersive_scale=1.0, **kw)
-    half = precursor_rhs_factory(g, dispersive_scale=0.5, **kw)
+    p, tc = _model(R1=0.5, x_xi=0.3, s=3.0)
+    full = precursor_rhs_factory(p, tc, g, dispersive_scale=1.0)
+    half = precursor_rhs_factory(p, tc, g, dispersive_scale=0.5)
     d_full = _du(full, u) - _du(gp, u)
     d_half = _du(half, u) - _du(gp, u)
     assert np.abs(d_full).max() > 1e-4
@@ -160,13 +195,81 @@ def test_precursor_remainder_is_nonzero_and_linear_in_eps():
 
 def test_precursor_rejects_bad_transform():
     g = Grid1D(L=10.0, M=64)
-    with pytest.raises(ValueError):
-        precursor_rhs_factory(g, A=0.0, B=1.0)
-    with pytest.raises(ValueError):
-        precursor_rhs_factory(g, A=1.0, B=-2.0)
-    for A, B in ((np.nan, 1.0), (1.0, np.nan), ([1.0, np.nan], 1.0)):
-        with pytest.raises(ValueError, match="A and B must be positive"):
-            precursor_rhs_factory(g, A, B)
+    p, tc = _model()
+    for A2, B2 in ((0, 1), (1, -4), (np.nan, 1.0), (1.0, np.nan)):
+        bad = TransformCoefficients(A2, B2, tc.time_scale)
+        with pytest.raises(ValueError, match=r"^A\^2 and B\^2 must be positive"):
+            precursor_rhs_factory(p, bad, g)
+        with pytest.raises(ValueError, match=r"^A\^2 and B\^2 must be positive"):
+            precursor_rhs_factory([p, p], [tc, bad], g)
+
+
+@pytest.mark.parametrize("arg, value, rows", [
+    ("spacing", np.nan, None), ("spacing", np.inf, None), ("spacing", -np.inf, None),
+    ("spacing", [0.5, np.nan], 2),
+    ("dispersive_scale", np.nan, None), ("dispersive_scale", np.inf, None),
+    ("dispersive_scale", [1.0, -np.inf], 2),
+])
+def test_non_finite_spacing_and_dispersive_scale_are_rejected(arg, value, rows):
+    # both used to pass, and made a non-finite RHS
+    g = Grid1D(L=10.0, M=64)
+    if arg == "spacing":
+        grid = g if rows is None else (g,) * rows
+        call = lambda: pretransform_rhs_factory(_ROWS[0][0], grid, spacing=value)
+    else:
+        call = lambda: precursor_rhs_factory(*_precursor_args(rows), g,
+                                             dispersive_scale=value)
+    with pytest.raises(ValueError, match=rf"^{arg} must be finite, got "):
+        call()
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_precursor_is_the_pretransform_rescaled(dealias):
+    # u = A psi, x = B xi and t = T tau, T = hbar time_scale: (T/A) times the
+    # pretransform at spacing 1 on a grid of length B L is the precursor on
+    # one of length L, with V = time_scale h for the site field h
+    rng = np.random.default_rng(36)
+    g = Grid1D(L=8.0 * np.pi, M=128)
+    h = 0.3 + 0.1 * np.cos(2 * np.pi * g.xs / g.L)
+    smooth = 0.8 * np.exp(-((g.xs - g.L / 2) / 3.0) ** 2) * np.exp(0.5j * g.xs)
+    for seed in range(5):
+        p, tc = _random_model(rng, h=0.3)
+        A, B, T = tc.A, tc.B, p.hbar * float(tc.time_scale)
+        pre = pretransform_rhs_factory(p, Grid1D(L=B * g.L, M=g.M), h_values=h,
+                                       dealias=dealias)
+        rescaled = lambda t, uh: (T / A) * pre(T * t, A * uh)
+        gp = precursor_rhs_factory(p, tc, g, V=float(tc.time_scale) * h, dealias=dealias)
+        uh = np.fft.fft(_test_field(g, seed))
+        _assert_agrees(rescaled(0.0, uh), gp(0.0, uh), tol=1e-12)
+        _, pre_states = integrate_fixed(pre, A * np.fft.fft(smooth), 0.0, 0.02 * T, 1e-3 * T)
+        _, gp_states = integrate_fixed(gp, np.fft.fft(smooth), 0.0, 0.02, 1e-3)
+        assert len(pre_states) == len(gp_states) == 2
+        _assert_agrees(pre_states[-1] / A, gp_states[-1], tol=1e-12)
+
+
+def test_map_keeps_the_hand_formulas_bits_where_R1_x_xi_is_zero(monkeypatch):
+    # the floats the precursor's hand formulas gave, sign of zero included,
+    # wherever they agree with the map: R1 = 0 or x_xi = 0
+    seen = []
+    monkeypatch.setattr(continuum, "_cubic_rhs", lambda grids, scale, *c, **kw: seen.append(
+        c + (kw["grad"], kw["pair"])))
+    rng = np.random.default_rng(7)
+    g = Grid1D(L=10.0, M=16)
+    for n in range(400):
+        # J0 and R0 of one sign, R0 / J0 > 1: D has their sign (the negative
+        # branch too) where R1 x_xi = 0
+        J0 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 10.0))
+        p, tc = _random_model(rng, **(dict(R1=0.0) if n % 2 else dict(x_xi=0.0)), J0=J0,
+                              R0=J0 * float(rng.uniform(1.05, 4.0)),
+                              s=float(rng.uniform(0.1, 5000.0)))
+        eps = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 2.0)]))
+        precursor_rhs_factory(p, tc, g, dispersive_scale=eps)
+        A, B, e = np.asarray(tc.A), np.asarray(tc.B), np.asarray(eps)
+        Bm2 = B ** -2
+        hand = (1.0, -1.0, -1.0 + e * (np.asarray(p.R1 / p.R0) * p.x_xi / B),
+                -e * Bm2, -e * (Bm2 / (2.0 * A)))
+        assert [np.float64(c).tobytes() for c in seen.pop()] == [
+            np.float64(c).tobytes() for c in hand], (p, eps)
 
 
 def test_pretransform_linear_plane_wave():
@@ -462,14 +565,14 @@ def _oracle_pretransform(p, grid, spacing=1.0, h_values=None, dealias=True):
     return f
 
 
-def _oracle_precursor(grid, A, B, V=None, r1_over_r0=0.0, x_xi=0.0,
-                      dispersive_scale=1.0, dealias=True):
+def _oracle_precursor(p, tc, grid, V=None, dispersive_scale=1.0, dealias=True):
     k2 = grid.k ** 2
     mask = grid.dealias_mask() if dealias else None
     Varr = None if V is None else np.asarray(V, dtype=float)
     eps = dispersive_scale
+    A, B = tc.A, tc.B
     Bm2 = B ** -2
-    c_cubic = r1_over_r0 * x_xi / B
+    c_cubic = p.R1 / p.R0 * p.x_xi
     c_pair = Bm2 / (2.0 * A)
 
     def f(t, u):
@@ -521,9 +624,10 @@ def test_fused_precursor_matches_oracle(eps):
     g = Grid1D(L=25.0, M=128)
     u = _test_field(g, 2)
     V = 0.2 * np.sin(2 * np.pi * g.xs / g.L)
-    kw = dict(A=0.9, B=1.1, V=V, r1_over_r0=0.4, x_xi=0.3, dispersive_scale=eps)
-    _assert_agrees(_du(precursor_rhs_factory(g, **kw), u),
-                   _oracle_precursor(g, **kw)(0.0, u))
+    kw = dict(V=V, dispersive_scale=eps)
+    for p, tc in _ROWS:
+        _assert_agrees(_du(precursor_rhs_factory(p, tc, g, **kw), u),
+                       _oracle_precursor(p, tc, g, **kw)(0.0, u))
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -541,21 +645,11 @@ def test_fused_pretransform_matches_oracle(dealias):
 def test_fused_rows_are_independent_fields():
     g = Grid1D(L=25.0, M=128)
     u = np.stack([_test_field(g, seed) for seed in (4, 5, 6)])
-    rows = [dict(A=0.9, B=1.1, r1_over_r0=0.4, x_xi=0.3, dispersive_scale=1.0),
-            dict(A=0.5, B=2.0, r1_over_r0=-0.2, x_xi=0.3, dispersive_scale=0.5),
-            dict(A=1.7, B=0.8, r1_over_r0=0.0, x_xi=0.3, dispersive_scale=0.0)]
-    def col(key):
-        return np.array([r[key] for r in rows])
-
-    batch = _du(precursor_rhs_factory(
-        g, col("A"), col("B"), r1_over_r0=col("r1_over_r0"), x_xi=0.3,
-        dispersive_scale=col("dispersive_scale"),
-    ), u)
+    eps = [1.0, 0.5, 0.0]
+    batch = _du(precursor_rhs_factory(*_precursor_args(3), g, dispersive_scale=eps), u)
     assert batch.shape == (3, g.M)
-    for row, kw, got in zip(u, rows, batch):
-        _assert_agrees(got, _oracle_precursor(g, **kw)(0.0, row))
-    with pytest.raises(ValueError):
-        precursor_rhs_factory(g, A=[0.9, 0.0], B=[1.0, 1.0])
+    for row, (p, tc), e, got in zip(u, _ROWS, eps, batch):
+        _assert_agrees(got, _oracle_precursor(p, tc, g, dispersive_scale=e)(0.0, row))
 
 
 # Physical-space oracle: the fused RHS as it was when it acted on u itself
@@ -605,14 +699,13 @@ def _rhs_pair(monkeypatch, factory, *args, **kw):
 def _rhs_cases(g, rows, with_V, dealias):
     """(factory, args, kwargs) for every spectral RHS on one grid."""
     V = 0.2 * np.sin(2 * np.pi * g.xs / g.L) if with_V else None
-    A, B = (0.9, 1.1) if rows is None else ([0.9, 0.5, 1.7], [1.1, 2.0, 0.8])
-    pre = dict(V=V, r1_over_r0=0.4, x_xi=0.3, dealias=dealias)
+    pre = dict(V=V, dealias=dealias)
     p = XXZParams(N=32, J0=0.9, J1=0.2, R0=0.7, R1=0.1, s=1.4, x_xi=0.3,
                   hbar=0.9, h=0.25 if with_V else 0.0)
     h = None if V is None else 0.25 + V
     return [
-        (precursor_rhs_factory, (g, A, B), dict(pre, dispersive_scale=0.0)),
-        (precursor_rhs_factory, (g, A, B), dict(pre, dispersive_scale=1.0)),
+        (precursor_rhs_factory, (*_precursor_args(rows), g), dict(pre, dispersive_scale=0.0)),
+        (precursor_rhs_factory, (*_precursor_args(rows), g), dict(pre, dispersive_scale=1.0)),
         (gp_rhs_factory, (g,), dict(V=V, dealias=dealias)),
         (pretransform_rhs_factory, (p, g),
          dict(spacing=0.5, h_values=h, dealias=dealias)),
@@ -649,12 +742,11 @@ def test_stacked_rhs_bytes_property(monkeypatch):
         g = Grid1D(L=float(rng.uniform(5.0, 40.0)), M=2 ** log2_M)
         shape = (g.M,) if rows is None else (rows, g.M)
         u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        per_row = (lambda lo, hi: float(rng.uniform(lo, hi))) if rows is None else (
-            lambda lo, hi: rng.uniform(lo, hi, size=rows))
+        models = [_random_model(rng) for _ in range(rows or 1)]
+        p, tc = models[0] if rows is None else tuple(list(c) for c in zip(*models))
         V = rng.normal(size=g.M) if with_V else None
         got, want = _rhs_pair(
-            monkeypatch, precursor_rhs_factory, g, per_row(0.2, 3.0), per_row(0.2, 3.0),
-            V=V, r1_over_r0=per_row(-1.0, 1.0), x_xi=float(rng.normal()),
+            monkeypatch, precursor_rhs_factory, p, tc, g, V=V,
             dispersive_scale=rng.choice([0.0, float(rng.uniform(0.0, 2.0))]),
             dealias=dealias)
         _assert_agrees(_du(got, u), want(0.0, u))
@@ -669,10 +761,8 @@ def _rk4_cases(g):
     p = XXZParams(N=32, J0=0.9, J1=0.2, R0=0.7, R1=0.1, s=1.4, x_xi=0.3,
                   hbar=0.9, h=0.25)
     return {
-        "precursor-rows": (3, precursor_rhs_factory,
-                           (g, [0.9, 0.5, 1.7], [1.1, 2.0, 0.8]),
-                           dict(r1_over_r0=[0.4, -0.2, 0.0], x_xi=0.3,
-                                dispersive_scale=[1.0, 0.5, 0.0])),
+        "precursor-rows": (3, precursor_rhs_factory, (*_precursor_args(3), g),
+                           dict(dispersive_scale=[1.0, 0.5, 0.0])),
         "pretransform-h": (None, pretransform_rhs_factory, (p, g),
                            dict(spacing=0.5, h_values=0.25 + V)),
         "gp-V": (None, gp_rhs_factory, (g,), dict(V=V)),
@@ -729,10 +819,8 @@ def test_rhs_makes_one_fft_call_per_dependent_stage(monkeypatch, dealias, eps, r
     # On the spectrum every case has two dependent stages: one ifft to u,
     # u_x and u_xx, and one fft of the nonlinear sum back.
     g = Grid1D(L=25.0, M=64)
-    A, B = (0.9, 1.1) if rows is None else ([0.9, 0.5, 1.7], [1.1, 2.0, 0.8])
     calls = _fft_calls(monkeypatch, _field(g, rows, 12), precursor_rhs_factory,
-                       g, A, B, r1_over_r0=0.4, x_xi=0.3, dispersive_scale=eps,
-                       dealias=dealias)
+                       *_precursor_args(rows), g, dispersive_scale=eps, dealias=dealias)
     assert calls == ["ifft", "fft"] * 3
 
 
@@ -896,9 +984,11 @@ def _truncation_rhs():
     """The truncation study's RHS: five points, a precursor row (eps = 1)
     and a GP row (eps = 0) for each, on the (10, 256) spectra it steps."""
     g = Grid1D(L=8.0 * np.pi, M=256)
-    A, B = np.linspace(0.3, 3.0, 5), np.linspace(1.0, 10.0, 5)
-    rhs = precursor_rhs_factory(g, np.tile(A, 2), np.tile(B, 2), r1_over_r0=0.2,
-                                x_xi=0.3, dispersive_scale=np.repeat([1.0, 0.0], 5))
+    models, tcs = zip(*(_model(J1=0.5, R1=0.25, x_xi=0.5, s=s)
+                        for s in (40.0, 126.0, 400.0, 1265.0, 4000.0)))
+    rhs = precursor_rhs_factory(models * 2, tcs * 2, g,
+                                dispersive_scale=np.repeat([1.0, 0.0], 5))
+    A = np.array([tc.A for tc in tcs])
     u = np.exp(-((g.xs - g.L / 2) / 2.0) ** 2) / A[:, None]
     return rhs, np.fft.fft(np.vstack([u, u]).astype(complex))
 
@@ -915,7 +1005,7 @@ def test_rhs_allocates_only_its_result():
     V = 0.2 * np.sin(2 * np.pi * g.xs / g.L)
     uh1 = np.fft.fft(_test_field(g, 21))
     for rhs, uh in [_truncation_rhs(),
-                    (precursor_rhs_factory(g, 0.9, 1.1, V=V, r1_over_r0=0.4, x_xi=0.3), uh1),
+                    (precursor_rhs_factory(*_ROWS[0], g, V=V), uh1),
                     (gp_rhs_factory(g, V=V), uh1)]:
         du, peak = _peak_allocation(lambda: rhs(0.0, uh))
         assert du.shape == uh.shape

@@ -33,10 +33,40 @@ def test_nan_step_and_tolerance_are_rejected():
     # count to an integer, a NaN tolerance ran into StepUnderflowError
     f = lambda t, y: 1j * y
     y0 = np.array([1.0 + 0j])
-    with pytest.raises(ValueError, match=r"^dt must be positive, got nan$"):
+    with pytest.raises(ValueError, match=r"^dt must be positive and finite, got nan$"):
         integrate_fixed(f, y0, 0.0, 1.0, math.nan)
     with pytest.raises(ValueError, match=r"^tolerance must be positive, got nan$"):
         integrate_adaptive(f, y0, 0.0, 1.0, math.nan)
+
+
+def _rotation_step(t, y, h):
+    return np.exp(1j * h) * y
+
+
+# each entry point with (t0, t_end, dt): dt is dt0 for integrate_adaptive
+_ENTRY_POINTS = {
+    "march": lambda t0, t_end, dt: march(_rotation_step, np.array([1 + 0j]), t0, t_end, dt),
+    "integrate_fixed": lambda t0, t_end, dt: integrate_fixed(
+        lambda t, y: 1j * y, np.array([1 + 0j]), t0, t_end, dt),
+    "integrate_adaptive": lambda t0, t_end, dt: integrate_adaptive(
+        lambda t, y: 1j * y, np.array([1 + 0j]), t0, t_end, 1e-8, dt0=dt),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("t0, t_end, dt, message", [
+    (0.0, 1.0, math.inf, r"^dt0? must be positive and finite, got inf$"),
+    (0.0, 1.0, math.nan, r"^dt0? must be positive and finite, got nan$"),
+    (0.0, math.inf, 0.1, r"^t0 and t_end must be finite, got t0=0.0, t_end=inf$"),
+    (0.0, math.nan, 0.1, r"^t0 and t_end must be finite, got t0=0.0, t_end=nan$"),
+    (math.nan, 1.0, 0.1, r"^t0 and t_end must be finite, got t0=nan, t_end=1.0$"),
+    (-math.inf, 1.0, 0.1, r"^t0 and t_end must be finite, got t0=-inf, t_end=1.0$"),
+], ids=["dt-inf", "dt-nan", "t_end-inf", "t_end-nan", "t0-nan", "t0-minus-inf"])
+def test_non_finite_step_and_times_are_rejected(entry, t0, t_end, dt, message):
+    # dt = inf used to hand back the initial state as the state at t_end,
+    # t_end = nan a NaN last time or "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=message):
+        _ENTRY_POINTS[entry](t0, t_end, dt)
 
 
 def test_rk4_fourth_order_convergence():

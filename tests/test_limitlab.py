@@ -282,12 +282,13 @@ def test_truncation_slope_measures_the_shrinking_amplitude():
     def profile(xi):
         return 0.8 * np.exp(-((xi / 2.0) ** 2))
 
-    tcs = [compute_transform(replace(p, s=s)) for s in s_values]
+    models = [replace(p, s=s) for s in s_values]
+    tcs = [compute_transform(q) for q in models]
     A, B = np.array([tc.A for tc in tcs]), np.array([tc.B for tc in tcs])
     rho = [2.0 * p.R0 / (s * p.J0) for s in s_values]
     u0 = np.array([profile(b * xs_c) for b in B], dtype=complex) / A[:, None]
     pair = continuum.precursor_rhs_factory(
-        grid, np.tile(A, 2), np.tile(B, 2), dispersive_scale=np.repeat([1.0, 0.0], 5))
+        models * 2, tcs * 2, grid, dispersive_scale=np.repeat([1.0, 0.0], 5))
     linear = continuum._cubic_rhs((grid,), -1j, 1.0, -1.0, 0.0)
     rhs = lambda t, uh: np.concatenate([pair(t, uh[:10]), linear(t, uh[10:])])
     _, states = integrators.integrate_fixed(rhs, np.fft.fft(np.vstack([u0] * 3)),
@@ -346,8 +347,7 @@ def test_truncation_batch_matches_points_run_one_at_a_time(monkeypatch):
         tc = real(replace(p, s=pt["s"]))
         assert (pt["A"], pt["B"]) == (tc.A, tc.B)
         u0 = np.asarray(profile(tc.B * xs_c), dtype=complex) / tc.A
-        pre = continuum.precursor_rhs_factory(
-            grid, tc.A, tc.B, r1_over_r0=p.R1 / p.R0, x_xi=p.x_xi)
+        pre = continuum.precursor_rhs_factory(replace(p, s=pt["s"]), tc, grid)
         _, up = integrators.integrate_fixed(pre, np.fft.fft(u0), 0.0, t_end, dt)
         _, ug = integrators.integrate_fixed(gp, np.fft.fft(u0), 0.0, t_end, dt)
         alone = (np.sqrt(np.sum(np.abs(np.fft.ifft(up[-1]) - np.fft.ifft(ug[-1])) ** 2))
