@@ -77,7 +77,8 @@ class Grid1D:
 
 
 def spectral_derivative(values, grid: Grid1D, order: int = 1) -> np.ndarray:
-    return np.fft.ifft((1j * grid.k) ** order * np.fft.fft(values))
+    vh = np.fft.fft(values)
+    return np.fft.ifft((1j * grid.k) ** order * vh)
 
 
 def _per_row(c):
@@ -107,14 +108,19 @@ def _cubic_rhs(grids: tuple, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     stacked with V u as a row of its own when V is set: two FFT calls
     per grid per evaluation in every case.
 
-    Every temporary is a work array kept per shape of uh, both FFTs run
-    in place, and the linear part and derivative factors are spread to a
-    batch's shape once, since a numpy product that broadcasts allocates.
-    So an evaluation allocates only the array it returns (new on every
-    call: the integrators hold several) and numpy's buffers for the
-    casts and broadcasts left.  Every operation keeps its operands and
-    order, so each grid's bits are those of the plain expressions on it
-    alone.  One RHS must not be called from two threads at once.
+    Every temporary is a work array kept per shape of uh: both FFTs run
+    in place, and |u|^2, |u_x|^2, the weight, the Re(u* u_xx) term and
+    the back * nl and scale * V u spectra are written into work arrays.
+    The linear part and the derivative factors are spread to the shape
+    of an (R, M) batch once, since a numpy product that broadcasts
+    allocates a buffer.  So an evaluation allocates only the array it
+    returns, new on every call since the integrators hold several at
+    once, and numpy's buffers for the casts and broadcasts left (a real
+    factor times a complex one, a per-row or per-wavenumber coefficient
+    over a batch), each freed before du is made.  Every operation keeps
+    its operands and order, so each grid's bits are those of the plain
+    expressions on it alone.  One RHS must not be called from two
+    threads at once.
     """
     sizes = [g.M for g in grids]
     segs = [slice(end - M, end) for M, end in zip(sizes, np.cumsum(sizes))]
@@ -180,8 +186,7 @@ def _cubic_rhs(grids: tuple, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     return f
 
 
-# (lin, d2, cubic) of the GP equation, i u_t = u - u_xx - |u|^2 u
-_GP = (1, -1, -1)
+_GP = (1, -1, -1)  # (lin, d2, cubic) of the GP equation, i u_t = u - u_xx - |u|^2 u
 
 
 def gp_rhs_factory(grid: Grid1D, V=None, dealias: bool = True):
@@ -199,18 +204,18 @@ def _propagator(grid: Grid1D, a: float, b: float, dt: float) -> np.ndarray:
 
 
 def _strang(u, dt: float, grid: Grid1D, potential, a: float, b: float,
-            before: float | None, after: float | None):
+            before: float, after: float):
     """Strang substeps of  i u_t = P(u) u + (a - b d_xx) u  over the rows of u.
 
-    Returns K(after) D(dt) K(before) u; a length not given is dt/2, and
-    one of 0 skips its substep.  K(tau) u = exp(-i tau P(u)) u is a
-    phase substep: P depends only on |u|, which a phase rotation leaves
-    unchanged, so K is exact and K(x) K(y) = K(x + y).  D(dt) is the
-    linear substep, a spectral rotation; march fuses adjacent halves of
-    Strang steps.  Every row keeps its norm to roundoff, and all rows
-    share one FFT pair along the last axis.
+    Returns K(after) D(dt) K(before) u.  K(tau) u = exp(-i tau P(u)) u
+    is a phase substep: P depends only on |u|, which a phase rotation
+    leaves unchanged, so K is exact and K(x) K(y) = K(x + y).  D(dt) is
+    the linear substep, a spectral rotation.  One Strang step is
+    before = after = dt/2; integrators.march fuses the closing K(dt/2)
+    of one step with the opening K(dt/2) of the next into one K(dt).  A
+    length of 0 skips its substep.  The norm of every row is conserved
+    to roundoff, and all rows share one FFT pair along the last axis.
     """
-    before, after = (0.5 * dt if tau is None else tau for tau in (before, after))
     if before:
         u = np.exp(-1j * before * potential(u)) * u
     if dt:
@@ -218,6 +223,12 @@ def _strang(u, dt: float, grid: Grid1D, potential, a: float, b: float,
     if after:
         u = np.exp(-1j * after * potential(u)) * u
     return u
+
+
+def _halves(dt, before, after):
+    """The two phase lengths of a step, dt/2 where not given."""
+    return (0.5 * dt if before is None else before,
+            0.5 * dt if after is None else after)
 
 
 def gp_step_splitstep(u, dt: float, grid: Grid1D, V=None,
@@ -235,7 +246,7 @@ def gp_step_splitstep(u, dt: float, grid: Grid1D, V=None,
         P = 1.0 - np.abs(w) ** 2
         return P if Varr is None else P - Varr
 
-    return _strang(u, dt, grid, potential, 0.0, 1.0, before, after)
+    return _strang(u, dt, grid, potential, 0.0, 1.0, *_halves(dt, before, after))
 
 
 def gp_norm(values, grid: Grid1D) -> float:
@@ -247,8 +258,9 @@ def gp_energy(values, grid: Grid1D, V=None) -> float:
 
         E = integral |u_x|^2 + |u|^2 - |u|^4/2 - V |u|^2
     """
+    ux = spectral_derivative(values, grid)
     dens = np.abs(values) ** 2
-    e = np.abs(spectral_derivative(values, grid)) ** 2 + dens - 0.5 * dens ** 2
+    e = np.abs(ux) ** 2 + dens - 0.5 * dens ** 2
     if V is not None:
         e = e - np.asarray(V, dtype=float) * dens
     return float(grid.dx * np.sum(e))
@@ -260,11 +272,17 @@ def gp_momentum(values, grid: Grid1D) -> float:
 
 
 def _xxz_terms(p: XXZParams, c2=1, num=float):
-    """The continuum limit's (lin, d2, cubic, grad, pair) at spacing c, c2 = c^2,
-    in the model's numbers as num: floats, or Fractions for the GP map."""
+    """(lin, d2, cubic, grad, pair) at spacing c, c2 = c^2, in num: float, or
+    _exact for the GP map (no division here, so an int stays exact)."""
     J0, J1, R0, R1, s, x = map(num, (p.J0, p.J1, p.R0, p.R1, p.s, p.x_xi))
     lin = (-2 * J0 + 2 * R0) * s + 2 * J1 * s * x - 2 * R1 * s * x
     return lin, -s * J0 * c2, -2 * R0 + 2 * R1 * x, -2 * R0 * c2, -R0 * c2
+
+
+def _exact(v):
+    """v exactly: an int where it is one, as ints are far cheaper, else a Fraction."""
+    n, d = float(v).as_integer_ratio()
+    return n if d == 1 else Fraction(n, d)
 
 
 def pretransform_rhs_factory(p: XXZParams, grid: Grid1D | tuple, spacing=1.0,
@@ -288,7 +306,8 @@ def pretransform_rhs_factory(p: XXZParams, grid: Grid1D | tuple, spacing=1.0,
     """
     if not np.all(np.isfinite(spacing)):
         raise ValueError(f"spacing must be finite, got {spacing!r}")
-    grids, spacing, h_values = (grid, spacing, h_values) if isinstance(grid, tuple) else (
+    many = isinstance(grid, tuple)
+    grids, spacing, h_values = (grid, spacing, h_values) if many else (
         (grid,), [spacing], None if h_values is None else [h_values])
     if {len(spacing), len(grids if h_values is None else h_values)} != {len(grids)}:
         raise ValueError("need one spacing and one h_values profile per grid")
@@ -303,42 +322,39 @@ def pretransform_rhs_factory(p: XXZParams, grid: Grid1D | tuple, spacing=1.0,
                       dealias=dealias)
 
 
-@lru_cache(maxsize=256)
-def _beyond_gp(p: XXZParams, tc) -> tuple:
-    """A precursor row: the map of (lin, d2, cubic, grad, pair) at spacing 1 less
-    GP's, exact but for grad and pair's B^-2 and 1/A, left out; then A and B."""
-    return tuple(float(c * tc.time_scale * f - g) for c, f, g in zip(
-        _xxz_terms(p, 1, Fraction), (1, 1 / tc.B_squared) + (tc.A_squared,) * 3,
-        _GP + (0, 0))) + (tc.A, tc.B)
-
-
 def precursor_rhs_factory(p, tc, grid: Grid1D, V=None, dispersive_scale=1.0,
                           dealias: bool = True):
     """F(t, uh) = d(uh)/dt, uh = fft(u), for the pretransform at spacing 1
-    under its GP rescaling tc = limitlab.compute_transform(p): u = A psi,
-    x = B xi and t = T tau, with T/hbar = tc.time_scale, multiply (lin,
-    d2, cubic, grad, pair) by (T/hbar) (1, B^-2, A^2, A^2 B^-2, A B^-2).
-    The first three become GP's 1, -1, -1; eps = dispersive_scale scales
-    the rest:
+    under its GP rescaling tc = limitlab.compute_transform(p), u = A psi,
+    x = B xi, t = T tau: (lin, d2, cubic, grad, pair) times (T/hbar) (1,
+    B^-2, A^2, A^2 B^-2, A B^-2), T/hbar = tc.time_scale, exact but for
+    the float B^-2 and 1/A of grad and pair.  GP's part is (1, -1, -1, 0,
+    0); eps = dispersive_scale scales the rest, V = time_scale h:
 
         i u_t = u - u_xx - |u|^2 u - V u
                 + eps [ (R1/R0) x_xi |u|^2 u - B^-2 |u_x|^2 u
                         - (B^-2 / 2A) (u* u_xx + u u*_xx) ]
 
-    V is time_scale h for a pretransform site field h.  The map is exact
-    (Fractions) but for grad and pair's B^-2 and 1/A, from the float A
-    and B.  p, tc and eps may hold one value per row of an (R, M)
-    spectrum, whose rows then evolve independently.
+    p and tc may hold one value per row of an (R, M) spectrum, whose rows
+    evolve independently; eps one per row, or per block of R rows as (E, 1).
     """
+    def beyond_gp(q, t):  # q's terms times (T/hbar) (1, B^-2, A^2, A^2, A^2), less GP's
+        (a, b), (c, d), (n, m) = (x.as_integer_ratio() for x in t)  # A^2, B^2, T/hbar
+        f = (n, m), (n * d, m * c), (n * a, m * b), (n * a, m * b), (n * a, m * b)
+        # exact in ints, rounded once by the division
+        return [(x.numerator * fn - g * x.denominator * fd) / (x.denominator * fd)
+                for x, (fn, fd), g in zip(_xxz_terms(q, 1, _exact), f, _GP + (0, 0))
+                ] + [t.A, t.B]
+
     one = isinstance(p, XXZParams)
-    pairs = [(p, tc)] if one else list(zip(p, tc, strict=True))
-    if not all(t.A_squared > 0 and t.B_squared > 0 for _, t in pairs):  # NaN fails too
+    rows = [(p, tc)] if one else list(zip(p, tc, strict=True))
+    if not all(t.A_squared > 0 and t.B_squared > 0 for _, t in rows):  # NaN fails too
         raise ValueError(f"A^2 and B^2 must be positive, got {tc!r}")
     eps = np.asarray(dispersive_scale, dtype=float)
     if not np.all(np.isfinite(eps)):
         raise ValueError(f"dispersive_scale must be finite, got {dispersive_scale!r}")
-    rows = [_beyond_gp(q, t) for q, t in pairs]
-    lin, d2, cubic, grad, pair, A, B = (np.asarray(c[0] if one else c) for c in zip(*rows))
+    lin, d2, cubic, grad, pair, A, B = (
+        np.asarray(c[0] if one else c) for c in zip(*(beyond_gp(*r) for r in rows)))
     Bm2 = B ** -2  # grad and pair take B^-2 and 1/A from the floats
     lin, d2, cubic = (_per_row(g + eps * r) for g, r in zip(_GP, (lin, d2, cubic)))
     return _cubic_rhs((grid,), -1j, lin, d2, cubic, grad=_per_row(eps * (grad * Bm2)),
@@ -359,7 +375,8 @@ def coupled_gp_step(u, dt: float, grid: Grid1D, t_hop: float, U_values,
     """
     U = np.asarray(U_values, dtype=float) / hbar
     return _strang(u, dt, grid, lambda w: U * np.abs(w[::-1]) ** 2,
-                   -4.0 * t_hop / hbar, 2.0 * t_hop / hbar, before, after)
+                   -4.0 * t_hop / hbar, 2.0 * t_hop / hbar,
+                   *_halves(dt, before, after))
 
 
 def gp_strang(grid: Grid1D, V=None):
@@ -380,12 +397,21 @@ def coupled_gp_observables(u, grid: Grid1D, t_hop: float, U_values,
     """Per-flavor norms and the energy of a (2, M) coupled pair."""
     n0, n1 = np.abs(u) ** 2
     d0, d1 = np.abs(spectral_derivative(u, grid)) ** 2
-    e = (-4.0 * t_hop * (n0 + n1) + 2.0 * t_hop * (d0 + d1)
-         + np.asarray(U_values, dtype=float) * n0 * n1)
-    return {"norm_flavor0": float(grid.dx * n0.sum()),
-            "norm_flavor1": float(grid.dx * n1.sum()), "energy": float(grid.dx * e.sum())}
+    e = (
+        -4.0 * t_hop * (n0 + n1)
+        + 2.0 * t_hop * (d0 + d1)
+        + np.asarray(U_values, dtype=float) * n0 * n1
+    )
+    return {
+        "norm_flavor0": float(grid.dx * n0.sum()),
+        "norm_flavor1": float(grid.dx * n1.sum()),
+        "energy": float(grid.dx * e.sum()),
+    }
 
 
 def continuum_observables(u, grid: Grid1D, V=None) -> dict:
-    return {"norm": gp_norm(u, grid), "energy": gp_energy(u, grid, V),
-            "momentum": gp_momentum(u, grid)}
+    return {
+        "norm": gp_norm(u, grid),
+        "energy": gp_energy(u, grid, V),
+        "momentum": gp_momentum(u, grid),
+    }

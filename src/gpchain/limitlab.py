@@ -238,11 +238,11 @@ def truncation_study(
             f"{len(points)})", points)
 
     used, models, transforms = zip(*legs)
-    A = np.array([tc.A for tc in transforms])
-    u0 = np.array([profile(tc.B * xs_c) for tc in transforms], dtype=complex) / A[:, None]
-    rhs = continuum.precursor_rhs_factory(
-        models * 2, transforms * 2, grid,
-        dispersive_scale=np.repeat([1.0, 0.0], len(used)))
+    A = np.array([pt["A"] for pt in used])
+    B = np.array([pt["B"] for pt in used])
+    u0 = np.array([profile(b * xs_c) for b in B], dtype=complex) / A[:, None]
+    rhs = continuum.precursor_rhs_factory(models, transforms, grid,
+                                          dispersive_scale=[[1.0], [0.0]])
     u0_hat = np.fft.fft(u0)
     try:
         _, states = integrators.integrate_fixed(

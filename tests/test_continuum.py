@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,10 +42,14 @@ def _model(J0=1.0, R0=2.0, s=1.4, **kw):
     return p, compute_transform(p)
 
 
-# a precursor batch's rows: gradient couplings, a negative J1, and none
+# a precursor batch's rows: gradient couplings; negative J1 and R1/R0 at
+# B^-2 = 1.5625, A = 1.70; and none at B^-2 = 0.25, A = 0.5.  B^-2 / 2A,
+# the pair coupling, stays at or below 0.6: it sets how fast RK4 roundoff
+# grows, so the 200-step agreement in test_spectral_rk4_matches_physical_
+# space_oracle reads 7e-15 at 0.66 and 1e-13 at 0.87 in the same code.
 _ROWS = [_model(J0=1.2, R0=1.6, J1=0.5, R1=0.25, x_xi=0.5, s=1.6),
-         _model(J0=1.0, R0=1.5, J1=-0.2, R1=0.4, x_xi=0.3, s=2.0),
-         _model(J0=1.3, R0=1.9, s=3.0)]
+         _model(J0=1.0, R0=1.75125, J1=-0.2, R1=-0.3, x_xi=0.3, s=6.5),
+         _model(J0=1.3, R0=1.4625, s=2.25)]
 
 
 def _precursor_args(rows):
@@ -270,6 +275,33 @@ def test_map_keeps_the_hand_formulas_bits_where_R1_x_xi_is_zero(monkeypatch):
                 -e * Bm2, -e * (Bm2 / (2.0 * A)))
         assert [np.float64(c).tobytes() for c in seen.pop()] == [
             np.float64(c).tobytes() for c in hand], (p, eps)
+
+
+def test_int_inputs_map_to_the_all_fraction_floats(monkeypatch):
+    # the map takes integer-valued inputs as ints, which must leave every
+    # float it hands _cubic_rhs as an all-Fraction map gives it
+    assert type(continuum._exact(400.0)) is int and continuum._exact(-0.0) == 0
+    assert continuum._exact(1.5) == Fraction(3, 2)
+    # the last two each give other floats through a float map
+    models, tcs = zip(_model(J0=1.0, R0=2.0, s=400.0), _model(J0=3.0, R0=5.0, s=7.0),
+                      _model(J0=1.0, R0=2.0, J1=0.5, R1=0.25, x_xi=-0.5, s=1.5),
+                      _model(J0=1.0, R0=2.0, J1=1.0, R1=-1.0, x_xi=3.0, s=7.0),
+                      _model(J0=1.0, R0=5.0, R1=-1.0, x_xi=2.0, s=1265.0))
+    g = Grid1D(L=10.0, M=16)
+
+    def coefficients(eps):
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(continuum, "_cubic_rhs", lambda grids, scale, *c, **kw: seen.extend(
+                np.asarray(v).tobytes() for v in c + (kw["grad"], kw["pair"])))
+            precursor_rhs_factory(list(models), list(tcs), g, dispersive_scale=eps)
+        return seen
+
+    for eps in (1.0, 0.0, [[1.0], [0.5]]):
+        ints = coefficients(eps)
+        with monkeypatch.context() as m:
+            m.setattr(continuum, "_exact", Fraction)
+            assert coefficients(eps) == ints, eps
 
 
 def test_pretransform_linear_plane_wave():
@@ -652,6 +684,21 @@ def test_fused_rows_are_independent_fields():
         _assert_agrees(got, _oracle_precursor(p, tc, g, dispersive_scale=e)(0.0, row))
 
 
+def test_eps_blocks_run_every_row_at_each_scale():
+    # an (E, 1) dispersive_scale maps each model once and runs it at each of
+    # the E scales: the bytes of the rows listed out, block by block
+    g = Grid1D(L=25.0, M=64)
+    u = np.stack([_test_field(g, seed) for seed in range(6)])
+    models, tcs = _precursor_args(3)
+    blocks = precursor_rhs_factory(models, tcs, g, dispersive_scale=[[1.0], [0.0]])
+    listed = precursor_rhs_factory(models * 2, tcs * 2, g,
+                                   dispersive_scale=np.repeat([1.0, 0.0], 3))
+    np.testing.assert_array_equal(_du(blocks, u), _du(listed, u))
+    with pytest.raises(ValueError, match="broadcast"):
+        precursor_rhs_factory(models, tcs, g, dispersive_scale=[1.0, 0.0])
+
+
+
 # Physical-space oracle: the fused RHS as it was when it acted on u itself
 # and u_x and u_xx had an ifft call each, five calls per evaluation with
 # gradients and three without.
@@ -986,8 +1033,7 @@ def _truncation_rhs():
     g = Grid1D(L=8.0 * np.pi, M=256)
     models, tcs = zip(*(_model(J1=0.5, R1=0.25, x_xi=0.5, s=s)
                         for s in (40.0, 126.0, 400.0, 1265.0, 4000.0)))
-    rhs = precursor_rhs_factory(models * 2, tcs * 2, g,
-                                dispersive_scale=np.repeat([1.0, 0.0], 5))
+    rhs = precursor_rhs_factory(models, tcs, g, dispersive_scale=[[1.0], [0.0]])
     A = np.array([tc.A for tc in tcs])
     u = np.exp(-((g.xs - g.L / 2) / 2.0) ** 2) / A[:, None]
     return rhs, np.fft.fft(np.vstack([u, u]).astype(complex))
