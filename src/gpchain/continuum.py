@@ -50,7 +50,8 @@ class Grid1D:
     def __post_init__(self):
         if not 0 < self.L < np.inf:  # NaN fails too
             raise ValueError(f"L must be positive and finite, got {self.L!r}")
-        if self.M < 8 or self.M & (self.M - 1):
+        if (not isinstance(self.M, (int, np.integer))  # a float M has no bits to test
+                or self.M < 8 or self.M & (self.M - 1)):
             raise ValueError(f"M must be a power of two, at least 8, got {self.M!r}")
 
     @property
@@ -273,7 +274,7 @@ def gp_momentum(values, grid: Grid1D) -> float:
 
 def _xxz_terms(p: XXZParams, c2=1, num=float):
     """(lin, d2, cubic, grad, pair) at spacing c, c2 = c^2, in num: float, or
-    _exact for the GP map (no division here, so an int stays exact)."""
+    _exact for the GP rescaling (no division here, so an int stays exact)."""
     J0, J1, R0, R1, s, x = map(num, (p.J0, p.J1, p.R0, p.R1, p.s, p.x_xi))
     lin = (-2 * J0 + 2 * R0) * s + 2 * J1 * s * x - 2 * R1 * s * x
     return lin, -s * J0 * c2, -2 * R0 + 2 * R1 * x, -2 * R0 * c2, -R0 * c2
@@ -307,6 +308,8 @@ def pretransform_rhs_factory(p: XXZParams, grid: Grid1D | tuple, spacing=1.0,
     if not np.all(np.isfinite(spacing)):
         raise ValueError(f"spacing must be finite, got {spacing!r}")
     many = isinstance(grid, tuple)
+    if many and not grid:
+        raise ValueError("grid must hold at least one Grid1D, got ()")
     grids, spacing, h_values = (grid, spacing, h_values) if many else (
         (grid,), [spacing], None if h_values is None else [h_values])
     if {len(spacing), len(grids if h_values is None else h_values)} != {len(grids)}:
@@ -326,9 +329,10 @@ def precursor_rhs_factory(p, tc, grid: Grid1D, V=None, dispersive_scale=1.0,
                           dealias: bool = True):
     """F(t, uh) = d(uh)/dt, uh = fft(u), for the pretransform at spacing 1
     under its GP rescaling tc = limitlab.compute_transform(p), u = A psi,
-    x = B xi, t = T tau: (lin, d2, cubic, grad, pair) times (T/hbar) (1,
-    B^-2, A^2, A^2 B^-2, A B^-2), T/hbar = tc.time_scale, exact but for
-    the float B^-2 and 1/A of grad and pair.  GP's part is (1, -1, -1, 0,
+    x = B xi, t = T tau, the normalisation of the table _xxz_terms(p): it
+    takes lin and d2 to GP's 1 and -1 and divides cubic, grad and pair by
+    the field unit -grad = 2 R0, each rounded once; grad and pair then take
+    B^-2 and B^-2 / A from the float A and B.  GP's part is (1, -1, -1, 0,
     0); eps = dispersive_scale scales the rest, V = time_scale h:
 
         i u_t = u - u_xx - |u|^2 u - V u
@@ -338,27 +342,25 @@ def precursor_rhs_factory(p, tc, grid: Grid1D, V=None, dispersive_scale=1.0,
     p and tc may hold one value per row of an (R, M) spectrum, whose rows
     evolve independently; eps one per row, or per block of R rows as (E, 1).
     """
-    def beyond_gp(q, t):  # q's terms times (T/hbar) (1, B^-2, A^2, A^2, A^2), less GP's
-        (a, b), (c, d), (n, m) = (x.as_integer_ratio() for x in t)  # A^2, B^2, T/hbar
-        f = (n, m), (n * d, m * c), (n * a, m * b), (n * a, m * b), (n * a, m * b)
-        # exact in ints, rounded once by the division
-        return [(x.numerator * fn - g * x.denominator * fd) / (x.denominator * fd)
-                for x, (fn, fd), g in zip(_xxz_terms(q, 1, _exact), f, _GP + (0, 0))
-                ] + [t.A, t.B]
+    def beyond_gp(q):  # cubic, grad and pair over the field unit, less GP's (-1, 0, 0)
+        _, _, *terms = _xxz_terms(q, 1, _exact)
+        unit = -terms[1]  # ints or Fractions: each division is exact, rounded once
+        return [float((x - g * unit) / unit) for x, g in zip(terms, (-1, 0, 0))]
 
     one = isinstance(p, XXZParams)
     rows = [(p, tc)] if one else list(zip(p, tc, strict=True))
+    if not rows:
+        raise ValueError(f"p and tc must hold at least one model, got {p!r}")
     if not all(t.A_squared > 0 and t.B_squared > 0 for _, t in rows):  # NaN fails too
         raise ValueError(f"A^2 and B^2 must be positive, got {tc!r}")
     eps = np.asarray(dispersive_scale, dtype=float)
     if not np.all(np.isfinite(eps)):
         raise ValueError(f"dispersive_scale must be finite, got {dispersive_scale!r}")
-    lin, d2, cubic, grad, pair, A, B = (
-        np.asarray(c[0] if one else c) for c in zip(*(beyond_gp(*r) for r in rows)))
-    Bm2 = B ** -2  # grad and pair take B^-2 and 1/A from the floats
-    lin, d2, cubic = (_per_row(g + eps * r) for g, r in zip(_GP, (lin, d2, cubic)))
-    return _cubic_rhs((grid,), -1j, lin, d2, cubic, grad=_per_row(eps * (grad * Bm2)),
-                      pair=_per_row(eps * (pair * Bm2 / A)), V=V, dealias=dealias)
+    cubic, grad, pair, A, B = (np.asarray(c[0] if one else c) for c in zip(
+        *(beyond_gp(q) + [t.A, t.B] for q, t in rows)))
+    return _cubic_rhs((grid,), -1j, *_GP[:2], _per_row(_GP[2] + eps * cubic),
+                      grad=_per_row(eps * (grad * B ** -2)),
+                      pair=_per_row(eps * (pair * B ** -2 / A)), V=V, dealias=dealias)
 
 
 def coupled_gp_step(u, dt: float, grid: Grid1D, t_hop: float, U_values,

@@ -86,6 +86,9 @@ def test_grid_validation():
         Grid1D(L=5.0, M=48)
     with pytest.raises(ValueError):
         Grid1D(L=5.0, M=4)
+    # a float M used to fail on & with a TypeError
+    with pytest.raises(ValueError, match=r"^M must be a power of two, at least 8, got 256\.0$"):
+        Grid1D(L=10.0, M=256.0)
 
 
 @pytest.mark.parametrize("L", [np.nan, np.inf, -np.inf, 0.0, -1.0])
@@ -207,6 +210,9 @@ def test_precursor_rejects_bad_transform():
             precursor_rhs_factory(p, bad, g)
         with pytest.raises(ValueError, match=r"^A\^2 and B\^2 must be positive"):
             precursor_rhs_factory([p, p], [tc, bad], g)
+    # no rows used to fail unpacking seven values
+    with pytest.raises(ValueError, match=r"^p and tc must hold at least one model, got \[\]$"):
+        precursor_rhs_factory([], [], g)
 
 
 @pytest.mark.parametrize("arg, value, rows", [
@@ -252,34 +258,37 @@ def test_precursor_is_the_pretransform_rescaled(dealias):
         _assert_agrees(pre_states[-1] / A, gp_states[-1], tol=1e-12)
 
 
-def test_map_keeps_the_hand_formulas_bits_where_R1_x_xi_is_zero(monkeypatch):
+def test_map_keeps_the_hand_formulas_bits(monkeypatch):
     # the floats the precursor's hand formulas gave, sign of zero included,
-    # wherever they agree with the map: R1 = 0 or x_xi = 0
+    # wherever they agree with the map: R1 = 0 or x_xi = 0; elsewhere the R1
+    # term is (R1/R0) x_xi, rounded once
     seen = []
     monkeypatch.setattr(continuum, "_cubic_rhs", lambda grids, scale, *c, **kw: seen.append(
         c + (kw["grad"], kw["pair"])))
     rng = np.random.default_rng(7)
     g = Grid1D(L=10.0, M=16)
-    for n in range(400):
+    for n in range(600):
         # J0 and R0 of one sign, R0 / J0 > 1: D has their sign (the negative
         # branch too) where R1 x_xi = 0
         J0 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 10.0))
-        p, tc = _random_model(rng, **(dict(R1=0.0) if n % 2 else dict(x_xi=0.0)), J0=J0,
+        p, tc = _random_model(rng, **[dict(R1=0.0), dict(x_xi=0.0), {}][n % 3], J0=J0,
                               R0=J0 * float(rng.uniform(1.05, 4.0)),
                               s=float(rng.uniform(0.1, 5000.0)))
         eps = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 2.0)]))
         precursor_rhs_factory(p, tc, g, dispersive_scale=eps)
         A, B, e = np.asarray(tc.A), np.asarray(tc.B), np.asarray(eps)
         Bm2 = B ** -2
-        hand = (1.0, -1.0, -1.0 + e * (np.asarray(p.R1 / p.R0) * p.x_xi / B),
-                -e * Bm2, -e * (Bm2 / (2.0 * A)))
+        r1 = float(Fraction(p.R1) * Fraction(p.x_xi) / Fraction(p.R0))
+        assert (r1 == 0) == (n % 3 < 2)
+        hand = (1.0, -1.0, -1 + e * r1, -e * Bm2, -e * (Bm2 / (2.0 * A)))
         assert [np.float64(c).tobytes() for c in seen.pop()] == [
             np.float64(c).tobytes() for c in hand], (p, eps)
 
 
 def test_int_inputs_map_to_the_all_fraction_floats(monkeypatch):
     # the map takes integer-valued inputs as ints, which must leave every
-    # float it hands _cubic_rhs as an all-Fraction map gives it
+    # float it hands _cubic_rhs, and every Fraction of compute_transform, as
+    # an all-Fraction map gives it
     assert type(continuum._exact(400.0)) is int and continuum._exact(-0.0) == 0
     assert continuum._exact(1.5) == Fraction(3, 2)
     # the last two each give other floats through a float map
@@ -288,6 +297,7 @@ def test_int_inputs_map_to_the_all_fraction_floats(monkeypatch):
                       _model(J0=1.0, R0=2.0, J1=1.0, R1=-1.0, x_xi=3.0, s=7.0),
                       _model(J0=1.0, R0=5.0, R1=-1.0, x_xi=2.0, s=1265.0))
     g = Grid1D(L=10.0, M=16)
+    assert all(type(v) is Fraction for tc in tcs for v in tc)
 
     def coefficients(eps):
         seen = []
@@ -302,6 +312,25 @@ def test_int_inputs_map_to_the_all_fraction_floats(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(continuum, "_exact", Fraction)
             assert coefficients(eps) == ints, eps
+    with monkeypatch.context() as m:
+        m.setattr(continuum, "_exact", Fraction)
+        assert [compute_transform(q) for q in models] == list(tcs)
+        assert all(type(v) is Fraction for q in models for v in compute_transform(q))
+
+
+@pytest.mark.parametrize("rows, eps, cubic_shape", [
+    (None, 0.5, ()), (3, [1.0, 0.5, 0.0], (3, 1)), (3, [[1.0], [0.0]], (6, 1))])
+def test_lin_and_d2_reach_the_rhs_as_gp_scalars(monkeypatch, rows, eps, cubic_shape):
+    # the rescaling takes lin and d2 to GP's 1 and -1 by definition, so one
+    # scalar each serves every row and every block of rows
+    seen = []
+    monkeypatch.setattr(continuum, "_cubic_rhs",
+                        lambda grids, scale, *c, **kw: seen.append(c))
+    precursor_rhs_factory(*_precursor_args(rows), Grid1D(L=10.0, M=16),
+                          dispersive_scale=eps)
+    (lin, d2, cubic), = seen
+    assert (lin, d2) == (1, -1) and np.ndim(lin) == np.ndim(d2) == 0
+    assert np.shape(cubic) == cubic_shape
 
 
 def test_pretransform_linear_plane_wave():
@@ -935,6 +964,9 @@ def test_merged_grids_need_one_spacing_and_profile_per_grid():
     # the profiles of grids M = 64, 32, 128, 64 in reverse order
     with pytest.raises(ValueError, match=r"h_values must have shape \(32,\)"):
         pretransform_rhs_factory(p, grids, spacing=spacing, h_values=h[::-1])
+    # no grid used to fail concatenating no arrays
+    with pytest.raises(ValueError, match=r"^grid must hold at least one Grid1D, got \(\)$"):
+        pretransform_rhs_factory(p, (), spacing=[])
 
 
 # The fused RHS as plain expressions, each allocating its result: the

@@ -8,6 +8,7 @@ import pytest
 from gpchain import continuum, integrators, latticedyn, limitlab
 from gpchain.limitlab import (
     DegenerateTransformError,
+    StudyError,
     compute_transform,
     fit_loglog,
     lattice_vs_continuum,
@@ -102,6 +103,32 @@ def test_fit_loglog_rejects_errors_without_a_logarithm(bad):
     with pytest.raises(ValueError, match=rf"errors must be positive and finite, got "
                                          rf"{bad!r} at x = 0\.4$"):
         fit_loglog([0.8, 0.4, 0.2], [1e-2, bad, 1e-3])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("xs", [[0.5, 0.5, 0.5], [6.0, 6.0, 6.0]])
+def test_fit_loglog_needs_two_different_x(xs):
+    # all at one x used to give a NaN slope and a RuntimeWarning; at 6.0 the
+    # mean of the logs is off each of them by roundoff, and the slope read 2/3
+    with pytest.raises(ValueError, match=r"^need at least two different x$"):
+        fit_loglog(xs, [1e-2, 2e-2, 3e-2])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_studies_at_one_x_raise_with_their_points():
+    # a repeated s, or one size twice, gives every point the same x: the
+    # study measured its points but has no slope
+    L, p = 8 * np.pi, XXZParams(N=8, J0=1.0, R0=2.0, s=1.0)
+    profile = lambda x: 0.8 * np.exp(-((x / 2.0) ** 2))
+    with pytest.raises(StudyError, match=r"^need at least two different x$") as info:
+        truncation_study(p, [40.0, 40.0], profile, L=L, M=64, t_end=0.05, dt=1e-3)
+    assert [(pt["s"], pt["rho"]) for pt in info.value.points] == [(40.0, 0.1)] * 2
+    assert all(pt["error"] > 0 for pt in info.value.points)
+    with pytest.raises(StudyError, match=r"^need at least two different x$") as info:
+        lattice_vs_continuum(p, lambda x: _gaussian(x, L), [64, 64], L=L, t_end=0.05,
+                             dt=1e-3)
+    assert [pt["N"] for pt in info.value.points] == [64, 64]
+    assert all(pt["error"] > 0 for pt in info.value.points)
 
 
 def _taylor_check(fn, d1, d2, deltas, xs, band=(2.7, 3.3)):
