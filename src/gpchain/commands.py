@@ -230,7 +230,7 @@ def _precursor(cfg, p):
     grid, u0, V = _grid_setup(cfg)
     tc = limitlab.compute_transform(p)
     rhs = continuum.precursor_rhs_factory(
-        p, tc, grid, V=V, dispersive_scale=float(cfg["dispersive_scale"]))
+        tc, grid, V=V, dispersive_scale=float(cfg["dispersive_scale"]))
     transform = {"A": tc.A, "B": tc.B, "time_scale": float(tc.time_scale)}
     return _Simulation(u0, rhs, lambda u: continuum.continuum_observables(u, grid, V=V),
                        grid, spectral=True, extra={"transform": transform})

@@ -26,7 +26,6 @@ consecutive steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -274,16 +273,10 @@ def gp_momentum(values, grid: Grid1D) -> float:
 
 def _xxz_terms(p: XXZParams, c2=1, num=float):
     """(lin, d2, cubic, grad, pair) at spacing c, c2 = c^2, in num: float, or
-    _exact for the GP rescaling (no division here, so an int stays exact)."""
+    limitlab._exact for the GP rescaling (no division here, so an int stays exact)."""
     J0, J1, R0, R1, s, x = map(num, (p.J0, p.J1, p.R0, p.R1, p.s, p.x_xi))
     lin = (-2 * J0 + 2 * R0) * s + 2 * J1 * s * x - 2 * R1 * s * x
     return lin, -s * J0 * c2, -2 * R0 + 2 * R1 * x, -2 * R0 * c2, -R0 * c2
-
-
-def _exact(v):
-    """v exactly: an int where it is one, as ints are far cheaper, else a Fraction."""
-    n, d = float(v).as_integer_ratio()
-    return n if d == 1 else Fraction(n, d)
 
 
 def pretransform_rhs_factory(p: XXZParams, grid: Grid1D | tuple, spacing=1.0,
@@ -325,39 +318,35 @@ def pretransform_rhs_factory(p: XXZParams, grid: Grid1D | tuple, spacing=1.0,
                       dealias=dealias)
 
 
-def precursor_rhs_factory(p, tc, grid: Grid1D, V=None, dispersive_scale=1.0,
+def precursor_rhs_factory(tc, grid: Grid1D, V=None, dispersive_scale=1.0,
                           dealias: bool = True):
     """F(t, uh) = d(uh)/dt, uh = fft(u), for the pretransform at spacing 1
     under its GP rescaling tc = limitlab.compute_transform(p), u = A psi,
-    x = B xi, t = T tau, the normalisation of the table _xxz_terms(p): it
-    takes lin and d2 to GP's 1 and -1 and divides cubic, grad and pair by
-    the field unit -grad = 2 R0, each rounded once; grad and pair then take
-    B^-2 and B^-2 / A from the float A and B.  GP's part is (1, -1, -1, 0,
-    0); eps = dispersive_scale scales the rest, V = time_scale h:
+    x = B xi, t = T tau.  tc holds the table _xxz_terms(p) normalised: lin
+    and d2 are GP's 1 and -1, and tc.cubic, tc.grad and tc.pair the rest,
+    less GP's (-1, 0, 0), each rounded once here; grad and pair then take
+    B^-2 and B^-2 / A from the float A and B.  eps = dispersive_scale
+    scales the remainder, V = time_scale h; for the printed table,
 
         i u_t = u - u_xx - |u|^2 u - V u
                 + eps [ (R1/R0) x_xi |u|^2 u - B^-2 |u_x|^2 u
                         - (B^-2 / 2A) (u* u_xx + u u*_xx) ]
 
-    p and tc may hold one value per row of an (R, M) spectrum, whose rows
+    tc may hold one transform per row of an (R, M) spectrum, whose rows
     evolve independently; eps one per row, or per block of R rows as (E, 1).
+    A hand-built tc must have A^2 > 0 and B^2 > 0.
     """
-    def beyond_gp(q):  # cubic, grad and pair over the field unit, less GP's (-1, 0, 0)
-        _, _, *terms = _xxz_terms(q, 1, _exact)
-        unit = -terms[1]  # ints or Fractions: each division is exact, rounded once
-        return [float((x - g * unit) / unit) for x, g in zip(terms, (-1, 0, 0))]
-
-    one = isinstance(p, XXZParams)
-    rows = [(p, tc)] if one else list(zip(p, tc, strict=True))
+    one = hasattr(tc, "A_squared")  # one transform, not a sequence of them
+    rows = [tc] if one else list(tc)
     if not rows:
-        raise ValueError(f"p and tc must hold at least one model, got {p!r}")
-    if not all(t.A_squared > 0 and t.B_squared > 0 for _, t in rows):  # NaN fails too
+        raise ValueError(f"tc must hold at least one transform, got {tc!r}")
+    if not all(t.A_squared > 0 and t.B_squared > 0 for t in rows):  # NaN fails too
         raise ValueError(f"A^2 and B^2 must be positive, got {tc!r}")
     eps = np.asarray(dispersive_scale, dtype=float)
     if not np.all(np.isfinite(eps)):
         raise ValueError(f"dispersive_scale must be finite, got {dispersive_scale!r}")
     cubic, grad, pair, A, B = (np.asarray(c[0] if one else c) for c in zip(
-        *(beyond_gp(q) + [t.A, t.B] for q, t in rows)))
+        *((float(t.cubic), float(t.grad), float(t.pair), t.A, t.B) for t in rows)))
     return _cubic_rhs((grid,), -1j, *_GP[:2], _per_row(_GP[2] + eps * cubic),
                       grad=_per_row(eps * (grad * B ** -2)),
                       pair=_per_row(eps * (pair * B ** -2 / A)), V=V, dealias=dealias)

@@ -34,12 +34,16 @@ class DegenerateTransformError(StudyError):
 
 
 class TransformCoefficients(NamedTuple):
-    """The GP rescaling u = A psi, x = B xi, t = time_scale tau, as exact
-    Fractions; compute_transform returns one only with A^2, B^2 > 0."""
+    """The GP rescaling u = A psi, x = B xi, t = time_scale tau, and the
+    remainder cubic, grad, pair (see compute_transform), as exact Fractions;
+    compute_transform returns one only with A^2, B^2 > 0."""
 
     A_squared: Fraction
     B_squared: Fraction
     time_scale: Fraction
+    cubic: Fraction
+    grad: Fraction
+    pair: Fraction
 
     @property
     def A(self) -> float:
@@ -50,15 +54,23 @@ class TransformCoefficients(NamedTuple):
         return math.sqrt(self.B_squared)
 
 
+def _exact(v):
+    """v exactly: an int where it is one, as ints are far cheaper, else a Fraction."""
+    n, d = float(v).as_integer_ratio()
+    return n if d == 1 else Fraction(n, d)
+
+
 def compute_transform(p: XXZParams) -> TransformCoefficients:
     """The normalisation of the table continuum._xxz_terms(p) at spacing 1
     to lin = 1, d2 = -1 and grad = -1: A^2 = lin / (-grad) = D s / (2 R0),
     B^2 = -d2 / lin = J0 / D and time_scale = 1 / lin, lin = D s, exact
-    for the exact values of the inputs.  The rescaling exists only when
-    R0 != 0, A^2 > 0 and B^2 > 0; otherwise DegenerateTransformError says
-    which fails.  A^2 is checked first: A^2 != 0 implies lin != 0.
+    for the exact values of the inputs.  The remainder is cubic, grad and
+    pair over the field unit -grad = 2 R0, less GP's (-1, 0, 0): (R1/R0)
+    x_xi, -1 and -1/2 for the printed table.  The rescaling exists only
+    when R0 != 0, A^2 > 0 and B^2 > 0; otherwise DegenerateTransformError
+    says which fails.  A^2 is checked first: A^2 != 0 implies lin != 0.
     """
-    lin, d2, _, grad, _ = continuum._xxz_terms(p, 1, continuum._exact)
+    lin, d2, cubic, grad, pair = continuum._xxz_terms(p, 1, _exact)
     if grad == 0:
         raise DegenerateTransformError("R0 = 0: the transform is undefined")
     A2 = Fraction(lin) / -grad
@@ -68,7 +80,8 @@ def compute_transform(p: XXZParams) -> TransformCoefficients:
     B2 = Fraction(-d2) / lin
     if B2 <= 0:
         raise DegenerateTransformError(f"B^2 = {B2} is not positive")
-    return TransformCoefficients(A2, B2, 1 / Fraction(lin))
+    return TransformCoefficients(A2, B2, 1 / Fraction(lin), Fraction(cubic - grad) / -grad,
+                                 Fraction(grad) / -grad, Fraction(pair) / -grad)
 
 
 class ConvergenceReport(NamedTuple):
@@ -83,11 +96,15 @@ class ConvergenceReport(NamedTuple):
 def fit_loglog(xs, errors):
     """Least-squares slope of log(error) vs log(x), with its standard error.
 
-    Every error must be positive and finite; a ValueError names the
-    ones that are not.
+    Every x and every error must be positive and finite; a ValueError
+    names the ones that are not.
     """
     xs = np.asarray(xs, dtype=float)
     errors = np.asarray(errors, dtype=float)
+    bad = [repr(x) for x in xs.tolist() if not (math.isfinite(x) and x > 0)]
+    if bad:
+        raise ValueError("no log-log slope: x must be positive and finite, got "
+                         + ", ".join(bad))
     bad = [f"{e!r} at x = {x!r}" for x, e in zip(xs.tolist(), errors.tolist())
            if not (math.isfinite(e) and e > 0)]
     if bad:
@@ -147,6 +164,8 @@ def lattice_vs_continuum(
     leg bit for bit as it would run alone.  A blow-up in either march
     raises StudyError carrying the points, none of them with an error.
     """
+    if not len(sizes) or not all(isinstance(N, (int, np.integer)) and N > 0 for N in sizes):
+        raise ValueError(f"sizes must be one or more positive integers, got {sizes!r}")
     sizes = [int(N) for N in sizes]
     points, phi0, h_lat = [], [], []
     for N in sizes:
@@ -214,12 +233,11 @@ def truncation_study(
     grid = continuum.Grid1D(L, M)
     xs_c = grid.xs - L / 2.0
     points = []
-    legs = []  # (detail, model, transform) of each usable point
+    legs = []  # (detail, transform) of each usable point
     for s in s_values:
         s = float(s)
-        ps = replace(p, s=s)
         try:
-            tc = compute_transform(ps)
+            tc = compute_transform(replace(p, s=s))
         except DegenerateTransformError:
             if p.R0 == 0:  # undefined at every s: nothing to record
                 raise
@@ -228,18 +246,17 @@ def truncation_study(
         detail = {"s": s, "skipped": False, "rho": 2.0 * p.R0 / (s * p.J0),
                   "A": tc.A, "B": tc.B}
         points.append(detail)
-        legs.append((detail, ps, tc))
+        legs.append((detail, tc))
     if len(legs) < 2:
         raise DegenerateTransformError(
             f"fewer than two usable truncation points ({len(legs)} of "
             f"{len(points)})", points)
 
-    used, models, transforms = zip(*legs)
+    used, transforms = zip(*legs)
     A = np.array([pt["A"] for pt in used])
     B = np.array([pt["B"] for pt in used])
     u0 = np.array([profile(b * xs_c) for b in B], dtype=complex) / A[:, None]
-    rhs = continuum.precursor_rhs_factory(models, transforms, grid,
-                                          dispersive_scale=[[1.0], [0.0]])
+    rhs = continuum.precursor_rhs_factory(transforms, grid, dispersive_scale=[[1.0], [0.0]])
     u0_hat = np.fft.fft(u0)
     try:
         _, states = integrators.integrate_fixed(

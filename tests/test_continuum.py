@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gpchain import continuum, integrators
+from gpchain import continuum, integrators, limitlab
 from gpchain.continuum import (
     Grid1D,
     continuum_observables,
@@ -21,7 +21,7 @@ from gpchain.continuum import (
     spectral_derivative,
 )
 from gpchain.integrators import fixed_steps, integrate_fixed, march
-from gpchain.limitlab import DegenerateTransformError, TransformCoefficients, compute_transform
+from gpchain.limitlab import DegenerateTransformError, compute_transform
 from gpchain.models import XXZParams
 
 
@@ -52,9 +52,9 @@ _ROWS = [_model(J0=1.2, R0=1.6, J1=0.5, R1=0.25, x_xi=0.5, s=1.6),
          _model(J0=1.3, R0=1.4625, s=2.25)]
 
 
-def _precursor_args(rows):
-    """(p, tc) of one model, or per-row lists of the first rows of _ROWS."""
-    return _ROWS[0] if rows is None else tuple(list(c) for c in zip(*_ROWS[:rows]))
+def _transforms(rows):
+    """The transform of one model, or a list of those of the first rows of _ROWS."""
+    return _ROWS[0][1] if rows is None else [tc for _, tc in _ROWS[:rows]]
 
 
 def _random_model(rng, **fixed):
@@ -182,7 +182,7 @@ def test_precursor_eps_zero_matches_gp():
     rng = np.random.default_rng(3)
     u = rng.normal(size=g.M) + 1j * rng.normal(size=g.M)
     gp = gp_rhs_factory(g)
-    pre = precursor_rhs_factory(*_model(J1=0.3, R1=0.4, x_xi=0.2), g, dispersive_scale=0.0)
+    pre = precursor_rhs_factory(_model(J1=0.3, R1=0.4, x_xi=0.2)[1], g, dispersive_scale=0.0)
     uh = np.fft.fft(u)
     assert np.array_equal(gp(0.0, uh), pre(0.0, uh))
 
@@ -192,9 +192,9 @@ def test_precursor_remainder_is_nonzero_and_linear_in_eps():
     x = g.xs
     u = 0.7 / np.cosh(0.4 * (x - 12.5))
     gp = gp_rhs_factory(g)
-    p, tc = _model(R1=0.5, x_xi=0.3, s=3.0)
-    full = precursor_rhs_factory(p, tc, g, dispersive_scale=1.0)
-    half = precursor_rhs_factory(p, tc, g, dispersive_scale=0.5)
+    _, tc = _model(R1=0.5, x_xi=0.3, s=3.0)
+    full = precursor_rhs_factory(tc, g, dispersive_scale=1.0)
+    half = precursor_rhs_factory(tc, g, dispersive_scale=0.5)
     d_full = _du(full, u) - _du(gp, u)
     d_half = _du(half, u) - _du(gp, u)
     assert np.abs(d_full).max() > 1e-4
@@ -203,16 +203,16 @@ def test_precursor_remainder_is_nonzero_and_linear_in_eps():
 
 def test_precursor_rejects_bad_transform():
     g = Grid1D(L=10.0, M=64)
-    p, tc = _model()
+    _, tc = _model()
     for A2, B2 in ((0, 1), (1, -4), (np.nan, 1.0), (1.0, np.nan)):
-        bad = TransformCoefficients(A2, B2, tc.time_scale)
+        bad = tc._replace(A_squared=A2, B_squared=B2)
         with pytest.raises(ValueError, match=r"^A\^2 and B\^2 must be positive"):
-            precursor_rhs_factory(p, bad, g)
+            precursor_rhs_factory(bad, g)
         with pytest.raises(ValueError, match=r"^A\^2 and B\^2 must be positive"):
-            precursor_rhs_factory([p, p], [tc, bad], g)
+            precursor_rhs_factory([tc, bad], g)
     # no rows used to fail unpacking seven values
-    with pytest.raises(ValueError, match=r"^p and tc must hold at least one model, got \[\]$"):
-        precursor_rhs_factory([], [], g)
+    with pytest.raises(ValueError, match=r"^tc must hold at least one transform, got \[\]$"):
+        precursor_rhs_factory([], g)
 
 
 @pytest.mark.parametrize("arg, value, rows", [
@@ -228,8 +228,7 @@ def test_non_finite_spacing_and_dispersive_scale_are_rejected(arg, value, rows):
         grid = g if rows is None else (g,) * rows
         call = lambda: pretransform_rhs_factory(_ROWS[0][0], grid, spacing=value)
     else:
-        call = lambda: precursor_rhs_factory(*_precursor_args(rows), g,
-                                             dispersive_scale=value)
+        call = lambda: precursor_rhs_factory(_transforms(rows), g, dispersive_scale=value)
     with pytest.raises(ValueError, match=rf"^{arg} must be finite, got "):
         call()
 
@@ -249,7 +248,7 @@ def test_precursor_is_the_pretransform_rescaled(dealias):
         pre = pretransform_rhs_factory(p, Grid1D(L=B * g.L, M=g.M), h_values=h,
                                        dealias=dealias)
         rescaled = lambda t, uh: (T / A) * pre(T * t, A * uh)
-        gp = precursor_rhs_factory(p, tc, g, V=float(tc.time_scale) * h, dealias=dealias)
+        gp = precursor_rhs_factory(tc, g, V=float(tc.time_scale) * h, dealias=dealias)
         uh = np.fft.fft(_test_field(g, seed))
         _assert_agrees(rescaled(0.0, uh), gp(0.0, uh), tol=1e-12)
         _, pre_states = integrate_fixed(pre, A * np.fft.fft(smooth), 0.0, 0.02 * T, 1e-3 * T)
@@ -275,7 +274,7 @@ def test_map_keeps_the_hand_formulas_bits(monkeypatch):
                               R0=J0 * float(rng.uniform(1.05, 4.0)),
                               s=float(rng.uniform(0.1, 5000.0)))
         eps = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 2.0)]))
-        precursor_rhs_factory(p, tc, g, dispersive_scale=eps)
+        precursor_rhs_factory(tc, g, dispersive_scale=eps)
         A, B, e = np.asarray(tc.A), np.asarray(tc.B), np.asarray(eps)
         Bm2 = B ** -2
         r1 = float(Fraction(p.R1) * Fraction(p.x_xi) / Fraction(p.R0))
@@ -289,8 +288,8 @@ def test_int_inputs_map_to_the_all_fraction_floats(monkeypatch):
     # the map takes integer-valued inputs as ints, which must leave every
     # float it hands _cubic_rhs, and every Fraction of compute_transform, as
     # an all-Fraction map gives it
-    assert type(continuum._exact(400.0)) is int and continuum._exact(-0.0) == 0
-    assert continuum._exact(1.5) == Fraction(3, 2)
+    assert type(limitlab._exact(400.0)) is int and limitlab._exact(-0.0) == 0
+    assert limitlab._exact(1.5) == Fraction(3, 2)
     # the last two each give other floats through a float map
     models, tcs = zip(_model(J0=1.0, R0=2.0, s=400.0), _model(J0=3.0, R0=5.0, s=7.0),
                       _model(J0=1.0, R0=2.0, J1=0.5, R1=0.25, x_xi=-0.5, s=1.5),
@@ -304,16 +303,17 @@ def test_int_inputs_map_to_the_all_fraction_floats(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(continuum, "_cubic_rhs", lambda grids, scale, *c, **kw: seen.extend(
                 np.asarray(v).tobytes() for v in c + (kw["grad"], kw["pair"])))
-            precursor_rhs_factory(list(models), list(tcs), g, dispersive_scale=eps)
+            precursor_rhs_factory([compute_transform(q) for q in models], g,
+                                  dispersive_scale=eps)
         return seen
 
     for eps in (1.0, 0.0, [[1.0], [0.5]]):
         ints = coefficients(eps)
         with monkeypatch.context() as m:
-            m.setattr(continuum, "_exact", Fraction)
+            m.setattr(limitlab, "_exact", Fraction)
             assert coefficients(eps) == ints, eps
     with monkeypatch.context() as m:
-        m.setattr(continuum, "_exact", Fraction)
+        m.setattr(limitlab, "_exact", Fraction)
         assert [compute_transform(q) for q in models] == list(tcs)
         assert all(type(v) is Fraction for q in models for v in compute_transform(q))
 
@@ -326,8 +326,7 @@ def test_lin_and_d2_reach_the_rhs_as_gp_scalars(monkeypatch, rows, eps, cubic_sh
     seen = []
     monkeypatch.setattr(continuum, "_cubic_rhs",
                         lambda grids, scale, *c, **kw: seen.append(c))
-    precursor_rhs_factory(*_precursor_args(rows), Grid1D(L=10.0, M=16),
-                          dispersive_scale=eps)
+    precursor_rhs_factory(_transforms(rows), Grid1D(L=10.0, M=16), dispersive_scale=eps)
     (lin, d2, cubic), = seen
     assert (lin, d2) == (1, -1) and np.ndim(lin) == np.ndim(d2) == 0
     assert np.shape(cubic) == cubic_shape
@@ -687,7 +686,7 @@ def test_fused_precursor_matches_oracle(eps):
     V = 0.2 * np.sin(2 * np.pi * g.xs / g.L)
     kw = dict(V=V, dispersive_scale=eps)
     for p, tc in _ROWS:
-        _assert_agrees(_du(precursor_rhs_factory(p, tc, g, **kw), u),
+        _assert_agrees(_du(precursor_rhs_factory(tc, g, **kw), u),
                        _oracle_precursor(p, tc, g, **kw)(0.0, u))
 
 
@@ -707,7 +706,7 @@ def test_fused_rows_are_independent_fields():
     g = Grid1D(L=25.0, M=128)
     u = np.stack([_test_field(g, seed) for seed in (4, 5, 6)])
     eps = [1.0, 0.5, 0.0]
-    batch = _du(precursor_rhs_factory(*_precursor_args(3), g, dispersive_scale=eps), u)
+    batch = _du(precursor_rhs_factory(_transforms(3), g, dispersive_scale=eps), u)
     assert batch.shape == (3, g.M)
     for row, (p, tc), e, got in zip(u, _ROWS, eps, batch):
         _assert_agrees(got, _oracle_precursor(p, tc, g, dispersive_scale=e)(0.0, row))
@@ -718,13 +717,12 @@ def test_eps_blocks_run_every_row_at_each_scale():
     # the E scales: the bytes of the rows listed out, block by block
     g = Grid1D(L=25.0, M=64)
     u = np.stack([_test_field(g, seed) for seed in range(6)])
-    models, tcs = _precursor_args(3)
-    blocks = precursor_rhs_factory(models, tcs, g, dispersive_scale=[[1.0], [0.0]])
-    listed = precursor_rhs_factory(models * 2, tcs * 2, g,
-                                   dispersive_scale=np.repeat([1.0, 0.0], 3))
+    tcs = _transforms(3)
+    blocks = precursor_rhs_factory(tcs, g, dispersive_scale=[[1.0], [0.0]])
+    listed = precursor_rhs_factory(tcs * 2, g, dispersive_scale=np.repeat([1.0, 0.0], 3))
     np.testing.assert_array_equal(_du(blocks, u), _du(listed, u))
     with pytest.raises(ValueError, match="broadcast"):
-        precursor_rhs_factory(models, tcs, g, dispersive_scale=[1.0, 0.0])
+        precursor_rhs_factory(tcs, g, dispersive_scale=[1.0, 0.0])
 
 
 
@@ -780,8 +778,8 @@ def _rhs_cases(g, rows, with_V, dealias):
                   hbar=0.9, h=0.25 if with_V else 0.0)
     h = None if V is None else 0.25 + V
     return [
-        (precursor_rhs_factory, (*_precursor_args(rows), g), dict(pre, dispersive_scale=0.0)),
-        (precursor_rhs_factory, (*_precursor_args(rows), g), dict(pre, dispersive_scale=1.0)),
+        (precursor_rhs_factory, (_transforms(rows), g), dict(pre, dispersive_scale=0.0)),
+        (precursor_rhs_factory, (_transforms(rows), g), dict(pre, dispersive_scale=1.0)),
         (gp_rhs_factory, (g,), dict(V=V, dealias=dealias)),
         (pretransform_rhs_factory, (p, g),
          dict(spacing=0.5, h_values=h, dealias=dealias)),
@@ -819,10 +817,10 @@ def test_stacked_rhs_bytes_property(monkeypatch):
         shape = (g.M,) if rows is None else (rows, g.M)
         u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         models = [_random_model(rng) for _ in range(rows or 1)]
-        p, tc = models[0] if rows is None else tuple(list(c) for c in zip(*models))
+        tc = models[0][1] if rows is None else [tc for _, tc in models]
         V = rng.normal(size=g.M) if with_V else None
         got, want = _rhs_pair(
-            monkeypatch, precursor_rhs_factory, p, tc, g, V=V,
+            monkeypatch, precursor_rhs_factory, tc, g, V=V,
             dispersive_scale=rng.choice([0.0, float(rng.uniform(0.0, 2.0))]),
             dealias=dealias)
         _assert_agrees(_du(got, u), want(0.0, u))
@@ -837,7 +835,7 @@ def _rk4_cases(g):
     p = XXZParams(N=32, J0=0.9, J1=0.2, R0=0.7, R1=0.1, s=1.4, x_xi=0.3,
                   hbar=0.9, h=0.25)
     return {
-        "precursor-rows": (3, precursor_rhs_factory, (*_precursor_args(3), g),
+        "precursor-rows": (3, precursor_rhs_factory, (_transforms(3), g),
                            dict(dispersive_scale=[1.0, 0.5, 0.0])),
         "pretransform-h": (None, pretransform_rhs_factory, (p, g),
                            dict(spacing=0.5, h_values=0.25 + V)),
@@ -896,7 +894,7 @@ def test_rhs_makes_one_fft_call_per_dependent_stage(monkeypatch, dealias, eps, r
     # u_x and u_xx, and one fft of the nonlinear sum back.
     g = Grid1D(L=25.0, M=64)
     calls = _fft_calls(monkeypatch, _field(g, rows, 12), precursor_rhs_factory,
-                       *_precursor_args(rows), g, dispersive_scale=eps, dealias=dealias)
+                       _transforms(rows), g, dispersive_scale=eps, dealias=dealias)
     assert calls == ["ifft", "fft"] * 3
 
 
@@ -1063,9 +1061,9 @@ def _truncation_rhs():
     """The truncation study's RHS: five points, a precursor row (eps = 1)
     and a GP row (eps = 0) for each, on the (10, 256) spectra it steps."""
     g = Grid1D(L=8.0 * np.pi, M=256)
-    models, tcs = zip(*(_model(J1=0.5, R1=0.25, x_xi=0.5, s=s)
-                        for s in (40.0, 126.0, 400.0, 1265.0, 4000.0)))
-    rhs = precursor_rhs_factory(models, tcs, g, dispersive_scale=[[1.0], [0.0]])
+    tcs = [_model(J1=0.5, R1=0.25, x_xi=0.5, s=s)[1]
+           for s in (40.0, 126.0, 400.0, 1265.0, 4000.0)]
+    rhs = precursor_rhs_factory(tcs, g, dispersive_scale=[[1.0], [0.0]])
     A = np.array([tc.A for tc in tcs])
     u = np.exp(-((g.xs - g.L / 2) / 2.0) ** 2) / A[:, None]
     return rhs, np.fft.fft(np.vstack([u, u]).astype(complex))
@@ -1083,7 +1081,7 @@ def test_rhs_allocates_only_its_result():
     V = 0.2 * np.sin(2 * np.pi * g.xs / g.L)
     uh1 = np.fft.fft(_test_field(g, 21))
     for rhs, uh in [_truncation_rhs(),
-                    (precursor_rhs_factory(*_ROWS[0], g, V=V), uh1),
+                    (precursor_rhs_factory(_ROWS[0][1], g, V=V), uh1),
                     (gp_rhs_factory(g, V=V), uh1)]:
         du, peak = _peak_allocation(lambda: rhs(0.0, uh))
         assert du.shape == uh.shape

@@ -78,12 +78,15 @@ def test_transform_identities_property():
             assert undefined
             return
         assert not undefined
-        A2, B2, ts = tc
+        A2, B2, ts, cubic, grad, pair = tc
         assert all(type(v) is Fraction for v in tc)
         assert A2 * 2 * R0 == D * s
         assert B2 * D == J0
         assert ts * 2 * A2 * R0 == 1
         assert A2 > 0 and B2 > 0
+        # the remainder: the table's cubic, grad and pair over 2 R0, less GP's
+        assert cubic == Fraction(R1) * Fraction(x_xi) / R0
+        assert grad == -1 and pair == Fraction(-1, 2)
 
     check()
 
@@ -103,6 +106,20 @@ def test_fit_loglog_rejects_errors_without_a_logarithm(bad):
     with pytest.raises(ValueError, match=rf"errors must be positive and finite, got "
                                          rf"{bad!r} at x = 0\.4$"):
         fit_loglog([0.8, 0.4, 0.2], [1e-2, bad, 1e-3])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan")])
+def test_fit_loglog_rejects_x_without_a_logarithm(bad):
+    # a negative x used to give a (nan, nan) fit and a RuntimeWarning
+    message = rf"^no log-log slope: x must be positive and finite, got {bad!r}$"
+    with pytest.raises(ValueError, match=message):
+        fit_loglog([1.0, bad, 2.0], [1e-2, 2e-2, 3e-2])
+    points = [{"x": x, "error": e, "skipped": False}
+              for x, e in zip([1.0, bad, 2.0], [1e-2, 2e-2, 3e-2])]
+    with pytest.raises(StudyError, match=message) as info:
+        limitlab._finish_report("x", points, None)
+    assert info.value.points == points
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -129,6 +146,15 @@ def test_studies_at_one_x_raise_with_their_points():
                              dt=1e-3)
     assert [pt["N"] for pt in info.value.points] == [64, 64]
     assert all(pt["error"] > 0 for pt in info.value.points)
+
+
+@pytest.mark.parametrize("sizes", [[32, 0], [32, -64], [32, 64.0], [32.5, 64], []])
+def test_lattice_vs_continuum_needs_positive_integer_sizes(sizes):
+    # a size of 0 used to raise ZeroDivisionError from L / N, and no size
+    # "need at least one array to concatenate"
+    L, p = 8 * np.pi, XXZParams(N=8, J0=1.0, R0=2.0, s=1.0)
+    with pytest.raises(ValueError, match=r"^sizes must be one or more positive integers, got "):
+        lattice_vs_continuum(p, lambda x: _gaussian(x, L), sizes, L=L, t_end=0.05, dt=1e-3)
 
 
 def _taylor_check(fn, d1, d2, deltas, xs, band=(2.7, 3.3)):
@@ -315,7 +341,7 @@ def test_truncation_slope_measures_the_shrinking_amplitude():
     rho = [2.0 * p.R0 / (s * p.J0) for s in s_values]
     u0 = np.array([profile(b * xs_c) for b in B], dtype=complex) / A[:, None]
     pair = continuum.precursor_rhs_factory(
-        models * 2, tcs * 2, grid, dispersive_scale=np.repeat([1.0, 0.0], 5))
+        tcs * 2, grid, dispersive_scale=np.repeat([1.0, 0.0], 5))
     linear = continuum._cubic_rhs((grid,), -1j, 1.0, -1.0, 0.0)
     rhs = lambda t, uh: np.concatenate([pair(t, uh[:10]), linear(t, uh[10:])])
     _, states = integrators.integrate_fixed(rhs, np.fft.fft(np.vstack([u0] * 3)),
@@ -374,7 +400,7 @@ def test_truncation_batch_matches_points_run_one_at_a_time(monkeypatch):
         tc = real(replace(p, s=pt["s"]))
         assert (pt["A"], pt["B"]) == (tc.A, tc.B)
         u0 = np.asarray(profile(tc.B * xs_c), dtype=complex) / tc.A
-        pre = continuum.precursor_rhs_factory(replace(p, s=pt["s"]), tc, grid)
+        pre = continuum.precursor_rhs_factory(tc, grid)
         _, up = integrators.integrate_fixed(pre, np.fft.fft(u0), 0.0, t_end, dt)
         _, ug = integrators.integrate_fixed(gp, np.fft.fft(u0), 0.0, t_end, dt)
         alone = (np.sqrt(np.sum(np.abs(np.fft.ifft(up[-1]) - np.fft.ifft(ug[-1])) ** 2))
