@@ -18,9 +18,9 @@ of an (R, M) array, or the concatenated spectra of several grids, as
 independent fields, so a batch of runs makes one integration.
 
 The GP equation and the coupled two-flavor equation also have Strang
-split steps on plain arrays, both through one row-batched kernel; as
-integrators.SplitStep values, march fuses the half phases of
-consecutive steps.
+substep kernels on plain arrays, both through one row-batched kernel;
+integrators.SplitStep composes them into whole steps, and march fuses
+the half phases of consecutive steps.
 """
 
 from __future__ import annotations
@@ -87,6 +87,19 @@ def _per_row(c):
     return a if a.ndim == 0 else a.reshape(-1, 1)
 
 
+def _profile(name, values, M, scalar=False):
+    """values as floats, checked once where a run is built: shape (M,),
+    or a scalar where scalar is set, and every value finite."""
+    a = np.asarray(values, dtype=float)
+    if a.shape != (M,) and not (scalar and a.ndim == 0):
+        raise ValueError(f"{name} must have shape ({M},)"
+                         f"{' or be a scalar' if scalar else ''}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, got "
+                         f"{np.count_nonzero(~np.isfinite(a))} non-finite of {a.size} values")
+    return a
+
+
 def _cubic_rhs(grids: tuple, scale, lin, d2, cubic, grad=0.0, pair=0.0,
                V=None, dealias: bool = True):
     """F(t, uh) = d(uh)/dt for the cubic-dispersive family shared by every
@@ -134,7 +147,7 @@ def _cubic_rhs(grids: tuple, scale, lin, d2, cubic, grad=0.0, pair=0.0,
     # the filter act on its spectrum
     back = scale * np.concatenate([g.dealias_mask() for g in grids]) if dealias else scale
     two_pair = 2.0 * pair
-    Varr = None if V is None else np.asarray(V, dtype=float)
+    Varr = None if V is None else _profile("V", V, k.size)
 
     @lru_cache(maxsize=None)
     def arrays(shape):  # work arrays for one shape of uh, and what must match it
@@ -210,11 +223,11 @@ def _strang(u, dt: float, grid: Grid1D, potential, a: float, b: float,
     Returns K(after) D(dt) K(before) u.  K(tau) u = exp(-i tau P(u)) u
     is a phase substep: P depends only on |u|, which a phase rotation
     leaves unchanged, so K is exact and K(x) K(y) = K(x + y).  D(dt) is
-    the linear substep, a spectral rotation.  One Strang step is
-    before = after = dt/2; integrators.march fuses the closing K(dt/2)
-    of one step with the opening K(dt/2) of the next into one K(dt).  A
-    length of 0 skips its substep.  The norm of every row is conserved
-    to roundoff, and all rows share one FFT pair along the last axis.
+    the linear substep, a spectral rotation.  This is a kernel, not a
+    step: integrators.SplitStep composes the Strang step from it, and
+    march fuses the phases of consecutive steps.  A length of 0 skips
+    its substep.  The norm of every row is conserved to roundoff, and
+    all rows share one FFT pair along the last axis.
     """
     if before:
         u = np.exp(-1j * before * potential(u)) * u
@@ -225,20 +238,12 @@ def _strang(u, dt: float, grid: Grid1D, potential, a: float, b: float,
     return u
 
 
-def _halves(dt, before, after):
-    """The two phase lengths of a step, dt/2 where not given."""
-    return (0.5 * dt if before is None else before,
-            0.5 * dt if after is None else after)
-
-
-def gp_step_splitstep(u, dt: float, grid: Grid1D, V=None,
-                      before: float | None = None,
-                      after: float | None = None) -> np.ndarray:
-    """One Strang step of the GP equation i u_t = u - u_xx - |u|^2 u - V u.
-
-    before and after are the lengths of the two phase substeps (dt/2
-    when not given); see _strang.  Without V the phase subtracts
-    nothing, which keeps its bits: x - 0.0 is x, -0.0 and NaN included.
+def gp_step_splitstep(u, dt: float, grid: Grid1D, V=None, *, before: float,
+                      after: float) -> np.ndarray:
+    """K(after) D(dt) K(before) u for i u_t = u - u_xx - |u|^2 u - V u; see
+    _strang.  One whole step is gp_strang(grid, V)(t, u, dt).  Without V
+    the phase subtracts nothing, which keeps its bits: x - 0.0 is x, -0.0
+    and NaN included.
     """
     Varr = None if V is None else np.asarray(V, dtype=float)
 
@@ -246,7 +251,7 @@ def gp_step_splitstep(u, dt: float, grid: Grid1D, V=None,
         P = 1.0 - np.abs(w) ** 2
         return P if Varr is None else P - Varr
 
-    return _strang(u, dt, grid, potential, 0.0, 1.0, *_halves(dt, before, after))
+    return _strang(u, dt, grid, potential, 0.0, 1.0, before, after)
 
 
 def gp_norm(values, grid: Grid1D) -> float:
@@ -309,10 +314,8 @@ def pretransform_rhs_factory(p: XXZParams, grid: Grid1D | tuple, spacing=1.0,
         raise ValueError("need one spacing and one h_values profile per grid")
     if h_values is None and any(v != 0.0 for v in p.h):
         raise ValueError("p.h is nonzero but no h_values profile was given for the grid")
-    for g, h in zip(grids, h_values or ()):
-        if np.shape(h) != (g.M,):
-            raise ValueError(f"h_values must have shape ({g.M},)")
-    harr = None if h_values is None else np.concatenate(h_values, dtype=float)
+    harr = None if h_values is None else np.concatenate(
+        [_profile("h_values", h, g.M) for g, h in zip(grids, h_values)])
     c2 = np.repeat([c * c for c in spacing], [g.M for g in grids])  # per wavenumber
     return _cubic_rhs(grids, 1.0 / (1j * p.hbar), *_xxz_terms(p, c2), V=harr,
                       dealias=dealias)
@@ -353,32 +356,35 @@ def precursor_rhs_factory(tc, grid: Grid1D, V=None, dispersive_scale=1.0,
 
 
 def coupled_gp_step(u, dt: float, grid: Grid1D, t_hop: float, U_values,
-                    hbar: float = 1.0, before: float | None = None,
-                    after: float | None = None) -> np.ndarray:
-    """One Strang step for the coupled pair, the rows of a (2, M) array,
+                    hbar: float = 1.0, *, before: float, after: float) -> np.ndarray:
+    """K(after) D(dt) K(before) u for the coupled pair, the rows of a
+    (2, M) array; see _strang:
 
         i hbar u_t^(k) = -4 t u^(k) - 2 t u_xx^(k) + U |u^(1-k)|^2 u^(k)
 
-    The cross-phase substep is exact because each flavor's modulus is
-    untouched by the other's phase rotation; per-flavor norms are
-    conserved to roundoff.  before and after are the lengths of the two
-    phase substeps (dt/2 when not given); see _strang.
+    One whole step is coupled_gp_strang(grid, t_hop, U_values, hbar)(t,
+    u, dt).  The cross-phase substep is exact because each flavor's
+    modulus is untouched by the other's phase rotation; per-flavor norms
+    are conserved to roundoff.
     """
     U = np.asarray(U_values, dtype=float) / hbar
     return _strang(u, dt, grid, lambda w: U * np.abs(w[::-1]) ** 2,
-                   -4.0 * t_hop / hbar, 2.0 * t_hop / hbar,
-                   *_halves(dt, before, after))
+                   -4.0 * t_hop / hbar, 2.0 * t_hop / hbar, before, after)
 
 
 def gp_strang(grid: Grid1D, V=None):
-    """gp_step_splitstep as a SplitStep for integrators.march, which fuses
-    the half phases of consecutive steps."""
+    """gp_step_splitstep as a SplitStep: called, one whole Strang step;
+    in integrators.march, steps whose adjacent half phases are fused.
+    V, when given, must be finite, of shape (M,)."""
+    V = None if V is None else _profile("V", V, grid.M)
     return SplitStep(lambda u, h, before, after: gp_step_splitstep(
         u, h, grid, V, before=before, after=after))
 
 
 def coupled_gp_strang(grid: Grid1D, t_hop: float, U_values, hbar: float = 1.0):
-    """coupled_gp_step as a SplitStep over (2, M) arrays, for march."""
+    """coupled_gp_step as a SplitStep over (2, M) arrays, for march.
+    U_values must be finite: a scalar, or of shape (M,)."""
+    U_values = _profile("U_values", U_values, grid.M, scalar=True)
     return SplitStep(lambda u, h, before, after: coupled_gp_step(
         u, h, grid, t_hop, U_values, hbar, before=before, after=after))
 

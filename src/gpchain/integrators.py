@@ -116,8 +116,10 @@ class SplitStep:
 
     kernel(y, h, before, after) returns K(after) D(h) K(before) y, where
     K(tau) is a phase substep with K(a) K(b) = K(a + b) on any state and
-    D(h) is the linear substep; a length of 0 skips that substep.  Called
-    as step(t, y, h), it takes one whole step S(h).
+    D(h) is the linear substep; a length of 0 skips that substep.  The
+    kernel takes its lengths as given, and this class alone composes
+    them: called as step(t, y, h), it takes one whole step S(h), and
+    march fuses the adjacent half phases of consecutive steps.
     """
 
     kernel: Callable

@@ -116,9 +116,9 @@ def test_criterion_4_lattice_conservation(capsys):
 
     grid = continuum.Grid1D(20 * np.pi, 512)
     u0 = np.sqrt(2.0) / np.cosh(grid.xs - grid.L / 2)
-    u = u0
+    u, step = u0, continuum.gp_strang(grid)
     for _ in range(1000):
-        u = continuum.gp_step_splitstep(u, 1e-3, grid)
+        u = step(None, u, 1e-3)
     gp0 = continuum.gp_norm(u0, grid)
     gp_drift = abs(continuum.gp_norm(u, grid) - gp0) / gp0
 
@@ -127,8 +127,9 @@ def test_criterion_4_lattice_conservation(capsys):
     pair = np.array([0.8 / np.cosh(0.5 * (x - 10.0)),
                      0.6 / np.cosh(0.5 * (x - 20.0))])
     c0 = continuum.coupled_gp_observables(pair, cgrid, 0.5, 1.0)
+    step = continuum.coupled_gp_strang(cgrid, 0.5, 1.0)
     for _ in range(1000):
-        pair = continuum.coupled_gp_step(pair, 1e-3, cgrid, 0.5, 1.0)
+        pair = step(None, pair, 1e-3)
     c1 = continuum.coupled_gp_observables(pair, cgrid, 0.5, 1.0)
     coupled_drift = max(
         abs(c1["norm_flavor0"] - c0["norm_flavor0"]) / c0["norm_flavor0"],

@@ -61,6 +61,21 @@ _PRECURSOR = {
     "grid": {"L": 25.0, "M": 64}, "integrator": {"dt": 0.001, "t_end": 0.05},
     "initial": {"profile": "gaussian", "amplitude": 0.8, "width": 2.0},
 }
+# the Strang split steps: 16 fused steps of 0.003 and a short one of 0.002,
+# with a potential for gp and with hbar != 1 for the coupled pair
+_GP_SHORT_STEP = {
+    "equation": "gp", "grid": {"L": 25.0, "M": 64},
+    "integrator": {"dt": 0.003, "t_end": 0.05},
+    "initial": {"profile": "sech-soliton", "eta": 1.0},
+    "potential": {"profile": "gaussian", "amplitude": 0.3, "width": 4.0},
+}
+_COUPLED_GP_HBAR = {
+    "equation": "coupled-gp",
+    "model": {"family": "hubbard", "N": 8, "t": 0.5, "U": 1.0, "hbar": 0.7},
+    "grid": {"L": 25.0, "M": 64}, "integrator": {"dt": 0.003, "t_end": 0.05},
+    "initial": {"profile": "gaussian", "amplitude": 0.8, "width": 2.0, "center": 10.0},
+    "initial2": {"profile": "gaussian", "amplitude": 0.6, "width": 2.0, "center": 15.0},
+}
 _CONTINUUM_LIMIT = {
     "model": {"N": 8, "J0": 1.0, "R0": 2.0, "s": 1.0},
     "study": {"kind": "continuum-limit", "sizes": [32, 64], "grid_refine": 4,
@@ -75,10 +90,14 @@ _CONTINUUM_LIMIT = {
     ("precursor_eps0", "simulate", dict(_PRECURSOR, dispersive_scale=0.0),
      ("field.csv", "run_summary.json")),
     ("continuum_limit", "study", _CONTINUUM_LIMIT, ("study.csv", "study_summary.json")),
+    ("gp_potential_short_step", "simulate", _GP_SHORT_STEP,
+     ("field.csv", "run_summary.json")),
+    ("coupled_gp_hbar", "simulate", _COUPLED_GP_HBAR, ("field.csv", "run_summary.json")),
 ])
 def test_continuum_outputs_match_golden_bytes(tmp_path, golden, command, payload, names):
-    # the spectral RHS with and without its gradient terms, and the lattice
-    # against the pretransform grid, as an earlier version wrote them
+    # the spectral RHS with and without its gradient terms, the lattice
+    # against the pretransform grid, and both split steps, as an earlier
+    # version wrote them
     out = tmp_path / "o"
     assert main([command, "--config", _write_cfg(tmp_path, payload), "--out", str(out)]) == 0
     for name in names:

@@ -10,12 +10,10 @@ from gpchain.continuum import (
     Grid1D,
     continuum_observables,
     coupled_gp_observables,
-    coupled_gp_step,
     gp_energy,
     gp_momentum,
     gp_norm,
     gp_rhs_factory,
-    gp_step_splitstep,
     precursor_rhs_factory,
     pretransform_rhs_factory,
     spectral_derivative,
@@ -126,8 +124,9 @@ def test_splitstep_norm_exact():
     u0 = rng.normal(size=g.M) + 1j * rng.normal(size=g.M)
     u = u0
     n0 = gp_norm(u, g)
+    step = continuum.gp_strang(g)
     for _ in range(500):
-        u = gp_step_splitstep(u, 1e-3, g)
+        u = step(None, u, 1e-3)
     assert abs(gp_norm(u, g) - n0) < 1e-12 * n0
 
 
@@ -137,13 +136,45 @@ def test_splitstep_is_second_order():
     u0 = 0.9 * np.exp(-((x - 8.0) / 2.0) ** 2) * np.exp(0.3j * x)
     ref = _evolve(gp_rhs_factory(g, dealias=False), u0, 0.2, 1e-4)
     errs = []
+    step = continuum.gp_strang(g)
     for dt in (2e-3, 1e-3):
         u = u0
         for _ in range(int(round(0.2 / dt))):
-            u = gp_step_splitstep(u, dt, g)
+            u = step(None, u, dt)
         errs.append(np.abs(u - ref).max())
     ratio = errs[0] / errs[1]
     assert 3.3 < ratio < 4.7
+
+
+def _breather(X, t):
+    """The Satsuma-Yajima breather, an exact solution of period pi/2 of
+    i q_t + q_XX / 2 + |q|^2 q = 0 (Prog. Theor. Phys. Suppl. 55, 284 (1974))."""
+    return 4 * np.exp(0.5j * t) * (np.cosh(3 * X) + 3 * np.exp(4j * t) * np.cosh(X)) / (
+        np.cosh(4 * X) + 4 * np.cosh(2 * X) + 3 * np.cos(4 * t))
+
+
+@pytest.mark.parametrize("equation", ["gp", "coupled-gp"])
+def test_strang_is_second_order_on_the_breather(equation):
+    # gp is solved by u = e^{-it} q(x / sqrt 2, t), and coupled-gp at t = 0.5,
+    # U = -1 by e^{2it} q(x / sqrt 2, t) in each flavor.  Marched to t = pi/4,
+    # where |q| peaks at 4, in 200 and 400 steps: probed relative errors
+    # 1.04e-3 and 2.59e-4, ratio 3.997, for both
+    g = Grid1D(L=60.0, M=1024)
+    X = (g.xs - 30.0) / np.sqrt(2.0)
+    T = np.pi / 4
+    if equation == "gp":
+        step, u0 = continuum.gp_strang(g), _breather(X, 0.0)
+        exact = np.exp(-1j * T) * _breather(X, T)
+    else:
+        step = continuum.coupled_gp_strang(g, 0.5, -1.0)
+        u0 = np.array([_breather(X, 0.0)] * 2)
+        exact = np.array([np.exp(2j * T) * _breather(X, T)] * 2)
+    errs = []
+    for n in (200, 400):
+        _, states = march(step, u0, 0.0, T, T / n)
+        errs.append(np.abs(states[-1] - exact).max() / np.abs(exact).max())
+    assert errs[1] < 3e-4
+    assert 3.9 < errs[0] / errs[1] < 4.1
 
 
 def test_bright_soliton_is_stationary():
@@ -231,6 +262,36 @@ def test_non_finite_spacing_and_dispersive_scale_are_rejected(arg, value, rows):
         call = lambda: precursor_rhs_factory(_transforms(rows), g, dispersive_scale=value)
     with pytest.raises(ValueError, match=rf"^{arg} must be finite, got "):
         call()
+
+
+_BUILDERS = {
+    "gp_rhs_factory": lambda g, bad: gp_rhs_factory(g, V=bad),
+    "precursor_rhs_factory": lambda g, bad: precursor_rhs_factory(_transforms(None), g, V=bad),
+    "pretransform_rhs_factory": lambda g, bad: pretransform_rhs_factory(
+        _ROWS[0][0], g, h_values=bad),
+    "gp_strang": lambda g, bad: continuum.gp_strang(g, V=bad),
+    "coupled_gp_strang": lambda g, bad: continuum.coupled_gp_strang(g, 0.5, bad),
+}
+_PROFILE_NAMES = {"pretransform_rhs_factory": "h_values", "coupled_gp_strang": "U_values"}
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDERS))
+@pytest.mark.parametrize("bad, message", [
+    (np.ones(32), r" must have shape \(64,\)(?: or be a scalar)?, got \(32,\)$"),
+    (np.full(64, np.nan), r" must be finite, got 64 non-finite of 64 values$"),
+    (np.where(np.arange(64) == 5, np.inf, 1.0), r" must be finite, got 1 non-finite of 64"),
+], ids=["wrong-length", "nan", "one-inf"])
+def test_bad_profiles_are_rejected_when_the_run_is_built(builder, bad, message):
+    # a wrong length once failed at the first call with numpy's broadcast
+    # error, and a NaN ran until march called the state non-finite
+    name = _PROFILE_NAMES.get(builder, "V")
+    with pytest.raises(ValueError, match="^" + name + message):
+        _BUILDERS[builder](Grid1D(L=10.0, M=64), bad)
+
+
+def test_coupled_gp_strang_rejects_a_non_finite_scalar_U():
+    with pytest.raises(ValueError, match=r"^U_values must be finite, got 1 non-finite of 1 "):
+        continuum.coupled_gp_strang(Grid1D(L=10.0, M=64), 0.5, np.nan)
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -393,9 +454,10 @@ def test_coupled_norms_and_swap():
     nb = gp_norm(b, g)
     f = np.array([a, b])
     swapped = np.array([b, a])
+    step = continuum.coupled_gp_strang(g, t_hop=0.7, U_values=U)
     for _ in range(400):
-        f = coupled_gp_step(f, 1e-3, g, t_hop=0.7, U_values=U)
-        swapped = coupled_gp_step(swapped, 1e-3, g, t_hop=0.7, U_values=U)
+        f = step(None, f, 1e-3)
+        swapped = step(None, swapped, 1e-3)
     assert abs(gp_norm(f[0], g) - na) < 1e-12 * na
     assert abs(gp_norm(f[1], g) - nb) < 1e-12 * nb
     # relabeling the flavors commutes with the flow
@@ -409,8 +471,9 @@ def test_coupled_energy_drift_small():
     f = np.array([0.8 / np.cosh(0.5 * (x - 12.0)),
                   0.7 / np.cosh(0.5 * (x - 18.0))])
     obs0 = coupled_gp_observables(f, g, t_hop=0.5, U_values=1.0)
+    step = continuum.coupled_gp_strang(g, t_hop=0.5, U_values=1.0)
     for _ in range(1000):
-        f = coupled_gp_step(f, 1e-3, g, t_hop=0.5, U_values=1.0)
+        f = step(None, f, 1e-3)
     obs1 = coupled_gp_observables(f, g, t_hop=0.5, U_values=1.0)
     assert abs(obs1["energy"] - obs0["energy"]) < 1e-5
     assert abs(obs1["norm_flavor0"] - obs0["norm_flavor0"]) < 1e-12
@@ -422,8 +485,9 @@ def test_coupled_decouples_at_zero_U():
     u0 = np.exp(1j * 2 * np.pi * x / g.L)
     f = np.array([u0, np.zeros(g.M)])
     t_hop, dt, n = 0.9, 1e-2, 50
+    step = continuum.coupled_gp_strang(g, t_hop=t_hop, U_values=0.0)
     for _ in range(n):
-        f = coupled_gp_step(f, dt, g, t_hop=t_hop, U_values=0.0)
+        f = step(None, f, dt)
     k1 = 2 * np.pi / g.L
     phase = np.exp(-1j * dt * n * (-4 * t_hop + 2 * t_hop * k1 ** 2))
     assert np.abs(f[0] - phase * u0).max() < 1e-12
@@ -463,10 +527,9 @@ def test_fused_strang_march_matches_whole_steps(every):
     t_end, dt = 0.1, 0.003  # 33 full steps and a short one
     g = Grid1D(L=30.0, M=128)
     u0, V = _gp_case(g)
-    times, states = march(continuum.gp_strang(g, V=V), u0, 0.0, t_end, dt,
-                          snapshot_every=every)
-    want_t, want = _stepwise(lambda u, h: gp_step_splitstep(u, h, g, V), u0,
-                             t_end, dt, every)
+    step = continuum.gp_strang(g, V=V)
+    times, states = march(step, u0, 0.0, t_end, dt, snapshot_every=every)
+    want_t, want = _stepwise(lambda u, h: step(None, u, h), u0, t_end, dt, every)
     # with every = 3: steps 3, 6, ..., 33, the last full one, and both ends
     assert times == want_t and len(states) == len(want) == (13 if every else 2)
     for got, w in zip(states, want):
@@ -474,10 +537,9 @@ def test_fused_strang_march_matches_whole_steps(every):
 
     t_hop, U = 0.5, 1.0 + 0.3 * np.cos(2 * np.pi * g.xs / g.L)
     pair = _two_gaussians(g)
-    times, states = march(continuum.coupled_gp_strang(g, t_hop, U), pair, 0.0, t_end,
-                          dt, snapshot_every=every)
-    want_t, want = _stepwise(lambda u, h: coupled_gp_step(u, h, g, t_hop, U), pair,
-                             t_end, dt, every)
+    step = continuum.coupled_gp_strang(g, t_hop, U)
+    times, states = march(step, pair, 0.0, t_end, dt, snapshot_every=every)
+    want_t, want = _stepwise(lambda u, h: step(None, u, h), pair, t_end, dt, every)
     assert times == want_t
     for got, w in zip(states, want):
         _assert_agrees(got[0], w[0])
@@ -500,15 +562,16 @@ def test_default_split_steps_keep_their_bytes(dt):
     gp_potential = lambda w: 1.0 - np.abs(w) ** 2 - V
     for u in (u0, _two_gaussians(g)):
         want = _unfused_strang(u, dt, g, gp_potential, 0.0, 1.0)
-        assert np.array_equal(gp_step_splitstep(u, dt, g, V), want)
+        assert np.array_equal(continuum.gp_strang(g, V)(None, u, dt), want)
         # without a potential the phase once subtracted a zero potential
         want = _unfused_strang(u, dt, g, lambda w: 1.0 - np.abs(w) ** 2 - 0.0, 0.0, 1.0)
-        assert gp_step_splitstep(u, dt, g).tobytes() == want.tobytes()
+        assert continuum.gp_strang(g)(None, u, dt).tobytes() == want.tobytes()
     pair = _two_gaussians(g)
     U, t_hop, hbar = 1.0 + 0.3 * np.cos(2 * np.pi * g.xs / g.L), 0.5, 0.7
     want = _unfused_strang(pair, dt, g, lambda w: U / hbar * np.abs(w[::-1]) ** 2,
                            -4.0 * t_hop / hbar, 2.0 * t_hop / hbar)
-    assert np.array_equal(coupled_gp_step(pair, dt, g, t_hop, U, hbar=hbar), want)
+    step = continuum.coupled_gp_strang(g, t_hop, U, hbar=hbar)
+    assert np.array_equal(step(None, pair, dt), want)
 
 
 class _CountingNumpy:
@@ -1141,7 +1204,7 @@ def test_coupled_step_matches_two_field_oracle(hbar):
     g = Grid1D(L=30.0, M=128)
     u = np.array([_test_field(g, 7), _test_field(g, 8)[::-1]])
     U = 1.3 + 0.2 * np.cos(2 * np.pi * g.xs / g.L)
-    got = coupled_gp_step(u, 0.01, g, 0.7, U, hbar=hbar)
+    got = continuum.coupled_gp_strang(g, 0.7, U, hbar=hbar)(None, u, 0.01)
     assert got.shape == (2, g.M)
     for row, want in zip(got, _oracle_coupled_step(u[0], u[1], 0.01, g, 0.7, U, hbar)):
         _assert_agrees(row, want)
